@@ -22,7 +22,6 @@ from ehcrn.analytic import (
     DetectorConfig,
     OperatingPoint,
     Scenario,
-    access_prob,
     access_prob_from_rates,
     battery_steady_state,
     battery_transition_matrix,
@@ -30,14 +29,13 @@ from ehcrn.analytic import (
     false_alarm_prob,
     operating_point,
     outage_prob,
-    packet_loss_prob,
     steady_state_numeric,
     threshold_for_target_pf,
 )
-from ehcrn.chains import STATE_A, STATE_B, RandomStream, TwoStateChain, steady_state, step_chain
+from ehcrn.chains import RandomStream, TwoStateChain, steady_state
 from ehcrn.errors import ConfigError, NumericsError
 from ehcrn.gaussian import q_tail, q_tail_inverse
-from ehcrn.simulate import SimConfig, SimReport, run_replication, run_simulation, sense_event, sense_signal
+from ehcrn.simulate import SimConfig, SimReport, run_replication, run_simulation
 from ehcrn.sweep import SweepResultRow, SweepSpec, emit_csv, emit_json, emit_plot_script, run_sweep
 
 __version__ = "0.1.0"
@@ -55,7 +53,6 @@ __all__ = [
     "SweepResultRow",
     "SweepSpec",
     "TwoStateChain",
-    "access_prob",
     "access_prob_from_rates",
     "battery_steady_state",
     "battery_transition_matrix",
@@ -66,18 +63,12 @@ __all__ = [
     "false_alarm_prob",
     "operating_point",
     "outage_prob",
-    "packet_loss_prob",
-    "STATE_A",
-    "STATE_B",
     "q_tail",
     "q_tail_inverse",
     "run_replication",
     "run_simulation",
     "run_sweep",
-    "sense_event",
-    "sense_signal",
     "steady_state",
     "steady_state_numeric",
-    "step_chain",
     "threshold_for_target_pf",
 ]

@@ -37,7 +37,6 @@ __all__ = [
     "DetectorConfig",
     "OperatingPoint",
     "Scenario",
-    "access_prob",
     "access_prob_from_rates",
     "battery_steady_state",
     "battery_transition_matrix",
@@ -45,7 +44,6 @@ __all__ = [
     "false_alarm_prob",
     "operating_point",
     "outage_prob",
-    "packet_loss_prob",
     "steady_state_numeric",
     "threshold_for_target_pf",
 ]
@@ -127,12 +125,6 @@ def access_prob_from_rates(pf: float, pd: float, pi_idle: float) -> float:
     return (1.0 - pf) * pi_idle + (1.0 - pd) * (1.0 - pi_idle)
 
 
-def access_prob(spectrum: TwoStateChain, det: DetectorConfig) -> float:
-    """Stationary probability that sensing permits a transmission."""
-    pi_idle, _ = steady_state(spectrum)
-    return access_prob_from_rates(false_alarm_prob(det), detection_prob(det), pi_idle)
-
-
 @dataclass(frozen=True)
 class BatteryModel:
     """An L-level battery driven by per-slot access and harvest events.
@@ -141,14 +133,13 @@ class BatteryModel:
     boundaries the geometric ratio alpha is undefined and the birth-death
     derivation assumes both access and non-access occur.  ``harvest_prob``
     (e_on) may sit on its boundaries; those cases degenerate to an always
-    empty / never empty battery.  ``unit_energy`` is bookkeeping only: the
-    harvest quantum equals the transmit quantum.
+    empty / never empty battery.  The harvest quantum equals the transmit
+    quantum.
     """
 
     levels: int
     access_prob: float
     harvest_prob: float
-    unit_energy: float = 1.0
 
     def __post_init__(self):
         if not (isinstance(self.levels, int) and self.levels >= 2):
@@ -160,8 +151,6 @@ class BatteryModel:
             )
         if not 0.0 <= self.harvest_prob <= 1.0:
             raise ValueError(f"harvest probability must lie in [0, 1], got {self.harvest_prob!r}")
-        if not self.unit_energy > 0:
-            raise ValueError(f"unit_energy must be positive, got {self.unit_energy!r}")
 
     @property
     def alpha(self) -> float:
@@ -364,8 +353,3 @@ def operating_point(scenario: Scenario) -> OperatingPoint:
         pf=pf, pd=pd, delta=delta, pi_idle=pi_idle, e_on=e_on,
         alpha=battery.alpha, outage=pi0, packet_loss=loss,
     )
-
-
-def packet_loss_prob(scenario: Scenario) -> float:
-    """Per-slot packet loss probability 1 - (1 - pi_0)(1 - P_f) pi_idle."""
-    return operating_point(scenario).packet_loss

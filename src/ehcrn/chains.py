@@ -3,16 +3,13 @@
 Both the spectrum occupancy process (idle / occupied) and the energy
 arrival process (harvesting / not harvesting) are instances of the same
 two-state chain, parameterised by the two self-transition probabilities.
-States are encoded as the integers ``STATE_A = 0`` and ``STATE_B = 1`` so
-the simulator can work on plain integer arrays.
+The simulator encodes state A as 0 and state B as 1 and advances the chains
+with :func:`ehcrn.kernel.chain_path`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-STATE_A = 0
-STATE_B = 1
 
 
 @dataclass(frozen=True)
@@ -45,20 +42,12 @@ def steady_state(chain: TwoStateChain) -> tuple[float, float]:
 
     pi_a = (1 - stay_b) / (2 - stay_a - stay_b); the pair is the fixed
     point of the 2x2 transition matrix and sums to 1 exactly because the
-    second entry is constructed as the complement.
+    second entry is constructed as the complement.  The denominator is
+    summed as (1 - stay_a) + (1 - stay_b): 2 - stay_a - stay_b rounds to 0
+    when one probability is 1 and the other one ulp below it.
     """
-    pi_a = (1.0 - chain.stay_b) / (2.0 - chain.stay_a - chain.stay_b)
+    pi_a = (1.0 - chain.stay_b) / ((1.0 - chain.stay_a) + (1.0 - chain.stay_b))
     return pi_a, 1.0 - pi_a
-
-
-def step_chain(chain: TwoStateChain, current: int, rng: "RandomStream") -> int:
-    """Advance the chain one slot; consumes exactly one uniform draw."""
-    u = rng.uniform()
-    if current == STATE_A:
-        return STATE_A if u < chain.stay_a else STATE_B
-    if current == STATE_B:
-        return STATE_B if u < chain.stay_b else STATE_A
-    raise ValueError(f"current state must be {STATE_A} or {STATE_B}, got {current!r}")
 
 
 class RandomStream:
@@ -87,15 +76,6 @@ class RandomStream:
     def generator(self) -> np.random.Generator:
         """The underlying numpy generator (single-owner, stateful)."""
         return self._gen
-
-    def uniform(self) -> float:
-        return float(self._gen.random())
-
-    def uniforms(self, n: int) -> np.ndarray:
-        return self._gen.random(n)
-
-    def normals(self, n: int) -> np.ndarray:
-        return self._gen.standard_normal(n)
 
     @staticmethod
     def derive_seed(seed: int, *key: int) -> int:

@@ -10,8 +10,7 @@ Subcommands::
     ehcrn validate --config FILE                 oracle-equivalence suite
 
 Exit codes: 0 success, 2 configuration error, 3 numeric/oracle failure,
-4 I/O error.  EHCRN_THREADS bounds the sweep worker pool (results do not
-depend on it).
+4 I/O error.  A sweep runs its points one after another in row order.
 """
 
 import argparse

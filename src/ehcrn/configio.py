@@ -28,7 +28,7 @@ from ehcrn.chains import TwoStateChain
 from ehcrn.errors import ConfigError
 from ehcrn.simulate import SimConfig
 
-__all__ = ["LoadedConfig", "CustomSweepDef", "load_config", "load_scenario"]
+__all__ = ["OVERRIDE_FIELDS", "SWEEP_VARIABLES", "LoadedConfig", "CustomSweepDef", "load_config"]
 
 _REQUIRED = (
     ("spectrum", "q_i"),
@@ -58,12 +58,25 @@ _KNOWN = {
     "sweep": None,  # validated separately (variant keys are enumerated)
 }
 
-_OVERRIDE_KEYS = {
-    "q_i", "q_o", "p_on", "p_off", "levels",
-    "primary_snr_db", "target_pf", "normalized_threshold",
+# Sweep variant override key -> (part, field) it sets.  The parts are the
+# two chains, the detector, the scenario itself, and "target" for the
+# target false-alarm rate that fixes the threshold.
+OVERRIDE_FIELDS = {
+    "q_i": ("spectrum", "stay_a"),
+    "q_o": ("spectrum", "stay_b"),
+    "p_on": ("energy", "stay_a"),
+    "p_off": ("energy", "stay_b"),
+    "levels": ("scenario", "battery_levels"),
+    "primary_snr_db": ("detector", "primary_snr"),
+    "normalized_threshold": ("detector", "threshold"),
+    "target_pf": ("target", "target_pf"),
 }
 
-_SWEEP_VARIABLES = ("primary_snr_db", "normalized_threshold")
+# Sweep variable -> plot axis label.
+SWEEP_VARIABLES = {
+    "primary_snr_db": "primary SNR (dB)",
+    "normalized_threshold": "normalized detection threshold",
+}
 
 
 @dataclass(frozen=True)
@@ -119,9 +132,9 @@ def _parse_variant(key: str, raw: str):
         name, sep, value = token.partition("=")
         if not sep:
             raise ConfigError(f"sweep.{key}: expected key=value, got {token!r}")
-        if name not in _OVERRIDE_KEYS:
+        if name not in OVERRIDE_FIELDS:
             raise ConfigError(
-                f"sweep.{key}: unknown override {name!r} (allowed: {sorted(_OVERRIDE_KEYS)})"
+                f"sweep.{key}: unknown override {name!r} (allowed: {sorted(OVERRIDE_FIELDS)})"
             )
         overrides[name] = _int("sweep", key, value) if name == "levels" else _float("sweep", key, value)
     if not overrides:
@@ -139,8 +152,8 @@ def _parse_sweep(section) -> CustomSweepDef:
         if k not in section:
             raise ConfigError(f"missing required key 'sweep.{k}'")
     variable = section["variable"].strip()
-    if variable not in _SWEEP_VARIABLES:
-        raise ConfigError(f"sweep.variable must be one of {_SWEEP_VARIABLES}, got {variable!r}")
+    if variable not in SWEEP_VARIABLES:
+        raise ConfigError(f"sweep.variable must be one of {tuple(SWEEP_VARIABLES)}, got {variable!r}")
     grid = tuple(_float("sweep", "grid", tok) for tok in section["grid"].split(","))
     variants = tuple(_parse_variant(k, section[k]) for k in keys if k.startswith("variant"))
     if not variants:
@@ -265,8 +278,3 @@ def load_config(path: str) -> LoadedConfig:
     sweep = _parse_sweep(parser["sweep"]) if "sweep" in parser else None
     return LoadedConfig(scenario=scenario, sim=sim, target_pf=target_pf, sweep=sweep, path=str(path))
 
-
-def load_scenario(path: str) -> tuple[Scenario, SimConfig]:
-    """Load a config file, returning its scenario and simulation controls."""
-    bundle = load_config(path)
-    return bundle.scenario, bundle.sim

@@ -32,12 +32,13 @@ The slots themselves are advanced by the array kernel in
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ehcrn.analytic import Scenario, detection_prob, false_alarm_prob
+from ehcrn.analytic import Scenario
 from ehcrn.chains import RandomStream
+from ehcrn.gaussian import student_t_quantile
 from ehcrn.kernel import (
     ALARM_IDLE,
     ALARM_OCC,
@@ -57,8 +58,6 @@ __all__ = [
     "measure_signal_rate",
     "run_replication",
     "run_simulation",
-    "sense_event",
-    "sense_signal",
 ]
 
 _BLOCK = 1 << 20
@@ -109,7 +108,7 @@ class SimConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimReport:
     """Empirical estimators pooled over one or more replications.
 
@@ -117,9 +116,9 @@ class SimReport:
     collided == slots.  ``battery_histogram`` holds start-of-slot level
     occupancy fractions; ``battery_transition_counts[l, k]`` counts moves
     from level l with k in {0: down, 1: stay, 2: up}.  ``packet_loss_ci95``
-    is the across-replication half-width when replications > 1 (which
-    absorbs slot-to-slot correlation), otherwise the pooled binomial one;
-    both are reported.
+    is the 95 % half-width across replications, t(0.975, R - 1) sd / sqrt(R),
+    when there are R > 1 of them (the spread absorbs slot-to-slot
+    correlation), otherwise the binomial one of the pooled slots.
     """
 
     slots: int
@@ -130,7 +129,6 @@ class SimReport:
     packets_collided: int
     empirical_packet_loss: float
     packet_loss_ci95: float
-    packet_loss_ci95_binomial: float
     empirical_outage_occupancy: float
     empirical_pf: float
     empirical_pd: float
@@ -142,39 +140,16 @@ class SimReport:
     idle_slots: int
     alarms_idle: int
     alarms_occupied: int
-    replication_loss_rates: tuple = field(default_factory=tuple)
-
-
-def sense_event(spectrum_state: int, det, rng: RandomStream) -> int:
-    """One Bernoulli sensing verdict from the closed-form rates.
-
-    Returns 1 ("busy") with probability P_f when the channel state is 0
-    (idle) and with probability P_d when it is 1 (occupied).
-    """
-    p = detection_prob(det) if spectrum_state == 1 else false_alarm_prob(det)
-    return int(rng.uniform() < p)
-
-
-def sense_signal(spectrum_state: int, det, rng: RandomStream) -> int:
-    """One sensing verdict from an explicitly sampled energy statistic.
-
-    Draws N complex samples (noise only when idle, signal plus noise when
-    occupied, both circularly symmetric Gaussian), averages their power
-    and thresholds the result.
-    """
-    n = det.sample_count
-    variance = det.noise_power * ((det.primary_snr + 1.0) if spectrum_state == 1 else 1.0)
-    re = rng.normals(n)
-    im = rng.normals(n)
-    statistic = 0.5 * variance * float(np.mean(re * re + im * im))
-    return int(statistic > det.threshold)
+    replication_loss_rates: tuple
 
 
 def measure_signal_rate(spectrum_state: int, det, rng: RandomStream, trials: int) -> float:
     """Empirical rate of "busy" verdicts over many signal-level trials.
 
-    Batched equivalent of calling :func:`sense_signal` repeatedly; used to
-    check the Gaussian approximation of the closed-form rates.
+    Each trial draws N complex samples (noise only when idle, signal plus
+    noise when occupied, both circularly symmetric Gaussian), averages
+    their power and thresholds the result; used to check the Gaussian
+    approximation of the closed-form rates.
     """
     n = det.sample_count
     variance = det.noise_power * ((det.primary_snr + 1.0) if spectrum_state == 1 else 1.0)
@@ -197,8 +172,9 @@ def _initial_states(scenario: Scenario, cfg: SimConfig, rng: RandomStream):
     if cfg.initial_states == "steady-draw":
         pi_idle = scenario.pi_idle
         e_on = scenario.e_on
-        spec = np.array([0 if rng.uniform() < pi_idle else 1 for _ in range(channels)], np.int64)
-        energy = 0 if rng.uniform() < e_on else 1
+        gen = rng.generator
+        spec = np.array([0 if gen.random() < pi_idle else 1 for _ in range(channels)], np.int64)
+        energy = 0 if gen.random() < e_on else 1
     else:
         spec = np.zeros(channels, np.int64)  # all idle
         energy = 1  # not harvesting
@@ -213,8 +189,9 @@ def _initial_states(scenario: Scenario, cfg: SimConfig, rng: RandomStream):
     return spec, energy, level
 
 
-def run_replication(scenario: Scenario, cfg: SimConfig, stream_id: int) -> SimReport:
-    """Simulate one replication of ``cfg.slots`` slots on its own stream."""
+def _replication_counts(scenario: Scenario, cfg: SimConfig, stream_id: int):
+    """Raw counts of one replication of ``cfg.slots`` slots on its own stream:
+    the kernel's counters and the (L, 3) battery level moves."""
     rng = RandomStream(cfg.seed, stream_id)
     gen = rng.generator
     rule = slot_rule(scenario, cfg.sensing_mode == "signal")
@@ -238,45 +215,41 @@ def run_replication(scenario: Scenario, cfg: SimConfig, stream_id: int) -> SimRe
         state = advance_block(rule, state, u_spec, u_energy, chan_sel, sense_draw,
                               counters, level_moves)
         done += b
-    return _report_from_counts(cfg.slots, 1, counters, level_moves.sum(axis=1), level_moves)
+    return counters, level_moves
+
+
+def run_replication(scenario: Scenario, cfg: SimConfig, stream_id: int) -> SimReport:
+    """Simulate one replication of ``cfg.slots`` slots on its own stream."""
+    return _pooled_report(cfg.slots, [_replication_counts(scenario, cfg, stream_id)])
 
 
 def run_simulation(scenario: Scenario, cfg: SimConfig) -> SimReport:
-    """Run all replications on distinct substreams and pool the counters.
+    """Run all replications on distinct substreams and pool their counts.
 
     Replication i uses stream id i; pooling is an ordered sum, so the
     result is identical no matter how the replications are executed.
     """
-    counters = np.zeros(NCOUNTERS, np.int64)
-    level_counts = np.zeros(scenario.battery_levels, np.int64)
-    level_moves = np.zeros((scenario.battery_levels, 3), np.int64)
-    rates = []
-    for rep in range(cfg.replications):
-        r = run_replication(scenario, cfg, rep)
-        counters += np.array([
-            r.packets_delivered, r.packets_lost_outage,
-            r.packets_lost_false_alarm_or_busy, r.packets_collided,
-            r.idle_slots, r.alarms_idle, r.alarms_occupied,
-        ], np.int64)
-        level_counts += r.battery_level_counts
-        level_moves += r.battery_transition_counts
-        rates.append(r.empirical_packet_loss)
-    report = _report_from_counts(
-        cfg.slots * cfg.replications, cfg.replications, counters, level_counts, level_moves
-    )
-    report.replication_loss_rates = tuple(rates)
-    if cfg.replications > 1:
-        spread = float(np.std(rates, ddof=1)) / math.sqrt(cfg.replications)
-        report.packet_loss_ci95 = 1.96 * spread
-    return report
+    counts = [_replication_counts(scenario, cfg, rep) for rep in range(cfg.replications)]
+    return _pooled_report(cfg.slots, counts)
 
 
-def _report_from_counts(slots, replications, counters, level_counts, level_moves) -> SimReport:
+def _pooled_report(slots_per_replication: int, counts: list) -> SimReport:
+    """One report from the ``(counters, level_moves)`` of each replication."""
+    replications = len(counts)
+    slots = slots_per_replication * replications
+    counters = sum(c for c, _ in counts)
+    level_moves = sum(m for _, m in counts)
+    level_counts = level_moves.sum(axis=1)
+    rates = tuple(1.0 - int(c[DELIVERED]) / slots_per_replication for c, _ in counts)
     delivered = int(counters[DELIVERED])
     idle = int(counters[IDLE])
     occupied = slots - idle
     loss = 1.0 - delivered / slots
-    binomial = 1.96 * math.sqrt(max(loss * (1.0 - loss), 0.0) / slots)
+    if replications > 1:
+        spread = float(np.std(rates, ddof=1)) / math.sqrt(replications)
+        ci95 = student_t_quantile(0.975, replications - 1) * spread
+    else:
+        ci95 = 1.96 * math.sqrt(max(loss * (1.0 - loss), 0.0) / slots)
     return SimReport(
         slots=slots,
         replications=replications,
@@ -285,18 +258,17 @@ def _report_from_counts(slots, replications, counters, level_counts, level_moves
         packets_lost_false_alarm_or_busy=int(counters[NONACCESS]),
         packets_collided=int(counters[COLLIDED]),
         empirical_packet_loss=loss,
-        packet_loss_ci95=binomial,
-        packet_loss_ci95_binomial=binomial,
+        packet_loss_ci95=ci95,
         empirical_outage_occupancy=float(level_counts[0]) / slots,
         empirical_pf=float(counters[ALARM_IDLE]) / idle if idle else math.nan,
         empirical_pd=float(counters[ALARM_OCC]) / occupied if occupied else math.nan,
         empirical_delta=1.0 - int(counters[NONACCESS]) / slots,
         empirical_pi_idle=idle / slots,
         battery_histogram=level_counts / float(slots),
-        battery_level_counts=level_counts.copy(),
-        battery_transition_counts=level_moves.copy(),
+        battery_level_counts=level_counts,
+        battery_transition_counts=level_moves,
         idle_slots=idle,
         alarms_idle=int(counters[ALARM_IDLE]),
         alarms_occupied=int(counters[ALARM_OCC]),
-        replication_loss_rates=(loss,),
+        replication_loss_rates=rates,
     )

@@ -3,13 +3,9 @@
 A sweep runs a grid of operating points for several labelled parameter
 variants, producing one row per (variant, grid value) with the analytic
 quantities, the simulated estimates and the seed that reproduces the
-simulation.  Sweep points are independent jobs executed by a bounded
-thread pool; every point derives its own seed from the base seed and its
-(variant, point) index, so the output is byte-identical no matter how
-many workers run.  The slot kernel holds the GIL between its numpy calls,
-so threads overlap little: on a 2-core VM the 18 points of acceptance
-criterion 2 (4 x 1M slots each) took about 7 s with one worker and with
-two alike.
+simulation.  The points run one after another in row order; every point
+derives its own seed from the base seed and its (variant, point) index,
+so any row can be reproduced alone from its ``seed`` column.
 
 Two stock campaigns mirror the headline experiments:
 
@@ -21,14 +17,12 @@ Two stock campaigns mirror the headline experiments:
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ehcrn.analytic import Scenario, operating_point, threshold_for_target_pf
-from ehcrn.chains import RandomStream, TwoStateChain
-from ehcrn.configio import LoadedConfig, snr_db_to_linear
+from ehcrn.chains import RandomStream
+from ehcrn.configio import OVERRIDE_FIELDS, SWEEP_VARIABLES, LoadedConfig, snr_db_to_linear
 from ehcrn.errors import ConfigError
 from ehcrn.simulate import SimConfig, run_simulation
 
@@ -47,10 +41,7 @@ __all__ = [
     "emit_json",
     "emit_plot_script",
     "run_sweep",
-    "worker_count",
 ]
-
-SWEEP_VARIABLES = ("primary_snr_db", "normalized_threshold")
 
 CASE_ONE_GRID_DB = tuple(float(v) for v in range(-20, -7))
 CASE_ONE_VARIANTS = (
@@ -66,11 +57,6 @@ CASE_TWO_VARIANTS = (
     ("qo0.5-qi0.5", {"q_o": 0.5, "q_i": 0.5}),
     ("qo0.3-qi0.5", {"q_o": 0.3, "q_i": 0.5}),
 )
-
-_XLABEL = {
-    "primary_snr_db": "primary SNR (dB)",
-    "normalized_threshold": "normalized detection threshold",
-}
 
 CSV_HEADER = (
     "variant,sweep_value,analytic_pl,sim_pl,sim_pl_ci95,analytic_pi0,sim_pi0,"
@@ -117,7 +103,9 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
-            raise ValueError(f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
+            raise ValueError(
+                f"variable must be one of {tuple(SWEEP_VARIABLES)}, got {self.variable!r}"
+            )
         if len(self.grid) < 2:
             raise ValueError(f"grid needs at least 2 values, got {len(self.grid)}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
@@ -144,42 +132,30 @@ def apply_overrides(scenario: Scenario, target_pf, overrides: dict):
     false-alarm probability; a ``normalized_threshold`` override clears
     the target since it pins the threshold directly.
     """
-    q_i, q_o = scenario.spectrum.stay_a, scenario.spectrum.stay_b
-    p_on, p_off = scenario.energy.stay_a, scenario.energy.stay_b
-    levels = scenario.battery_levels
-    det = scenario.detector
-    snr = det.primary_snr
-    threshold = det.threshold
-    target = target_pf
+    changes = {part: {} for part, _ in OVERRIDE_FIELDS.values()}
+    changes["target"]["target_pf"] = target_pf
     for key, value in overrides.items():
-        if key == "q_i":
-            q_i = value
-        elif key == "q_o":
-            q_o = value
-        elif key == "p_on":
-            p_on = value
-        elif key == "p_off":
-            p_off = value
-        elif key == "levels":
-            levels = int(value)
-        elif key == "primary_snr_db":
-            snr = snr_db_to_linear(value)
-        elif key == "target_pf":
-            target = value
-        elif key == "normalized_threshold":
-            threshold = value * det.noise_power
-            target = None
-        else:
+        if key not in OVERRIDE_FIELDS:
             raise ValueError(f"unknown override key {key!r}")
-    det = replace(det, primary_snr=snr, threshold=threshold)
+        part, name = OVERRIDE_FIELDS[key]
+        if key == "levels":
+            value = int(value)
+        elif key == "primary_snr_db":
+            value = snr_db_to_linear(value)
+        elif key == "normalized_threshold":
+            value *= scenario.detector.noise_power
+            changes["target"]["target_pf"] = None
+        changes[part][name] = value
+    target = changes["target"]["target_pf"]
+    det = replace(scenario.detector, **changes["detector"])
     if target is not None:
         det = replace(det, threshold=threshold_for_target_pf(target, det))
-    scenario = Scenario(
-        spectrum=TwoStateChain(q_i, q_o, labels=scenario.spectrum.labels),
-        energy=TwoStateChain(p_on, p_off, labels=scenario.energy.labels),
+    scenario = replace(
+        scenario,
+        spectrum=replace(scenario.spectrum, **changes["spectrum"]),
+        energy=replace(scenario.energy, **changes["energy"]),
         detector=det,
-        battery_levels=levels,
-        slot_duration=scenario.slot_duration,
+        **changes["scenario"],
     )
     return scenario, target
 
@@ -194,20 +170,6 @@ def _point_scenario(variable: str, scenario: Scenario, target_pf, value: float) 
     else:
         det = replace(det, threshold=value * det.noise_power)
     return replace(scenario, detector=det)
-
-
-def worker_count() -> int:
-    """Worker-pool bound: EHCRN_THREADS if set, else the CPU count."""
-    raw = os.environ.get("EHCRN_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"EHCRN_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"EHCRN_THREADS must be >= 1, got {n}")
-    return n
 
 
 def _run_point(spec: SweepSpec, vi: int, gi: int) -> SweepResultRow:
@@ -236,14 +198,10 @@ def _run_point(spec: SweepSpec, vi: int, gi: int) -> SweepResultRow:
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepResultRow]:
-    """Run every (variant, grid value) job; rows ordered by (variant, value)."""
-    jobs = [(vi, gi) for vi in range(len(spec.variants)) for gi in range(len(spec.grid))]
-    workers = min(worker_count(), len(jobs))
-    if workers == 1:
-        return [_run_point(spec, vi, gi) for vi, gi in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {(vi, gi): pool.submit(_run_point, spec, vi, gi) for vi, gi in jobs}
-        return [futures[key].result() for key in jobs]
+    """Run every (variant, grid value) point; rows ordered by (variant, value)."""
+    return [
+        _run_point(spec, vi, gi) for vi in range(len(spec.variants)) for gi in range(len(spec.grid))
+    ]
 
 
 def case_one_sweep(bundle: LoadedConfig) -> SweepSpec:
@@ -345,8 +303,10 @@ def emit_plot_script(rows, path, sweep_variable: str = "primary_snr_db", csv_nam
     """
     if not rows:
         raise ValueError("no rows to emit")
-    if sweep_variable not in _XLABEL:
-        raise ValueError(f"sweep_variable must be one of {tuple(_XLABEL)}, got {sweep_variable!r}")
+    if sweep_variable not in SWEEP_VARIABLES:
+        raise ValueError(
+            f"sweep_variable must be one of {tuple(SWEEP_VARIABLES)}, got {sweep_variable!r}"
+        )
     if csv_name is None:
         csv_name = Path(path).with_suffix(".csv").name
     labels = list(dict.fromkeys(row.variant for row in rows))
@@ -354,7 +314,7 @@ def emit_plot_script(rows, path, sweep_variable: str = "primary_snr_db", csv_nam
         "# generated by ehcrn sweep; run with: gnuplot -persist " + Path(path).name,
         f'csvfile = "{csv_name}"',
         "set datafile separator comma",
-        f'set xlabel "{_XLABEL[sweep_variable]}"',
+        f'set xlabel "{SWEEP_VARIABLES[sweep_variable]}"',
         'set ylabel "packet loss probability"',
         "set key outside right top",
         "set grid",

@@ -11,7 +11,6 @@ from ehcrn.analytic import (
     BatteryModel,
     DetectorConfig,
     Scenario,
-    access_prob,
     access_prob_from_rates,
     battery_steady_state,
     battery_transition_matrix,
@@ -19,7 +18,6 @@ from ehcrn.analytic import (
     false_alarm_prob,
     operating_point,
     outage_prob,
-    packet_loss_prob,
     steady_state_numeric,
     threshold_for_target_pf,
 )
@@ -33,9 +31,9 @@ SNR_M15_DB = 10.0 ** (-1.5)  # -15 dB as a linear ratio
 PD_AT_UNIT_THRESHOLD = 0.9147911766150735
 # noise_power * (1 + Qinv(0.01)/sqrt(2000))
 THRESHOLD_PF_01_N2000 = 1.0520187198566744
-# packet_loss_prob at the case-1 base point below; cross-checked against a
-# 1e7-slot simulation (difference +0.0015, inside the max(3sigma, 0.005)
-# Monte-Carlo agreement band used throughout).
+# operating_point(...).packet_loss at the case-1 base point below;
+# cross-checked against a 1e7-slot simulation (difference +0.0015, inside
+# the max(3sigma, 0.005) Monte-Carlo agreement band used throughout).
 CASE1_BASE_PACKET_LOSS = 0.7358965045217091
 
 
@@ -155,11 +153,11 @@ class TestAccessProb:
         assert access_prob_from_rates(1.0, 1.0, 0.375) == 0.0
 
     def test_composition(self):
-        spectrum = TwoStateChain(0.5, 0.7)
         det = detector()
+        scn = replace(case1_base_scenario(), detector=det)  # pi_idle 0.375
         expected = access_prob_from_rates(
             false_alarm_prob(det), detection_prob(det), 0.375)
-        assert access_prob(spectrum, det) == pytest.approx(expected, abs=1e-15)
+        assert operating_point(scn).delta == pytest.approx(expected, abs=1e-15)
 
 
 class TestBatteryModel:
@@ -325,10 +323,10 @@ class TestPacketLoss:
 
     def test_permanent_outage(self):
         scn = replace(case1_base_scenario(), energy=TwoStateChain(0.0, 1.0))
-        assert packet_loss_prob(scn) == 1.0
+        assert operating_point(scn).packet_loss == 1.0
 
     def test_case1_base_regression(self):
-        assert packet_loss_prob(case1_base_scenario()) == pytest.approx(
+        assert operating_point(case1_base_scenario()).packet_loss == pytest.approx(
             CASE1_BASE_PACKET_LOSS, abs=1e-12)
 
     def test_bounds(self):

@@ -1,4 +1,8 @@
-"""Two-state chain construction, stationary law and stepping."""
+"""Two-state chain construction, stationary law, stepping and streams.
+
+Stepping is checked on :func:`ehcrn.kernel.chain_path`, the code the
+simulator runs.
+"""
 
 import math
 
@@ -6,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ehcrn.chains import STATE_A, STATE_B, RandomStream, TwoStateChain, steady_state, step_chain
+from ehcrn.chains import RandomStream, TwoStateChain, steady_state
+from ehcrn.kernel import chain_path
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -40,6 +45,11 @@ def test_steady_state_absorbing_a():
     assert steady_state(TwoStateChain(1.0, 0.0)) == (1.0, 0.0)
 
 
+def test_steady_state_one_ulp_from_double_absorbing():
+    assert steady_state(TwoStateChain(0.9999999999999999, 1.0)) == (0.0, 1.0)
+    assert steady_state(TwoStateChain(1.0, 0.9999999999999999)) == (1.0, 0.0)
+
+
 @given(probs, probs)
 def test_steady_state_is_fixed_point(stay_a, stay_b):
     if stay_a == 1.0 and stay_b == 1.0:
@@ -53,20 +63,16 @@ def test_steady_state_is_fixed_point(stay_a, stay_b):
 
 
 def test_step_absorbing_state():
-    rng = RandomStream(1, 0)
-    chain = TwoStateChain(1.0, 0.5)
-    assert all(step_chain(chain, STATE_A, rng) == STATE_A for _ in range(100))
+    gen = RandomStream(1, 0).generator
+    path = chain_path(gen.random(100), 1.0, 0.5, 0)
+    assert not path.any()
 
 
 def test_step_forced_exit():
-    rng = RandomStream(2, 0)
-    chain = TwoStateChain(0.5, 0.0)
-    assert all(step_chain(chain, STATE_B, rng) == STATE_A for _ in range(100))
-
-
-def test_step_rejects_bad_state():
-    with pytest.raises(ValueError):
-        step_chain(TwoStateChain(0.5, 0.5), 2, RandomStream(3, 0))
+    # 100 independent single steps out of state B, one per column
+    gen = RandomStream(2, 0).generator
+    path = chain_path(gen.random((1, 100)), 0.5, 0.0, np.ones(100, bool))
+    assert not path.any()
 
 
 def test_long_run_state_frequency_matches_steady_state():
@@ -76,13 +82,11 @@ def test_long_run_state_frequency_matches_steady_state():
     for seed, stay_a, stay_b in ((101, 0.7, 0.4), (102, 0.9, 0.85), (103, 0.2, 0.6)):
         chain = TwoStateChain(stay_a, stay_b)
         pi_a = steady_state(chain)[0]
-        rng = RandomStream(seed, 0)
-        state = STATE_A if rng.uniform() < pi_a else STATE_B
+        gen = RandomStream(seed, 0).generator
+        start = 0 if gen.random() < pi_a else 1
         slots = 200_000
-        hits = 0
-        for _ in range(slots):
-            state = step_chain(chain, state, rng)
-            hits += state == STATE_A
+        path = chain_path(gen.random(slots), stay_a, stay_b, start)
+        hits = slots - int(np.count_nonzero(path))
         r = stay_a + stay_b - 1.0
         t_eff = slots * (1.0 - r) / (1.0 + r)
         sigma = math.sqrt(pi_a * (1.0 - pi_a) / t_eff)
@@ -91,37 +95,32 @@ def test_long_run_state_frequency_matches_steady_state():
 
 def test_step_empirical_stay_frequency():
     # Stay frequency out of state A over one million steps, binomial 3-sigma.
-    chain = TwoStateChain(0.7, 0.4)
-    rng = RandomStream(20240817, 0)
-    state = STATE_A
-    from_a = stays = 0
-    for _ in range(1_000_000):
-        nxt = step_chain(chain, state, rng)
-        if state == STATE_A:
-            from_a += 1
-            stays += nxt == STATE_A
-        state = nxt
+    gen = RandomStream(20240817, 0).generator
+    path = chain_path(gen.random(1_000_000), 0.7, 0.4, 0)
+    before = np.concatenate(([False], path[:-1]))
+    from_a = int(np.count_nonzero(~before))
+    stays = int(np.count_nonzero(~before & ~path))
     freq = stays / from_a
     sigma = math.sqrt(0.7 * 0.3 / from_a)
     assert abs(freq - 0.7) <= 3.0 * sigma
 
 
 def test_stream_reproducible():
-    a = RandomStream(1234, 5).uniforms(1000)
-    b = RandomStream(1234, 5).uniforms(1000)
+    a = RandomStream(1234, 5).generator.random(1000)
+    b = RandomStream(1234, 5).generator.random(1000)
     assert (a == b).all()
 
 
 def test_stream_ids_differ():
-    a = RandomStream(1234, 0).uniforms(1000)
-    b = RandomStream(1234, 1).uniforms(1000)
+    a = RandomStream(1234, 0).generator.random(1000)
+    b = RandomStream(1234, 1).generator.random(1000)
     assert (a != b).any()
 
 
 def test_stream_scalar_matches_array():
-    s = RandomStream(99, 2)
-    first = s.uniform()
-    assert first == RandomStream(99, 2).uniforms(1)[0]
+    # the simulator draws its initial states one scalar at a time
+    first = RandomStream(99, 2).generator.random()
+    assert first == RandomStream(99, 2).generator.random(1)[0]
 
 
 def test_stream_validation():

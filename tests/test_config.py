@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ehcrn.configio import load_config, load_scenario
+from ehcrn.configio import load_config
 from ehcrn.errors import ConfigError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -40,7 +40,8 @@ def write(tmp_path, text, name="t.cfg"):
 
 class TestBundledConfigs:
     def test_case1(self):
-        scenario, sim = load_scenario(str(REPO / "configs" / "case1.cfg"))
+        bundle = load_config(str(REPO / "configs" / "case1.cfg"))
+        scenario, sim = bundle.scenario, bundle.sim
         assert scenario.battery_levels == 100
         assert scenario.slot_duration == 0.1
         assert scenario.detector.sensing_duration == 0.002
@@ -49,7 +50,6 @@ class TestBundledConfigs:
         assert scenario.spectrum.stay_b == 0.7  # occupied self-transition
         assert scenario.spectrum.stay_a == 0.5  # idle self-transition
         assert sim.slots == 1_000_000 and sim.replications == 4
-        bundle = load_config(str(REPO / "configs" / "case1.cfg"))
         assert bundle.target_pf == 0.01
 
     def test_case2(self):

@@ -1,12 +1,14 @@
-"""Gaussian tail function against an independent quadrature oracle."""
+"""Gaussian tail function against an independent quadrature oracle; the
+Student-t quantile against scipy."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.stats import t as student_t
 
-from ehcrn.gaussian import q_tail, q_tail_inverse
+from ehcrn.gaussian import q_tail, q_tail_inverse, student_t_quantile
 
 
 def quad_tail(x: float) -> float:
@@ -79,3 +81,15 @@ def test_inverse_round_trip_property(p):
 def test_inverse_domain_errors(p):
     with pytest.raises(ValueError):
         q_tail_inverse(p)
+
+
+@pytest.mark.parametrize("p", [0.025, 0.3, 0.5, 0.6, 0.9, 0.975, 0.995])
+def test_student_t_quantile_matches_scipy(p):
+    for df in range(1, 101):
+        assert student_t_quantile(p, df) == pytest.approx(student_t.ppf(p, df), abs=1e-9)
+
+
+@pytest.mark.parametrize("p, df", [(0.0, 3), (1.0, 3), (math.nan, 3), (0.975, 0), (0.975, 2.5)])
+def test_student_t_quantile_domain_errors(p, df):
+    with pytest.raises(ValueError):
+        student_t_quantile(p, df)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import gammaincc
+from scipy.stats import t as student_t
 
 from ehcrn.analytic import (
     DetectorConfig,
@@ -15,14 +16,7 @@ from ehcrn.analytic import (
 )
 from ehcrn import kernel, simulate
 from ehcrn.chains import RandomStream, TwoStateChain
-from ehcrn.simulate import (
-    SimConfig,
-    measure_signal_rate,
-    run_replication,
-    run_simulation,
-    sense_event,
-    sense_signal,
-)
+from ehcrn.simulate import SimConfig, measure_signal_rate, run_replication, run_simulation
 
 SNR_M15_DB = 10.0 ** (-1.5)
 
@@ -52,33 +46,41 @@ def exact_busy_rate(det, state):
 
 
 class TestSenseEvent:
+    """Event-mode verdicts of the simulator on a spectrum chain that never
+    leaves one state: (q_i, q_o) = (1, 0) is always idle, (0, 1) always
+    occupied."""
+
     def test_never_alarms_when_pf_zero(self):
         det = detector(threshold=2.0)  # false-alarm underflows to 0
         assert false_alarm_prob(det) == 0.0
-        rng = RandomStream(1, 0)
-        assert all(sense_event(0, det, rng) == 0 for _ in range(200))
+        scn = scenario(q_i=1.0, q_o=0.0, det=det)
+        r = run_simulation(scn, SimConfig(slots=200, replications=1, seed=1))
+        assert r.idle_slots == 200
+        assert r.alarms_idle == 0
 
     def test_always_detects_when_pd_one(self):
         det = detector(threshold=0.2)
         assert detection_prob(det) == 1.0
-        rng = RandomStream(2, 0)
-        assert all(sense_event(1, det, rng) == 1 for _ in range(200))
+        scn = scenario(q_i=0.0, q_o=1.0, det=det)
+        r = run_simulation(scn, SimConfig(slots=200, replications=1, seed=2))
+        assert r.idle_slots == 0
+        assert r.alarms_occupied == 200
 
     def test_empirical_false_alarm_rate(self):
         det = detector(threshold=1.01)
         pf = false_alarm_prob(det)
-        rng = RandomStream(3, 0)
         trials = 100_000
-        rate = sum(sense_event(0, det, rng) for _ in range(trials)) / trials
-        assert abs(rate - pf) <= 3.0 * math.sqrt(pf * (1.0 - pf) / trials)
+        scn = scenario(q_i=1.0, q_o=0.0, det=det)
+        r = run_simulation(scn, SimConfig(slots=trials, replications=1, seed=3))
+        assert r.idle_slots == trials
+        assert abs(r.empirical_pf - pf) <= 3.0 * math.sqrt(pf * (1.0 - pf) / trials)
 
 
 class TestSenseSignal:
     def test_tiny_snr_reduces_to_noise_law(self):
         det = detector(threshold=1.01, snr=1e-12, n=500)
-        rng = RandomStream(4, 0)
         trials = 4000
-        rate = sum(sense_signal(1, det, rng) for _ in range(trials)) / trials
+        rate = measure_signal_rate(1, det, RandomStream(4, 0), trials)
         pf_exact = exact_busy_rate(det, 0)
         assert abs(rate - pf_exact) <= 3.0 * math.sqrt(pf_exact * (1 - pf_exact) / trials) + 1e-9
 
@@ -90,10 +92,10 @@ class TestSenseSignal:
         exact = exact_busy_rate(det, state)
         assert abs(rate - exact) <= 3.0 * math.sqrt(exact * (1.0 - exact) / trials)
 
-    def test_scalar_consumes_stream_reproducibly(self):
+    def test_same_stream_reproduces(self):
         det = detector(n=100)
-        a = sense_signal(1, det, RandomStream(6, 0))
-        b = sense_signal(1, det, RandomStream(6, 0))
+        a = measure_signal_rate(1, det, RandomStream(6, 0), 1000)
+        b = measure_signal_rate(1, det, RandomStream(6, 0), 1000)
         assert a == b
 
 
@@ -205,6 +207,19 @@ class TestPoolingAndDeterminism:
         assert pooled.empirical_packet_loss == pytest.approx(
             np.mean(pooled.replication_loss_rates), abs=1e-12)
         assert len(pooled.replication_loss_rates) == 4
+
+    @pytest.mark.parametrize("reps", [2, 4])
+    def test_ci_uses_student_t(self, reps):
+        cfg = SimConfig(slots=10_000, replications=reps, seed=37)
+        pooled = run_simulation(scenario(), cfg)
+        rates = np.array(pooled.replication_loss_rates)
+        expected = student_t.ppf(0.975, reps - 1) * rates.std(ddof=1) / math.sqrt(reps)
+        assert pooled.packet_loss_ci95 == pytest.approx(expected, rel=1e-12)
+
+    def test_single_replication_ci_is_binomial(self):
+        r = run_simulation(scenario(), SimConfig(slots=20_000, replications=1, seed=38))
+        loss = r.empirical_packet_loss
+        assert r.packet_loss_ci95 == 1.96 * math.sqrt(loss * (1.0 - loss) / r.slots)
 
     def test_bit_identical_reruns(self):
         scn = scenario()

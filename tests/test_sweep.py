@@ -2,18 +2,26 @@
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from ehcrn.analytic import BatteryModel, access_prob_from_rates, outage_prob
-from ehcrn.configio import load_config
+from ehcrn.analytic import (
+    BatteryModel,
+    access_prob_from_rates,
+    outage_prob,
+    threshold_for_target_pf,
+)
+from ehcrn.configio import load_config, snr_db_to_linear
 from ehcrn.errors import ConfigError
+from ehcrn.simulate import run_simulation
 from ehcrn.sweep import (
     CASE_ONE_GRID_DB,
     CASE_TWO_GRID,
     CSV_HEADER,
     SweepSpec,
+    apply_overrides,
     case_one_sweep,
     case_two_sweep,
     custom_sweep,
@@ -21,7 +29,6 @@ from ehcrn.sweep import (
     emit_json,
     emit_plot_script,
     run_sweep,
-    worker_count,
 )
 
 TINY = """
@@ -138,22 +145,17 @@ class TestRunSweep:
         b = run_sweep(custom_sweep(tiny_bundle))
         assert a == b
 
-    def test_thread_count_does_not_change_rows(self, tiny_bundle, monkeypatch):
-        monkeypatch.setenv("EHCRN_THREADS", "1")
-        a = run_sweep(custom_sweep(tiny_bundle))
-        monkeypatch.setenv("EHCRN_THREADS", "4")
-        b = run_sweep(custom_sweep(tiny_bundle))
-        assert a == b
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("EHCRN_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("EHCRN_THREADS", "zero")
-        with pytest.raises(ConfigError):
-            worker_count()
-        monkeypatch.setenv("EHCRN_THREADS", "0")
-        with pytest.raises(ConfigError):
-            worker_count()
+    def test_each_row_reproduces_alone_from_its_seed(self, tiny_bundle, tiny_rows):
+        # the tiny sweep varies the SNR at a fixed target false-alarm rate
+        variants = dict(tiny_bundle.sweep.variants)
+        for row in tiny_rows:
+            scn, target = apply_overrides(
+                tiny_bundle.scenario, tiny_bundle.target_pf, variants[row.variant])
+            det = replace(scn.detector, primary_snr=snr_db_to_linear(row.sweep_value))
+            det = replace(det, threshold=threshold_for_target_pf(target, det))
+            report = run_simulation(replace(scn, detector=det),
+                                    replace(tiny_bundle.sim, seed=row.seed))
+            assert report.empirical_packet_loss == row.sim_pl
 
 
 class TestEmitters:
