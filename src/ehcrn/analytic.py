@@ -38,8 +38,10 @@ __all__ = [
     "OperatingPoint",
     "Scenario",
     "access_prob_from_rates",
+    "battery_diagonals",
     "battery_steady_state",
     "battery_transition_matrix",
+    "birth_death_steady_state",
     "detection_prob",
     "false_alarm_prob",
     "operating_point",
@@ -129,11 +131,12 @@ def access_prob_from_rates(pf: float, pd: float, pi_idle: float) -> float:
 class BatteryModel:
     """An L-level battery driven by per-slot access and harvest events.
 
-    ``access_prob`` (delta) must be strictly inside (0, 1): at the
-    boundaries the geometric ratio alpha is undefined and the birth-death
-    derivation assumes both access and non-access occur.  ``harvest_prob``
-    (e_on) may sit on its boundaries; those cases degenerate to an always
-    empty / never empty battery.  The harvest quantum equals the transmit
+    ``access_prob`` (delta) and ``harvest_prob`` (e_on) may sit on their
+    boundaries, where the geometric law degenerates and the stationary
+    quantities take their finite limits: delta == 1 confines the battery
+    to levels {0, 1} with pi_0 = 1 - e_on (alpha = 0); delta == 0 pins it
+    at the top (alpha = inf); e_on == 0 pins it at empty and e_on == 1
+    keeps it away from empty.  The harvest quantum equals the transmit
     quantum.
     """
 
@@ -144,18 +147,15 @@ class BatteryModel:
     def __post_init__(self):
         if not (isinstance(self.levels, int) and self.levels >= 2):
             raise ValueError(f"levels must be an integer >= 2, got {self.levels!r}")
-        if not 0.0 < self.access_prob < 1.0:
-            raise ValueError(
-                f"access probability must lie strictly in (0, 1), got {self.access_prob!r}; "
-                "the battery chain's geometric ratio is undefined at the boundaries"
-            )
+        if not 0.0 <= self.access_prob <= 1.0:
+            raise ValueError(f"access probability must lie in [0, 1], got {self.access_prob!r}")
         if not 0.0 <= self.harvest_prob <= 1.0:
             raise ValueError(f"harvest probability must lie in [0, 1], got {self.harvest_prob!r}")
 
     @property
     def alpha(self) -> float:
         """Geometric ratio (1 - delta) e_on / (delta (1 - e_on)) of the chain."""
-        if self.harvest_prob == 1.0:
+        if self.harvest_prob == 1.0 or self.access_prob == 0.0:
             return math.inf
         return (1.0 - self.access_prob) * self.harvest_prob / (
             self.access_prob * (1.0 - self.harvest_prob)
@@ -168,31 +168,34 @@ class BatteryModel:
         )
 
 
-def battery_transition_matrix(b: BatteryModel) -> np.ndarray:
-    """Row-stochastic tridiagonal transition matrix of the battery level.
+def battery_diagonals(b: BatteryModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (down, stay, up) diagonals of the battery level's transition matrix.
 
-    Level 0 cannot transmit, so it only moves up (harvest) or stays; an
-    interior level moves down on access-without-harvest, up on
+    ``down[l - 1]`` is P[l, l - 1], ``stay[l]`` is P[l, l] and ``up[l]`` is
+    P[l, l + 1].  Level 0 cannot transmit, so it only moves up (harvest) or
+    stays; an interior level moves down on access-without-harvest, up on
     harvest-without-access, and otherwise stays; the top level absorbs
-    harvests into the cap.  Diagonals are the correctly-rounded complements
-    of the off-diagonal mass (computed with error-free summation), so each
-    row sums to 1.0 exactly under math.fsum and to within one ulp under
-    naive summation.
+    harvests into the cap.  The interior diagonal is the correctly-rounded
+    complement of the off-diagonal mass (computed with error-free
+    summation), so each row sums to 1.0 exactly under math.fsum and to
+    within one ulp under naive summation.
     """
     levels, delta, e_on = b.levels, b.access_prob, b.harvest_prob
     down = delta * (1.0 - e_on)
     up = (1.0 - delta) * e_on
-    stay = math.fsum((1.0, -down, -up))
-    mat = np.zeros((levels, levels))
-    mat[0, 0] = 1.0 - e_on
-    mat[0, 1] = e_on
-    for l in range(1, levels - 1):
-        mat[l, l - 1] = down
-        mat[l, l] = stay
-        mat[l, l + 1] = up
-    mat[levels - 1, levels - 2] = down
-    mat[levels - 1, levels - 1] = 1.0 - down
-    return mat
+    stay = np.full(levels, math.fsum((1.0, -down, -up)))
+    stay[0] = 1.0 - e_on
+    stay[-1] = 1.0 - down
+    ups = np.full(levels - 1, up)
+    ups[0] = e_on
+    return np.full(levels - 1, down), stay, ups
+
+
+def battery_transition_matrix(b: BatteryModel) -> np.ndarray:
+    """Row-stochastic tridiagonal transition matrix of the battery level,
+    assembled from :func:`battery_diagonals`."""
+    down, stay, up = battery_diagonals(b)
+    return np.diag(stay) + np.diag(down, -1) + np.diag(up, 1)
 
 
 def outage_prob(b: BatteryModel) -> float:
@@ -205,16 +208,20 @@ def outage_prob(b: BatteryModel) -> float:
     for alpha != 1, and the limit (1 - delta) / ((1 - delta) + (L - 1)) at
     alpha == 1.  Evaluation goes through expm1/log1p in terms of
     d = alpha - 1, which is stable on both sides of alpha == 1 and does
-    not overflow for large alpha^L.  Harvest-probability boundaries short
-    circuit: never harvesting pins the battery at empty, harvesting every
-    slot keeps it away from empty.
+    not overflow for large alpha^L.  The boundaries short circuit to their
+    limits: never harvesting pins the battery at empty, harvesting every
+    slot or never accessing keeps it away from empty, and accessing every
+    slot gives 1 - e_on.
     """
     if b.harvest_prob == 0.0:
         return 1.0
-    if b.harvest_prob == 1.0:
+    if b.harvest_prob == 1.0 or b.access_prob == 0.0:
         return 0.0
     delta = b.access_prob
     d = b._alpha_minus_one()
+    if d <= -1.0:
+        # delta == 1, or so near it that alpha rounds to 0 and log1p fails
+        return 1.0 - b.harvest_prob
     if d == 0.0:
         return (1.0 - delta) / (b.levels - delta)
     t = b.levels * math.log1p(d)
@@ -231,16 +238,17 @@ def battery_steady_state(b: BatteryModel) -> np.ndarray:
     assembled from log-weights and normalised, which keeps the entries
     finite for any alpha and makes the sum exactly 1 up to rounding.
     """
-    levels, delta = b.levels, b.access_prob
-    if b.harvest_prob == 0.0:
+    levels, delta, e_on = b.levels, b.access_prob, b.harvest_prob
+    if e_on in (0.0, 1.0) or delta == 0.0:
         vec = np.zeros(levels)
-        vec[0] = 1.0
+        vec[0 if e_on == 0.0 else -1] = 1.0
         return vec
-    if b.harvest_prob == 1.0:
+    d = b._alpha_minus_one()
+    if d <= -1.0:  # as in outage_prob
         vec = np.zeros(levels)
-        vec[-1] = 1.0
+        vec[:2] = 1.0 - e_on, e_on
         return vec
-    log_alpha = math.log1p(b._alpha_minus_one())
+    log_alpha = math.log1p(d)
     logw = np.arange(levels) * log_alpha - math.log(1.0 - delta)
     logw[0] = 0.0
     w = np.exp(logw - logw.max())
@@ -282,6 +290,43 @@ def steady_state_numeric(matrix: np.ndarray) -> np.ndarray:
         )
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()
+
+
+def birth_death_steady_state(down: np.ndarray, stay: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Stationary distribution of a tridiagonal chain from its diagonals.
+
+    Grassmann-Taksar-Heyman state reduction on a birth-death chain gives
+    pi_l proportional to prod_{k <= l} P[k - 1, k] / P[k, k - 1]: an O(L),
+    subtraction-free solve, taken in log space so that long products
+    neither overflow nor underflow.  Certified with the guards of
+    :func:`steady_state_numeric`.
+
+    Raises:
+        NumericsError: rows not stochastic, a zero down entry (the chain is
+            not irreducible), a residual above 1e-12 or a negative entry.
+    """
+    down, stay, up = (np.asarray(v, dtype=float) for v in (down, stay, up))
+    rows = stay.copy()
+    rows[:-1] += up
+    rows[1:] += down
+    if not np.all(np.abs(rows - 1.0) <= 1e-9):
+        raise NumericsError(f"matrix is not row-stochastic: row sums {rows}")
+    if not np.all(down != 0.0):
+        raise NumericsError("a down entry is 0; the chain is likely not irreducible")
+    with np.errstate(divide="ignore"):
+        logw = np.concatenate(([0.0], np.cumsum(np.log(np.abs(up)) - np.log(np.abs(down)))))
+    sign = np.concatenate(([1.0], np.where(np.cumsum((up < 0) != (down < 0)) % 2, -1.0, 1.0)))
+    w = sign * np.exp(logw - logw.max())
+    pi = w / w.sum()
+    flow = pi * stay
+    flow[1:] += pi[:-1] * up
+    flow[:-1] += pi[1:] * down
+    residual = float(np.max(np.abs(flow - pi)))
+    if not (residual <= 1e-12 and pi.min() >= -1e-10):
+        raise NumericsError(
+            f"stationary solve is unreliable: residual {residual:.3e}, min entry {pi.min():.3e}"
+        )
+    return pi
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Closed-form detector, access and battery quantities against oracles."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +13,10 @@ from ehcrn.analytic import (
     DetectorConfig,
     Scenario,
     access_prob_from_rates,
+    battery_diagonals,
     battery_steady_state,
     battery_transition_matrix,
+    birth_death_steady_state,
     detection_prob,
     false_alarm_prob,
     operating_point,
@@ -23,6 +26,7 @@ from ehcrn.analytic import (
 )
 from ehcrn.chains import TwoStateChain
 from ehcrn.errors import NumericsError
+from ehcrn.validate import closed_form_vs_numeric
 
 SNR_M15_DB = 10.0 ** (-1.5)  # -15 dB as a linear ratio
 
@@ -62,6 +66,35 @@ batteries = st.builds(
     access_prob=st.floats(min_value=0.01, max_value=0.99),
     harvest_prob=st.floats(min_value=0.01, max_value=0.99),
 )
+
+
+def loop_transition_matrix(b):
+    """The per-level loop that built the battery matrix before it was
+    assembled from its diagonals; the bit-for-bit oracle."""
+    levels, delta, e_on = b.levels, b.access_prob, b.harvest_prob
+    down = delta * (1.0 - e_on)
+    up = (1.0 - delta) * e_on
+    stay = math.fsum((1.0, -down, -up))
+    mat = np.zeros((levels, levels))
+    mat[0, 0] = 1.0 - e_on
+    mat[0, 1] = e_on
+    for l in range(1, levels - 1):
+        mat[l, l - 1] = down
+        mat[l, l] = stay
+        mat[l, l + 1] = up
+    mat[levels - 1, levels - 2] = down
+    mat[levels - 1, levels - 1] = 1.0 - down
+    return mat
+
+
+def validate_instances(instances=200, seed=20240101, max_levels=200):
+    """The random batteries of ``closed_form_vs_numeric``, drawn the same way."""
+    rng = np.random.default_rng(seed)
+    for i in range(instances):
+        levels = int(rng.integers(2, max_levels + 1))
+        delta = float(rng.uniform(0.01, 0.99))
+        e_on = delta if i % 10 == 0 else float(rng.uniform(0.01, 0.99))
+        yield BatteryModel(levels, delta, e_on)
 
 
 class TestDetectorConfig:
@@ -165,9 +198,9 @@ class TestBatteryModel:
         with pytest.raises(ValueError):
             BatteryModel(1, 0.5, 0.5)
         with pytest.raises(ValueError):
-            BatteryModel(3, 0.0, 0.5)
+            BatteryModel(3, -0.1, 0.5)
         with pytest.raises(ValueError):
-            BatteryModel(3, 1.0, 0.5)
+            BatteryModel(3, 1.1, 0.5)
         with pytest.raises(ValueError):
             BatteryModel(3, 0.5, -0.1)
 
@@ -198,6 +231,17 @@ class TestBatteryModel:
         mat = battery_transition_matrix(battery)
         assert (np.triu(mat, k=2) == 0.0).all()
         assert (np.tril(mat, k=-2) == 0.0).all()
+
+    @pytest.mark.parametrize("levels", [2, 3, 17])
+    @pytest.mark.parametrize("delta", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("e_on", [0.0, 0.62, 1.0])
+    def test_matches_loop_oracle(self, levels, delta, e_on):
+        battery = BatteryModel(levels, delta, e_on)
+        assert np.array_equal(battery_transition_matrix(battery), loop_transition_matrix(battery))
+
+    @given(batteries)
+    def test_matches_loop_oracle_property(self, battery):
+        assert np.array_equal(battery_transition_matrix(battery), loop_transition_matrix(battery))
 
 
 class TestOutage:
@@ -294,6 +338,123 @@ class TestNumericSolver:
         mat = battery_transition_matrix(battery)
         pi = steady_state_numeric(mat)
         assert np.max(np.abs(pi @ mat - pi)) <= 1e-12
+
+
+class TestBoundaryLimits:
+    """delta on {0, 1}: finite limits of the closed forms."""
+
+    @pytest.mark.parametrize("e_on", [0.01, 0.3, 0.375, 0.9])
+    @pytest.mark.parametrize("levels", [2, 5, 100])
+    def test_full_access(self, levels, e_on):
+        battery = BatteryModel(levels, 1.0, e_on)
+        assert battery.alpha == 0.0
+        assert outage_prob(battery) == 1.0 - e_on
+        vec = battery_steady_state(battery)
+        assert vec[:2].tolist() == [1.0 - e_on, e_on] and not vec[2:].any()
+        numeric = steady_state_numeric(battery_transition_matrix(battery))
+        assert np.max(np.abs(vec - numeric)) <= 1e-12
+        near = BatteryModel(levels, 1.0 - 1e-6, e_on)
+        assert abs(outage_prob(near) - outage_prob(battery)) <= 1e-5
+        assert np.max(np.abs(battery_steady_state(near) - vec)) <= 1e-5
+
+    # pi_0 ~ delta (1 - e_on) / e_on near delta == 0, so e_on stays >= 0.1
+    @pytest.mark.parametrize("e_on", [0.1, 0.3, 0.375, 0.9])
+    @pytest.mark.parametrize("levels", [2, 5, 100])
+    def test_no_access(self, levels, e_on):
+        battery = BatteryModel(levels, 0.0, e_on)
+        assert battery.alpha == math.inf
+        assert outage_prob(battery) == 0.0
+        vec = battery_steady_state(battery)
+        assert vec[-1] == 1.0 and not vec[:-1].any()
+        numeric = steady_state_numeric(battery_transition_matrix(battery))
+        assert np.max(np.abs(vec - numeric)) <= 1e-12
+        near = BatteryModel(levels, 1e-6, e_on)
+        assert abs(outage_prob(near) - outage_prob(battery)) <= 1e-5
+        assert np.max(np.abs(battery_steady_state(near) - vec)) <= 1e-5
+
+    def test_one_ulp_below_full_access(self):
+        # alpha - 1 rounds to -1 here, where log1p used to raise; whatever
+        # digits the closed form loses this near delta == 1, it stays a law
+        battery = BatteryModel(2, 1.0 - 2.0**-53, 0.01)
+        assert outage_prob(battery) == 0.99
+        assert battery_steady_state(battery).tolist() == [0.99, 0.01]
+        for ulps in range(1, 65):
+            for e_on in np.linspace(0.01, 0.99, 99):
+                battery = BatteryModel(5, 1.0 - ulps * 2.0**-53, float(e_on))
+                vec = battery_steady_state(battery)
+                assert 0.0 <= outage_prob(battery) <= 1.0
+                assert vec.min() >= 0.0 and abs(vec.sum() - 1.0) <= 1e-12
+
+    def test_packet_loss_limits(self):
+        # normalized threshold far above / below the noise level drives
+        # delta to exactly 1 / 0 in double precision
+        base = case1_base_scenario()
+        high = replace(base, detector=replace(base.detector, threshold=1.4))
+        low = replace(base, detector=replace(base.detector, threshold=0.6))
+        op = operating_point(high)
+        assert op.delta == 1.0 and op.outage == 1.0 - op.e_on
+        assert op.packet_loss == 1.0 - op.e_on * (1.0 - op.pf) * op.pi_idle
+        op = operating_point(low)
+        assert op.delta == 0.0 and op.alpha == math.inf
+        assert op.outage == 0.0 and op.packet_loss == 1.0
+
+
+class TestBirthDeathSolver:
+    def test_matches_dense_on_validate_instances(self):
+        count = 0
+        for battery in validate_instances():
+            fast = birth_death_steady_state(*battery_diagonals(battery))
+            dense = steady_state_numeric(battery_transition_matrix(battery))
+            assert np.max(np.abs(fast - dense)) <= 1e-12
+            count += 1
+        assert count == 200
+
+    @given(batteries)
+    def test_matches_dense(self, battery):
+        fast = birth_death_steady_state(*battery_diagonals(battery))
+        dense = steady_state_numeric(battery_transition_matrix(battery))
+        assert np.max(np.abs(fast - dense)) <= 1e-12
+
+    def test_overflowing_product(self):
+        # prod of ratios reaches ~1e323 over 200 levels; log space keeps it finite
+        battery = BatteryModel(200, 0.02, 0.98)
+        pi = birth_death_steady_state(*battery_diagonals(battery))
+        assert np.isfinite(pi).all() and pi[-1] > 0.99
+        assert np.max(np.abs(pi - battery_steady_state(battery))) <= 1e-12
+
+    def test_hand_point(self):
+        pi = birth_death_steady_state(*battery_diagonals(BatteryModel(3, 0.5, 0.5)))
+        assert pi == pytest.approx([0.2, 0.4, 0.4], abs=1e-15)
+
+    def test_rejects_non_stochastic(self):
+        with pytest.raises(NumericsError, match="row-stochastic"):
+            birth_death_steady_state([0.5], [0.5, 0.4], [0.5])
+
+    def test_rejects_zero_down(self):
+        with pytest.raises(NumericsError, match="irreducible"):
+            birth_death_steady_state([0.0], [0.5, 1.0], [0.5])
+
+    @staticmethod
+    def unreliable(down, stay, up):
+        """(residual, min entry) reported by the solver's certificate guard."""
+        with pytest.raises(NumericsError, match="unreliable") as info:
+            birth_death_steady_state(down, stay, up)
+        residual, min_entry = re.search(r"residual (\S+), min entry (\S+)", str(info.value)).groups()
+        return float(residual), float(min_entry)
+
+    def test_rejects_residual(self):
+        # rows sum to 1 within the 1e-9 row guard, but not within the residual bound
+        residual, min_entry = self.unreliable([0.5], [0.5 + 5e-10, 0.5], [0.5])
+        assert residual > 1e-12 and min_entry >= 0.0
+
+    def test_rejects_negative_entry(self):
+        # a negative up entry flips the sign of every level above it
+        residual, min_entry = self.unreliable([0.5, 0.5], [1.1, 0.5, 0.5], [-0.1, 0.0])
+        assert residual <= 1e-12 and min_entry < -1e-10
+
+    def test_validate_worst_differences(self):
+        worst_pi0, worst_vec = closed_form_vs_numeric()
+        assert worst_pi0 <= 1e-12 and worst_vec <= 1e-12
 
 
 class TestScenario:

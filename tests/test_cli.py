@@ -11,6 +11,7 @@ from ehcrn.cli import ANALYZE_HEADER, main
 
 REPO = Path(__file__).resolve().parents[1]
 CASE1 = str(REPO / "configs" / "case1.cfg")
+CASE2 = REPO / "configs" / "case2.cfg"
 
 SMALL = """
 [spectrum]
@@ -112,6 +113,36 @@ class TestValidate:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 5
         assert "[FAIL]" not in out
+
+
+class TestBoundaryConfigs:
+    """Case 2 with the threshold far from the noise level: delta rounds to
+    exactly 1 (1.4) or 0 (0.6), and both commands give the finite limits."""
+
+    @pytest.fixture(params=["0.6", "1.4"])
+    def boundary_cfg(self, request, tmp_path):
+        text = CASE2.read_text(encoding="utf-8")
+        assert "normalized_threshold = 1.05" in text
+        path = tmp_path / f"case2_nt{request.param}.cfg"
+        path.write_text(text.replace("normalized_threshold = 1.05",
+                                     f"normalized_threshold = {request.param}"))
+        return request.param, str(path)
+
+    def test_analyze(self, boundary_cfg, capsys):
+        nt, path = boundary_cfg
+        assert main(["analyze", "--config", path]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        values = dict(zip(header.split(","), (float(v) for v in row.split(","))))
+        if nt == "1.4":
+            assert values["delta"] == 1.0 and values["alpha"] == 0.0
+            assert values["analytic_pi0"] == pytest.approx(1.0 - values["e_on"], abs=1e-9)
+        else:
+            assert values["delta"] == 0.0 and values["alpha"] == float("inf")
+            assert values["analytic_pi0"] == 0.0 and values["analytic_pl"] == 1.0
+
+    def test_validate(self, boundary_cfg, capsys):
+        assert main(["validate", "--config", boundary_cfg[1]]) == 0
+        assert capsys.readouterr().out.count("[PASS]") == 5
 
 
 class TestExitCodes:

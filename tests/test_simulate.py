@@ -216,6 +216,20 @@ class TestPoolingAndDeterminism:
         expected = student_t.ppf(0.975, reps - 1) * rates.std(ddof=1) / math.sqrt(reps)
         assert pooled.packet_loss_ci95 == pytest.approx(expected, rel=1e-12)
 
+    def test_ci_reaches_its_coverage(self):
+        # Harvesting every slot from a full start, the battery never empties,
+        # so P_L = 1 - pi_idle (1 - pf) holds exactly in event mode.  Of 1000
+        # intervals, the share covering it must lie within 3 binomial sigma
+        # of 0.95 (it is 0.939); 1.96 in place of t(0.975, 3) covers 0.822.
+        scn = scenario(p_on=1.0, p_off=0.5)
+        exact = 1.0 - scn.pi_idle * (1.0 - false_alarm_prob(scn.detector))
+        covered = 0
+        for seed in range(1000):
+            r = run_simulation(scn, SimConfig(slots=2000, replications=4, seed=seed))
+            assert r.packets_lost_outage == 0
+            covered += abs(r.empirical_packet_loss - exact) <= r.packet_loss_ci95
+        assert 0.929 <= covered / 1000 <= 0.971
+
     def test_single_replication_ci_is_binomial(self):
         r = run_simulation(scenario(), SimConfig(slots=20_000, replications=1, seed=38))
         loss = r.empirical_packet_loss
