@@ -1,0 +1,171 @@
+#!/usr/bin/env python3
+"""Time each layer of the slot kernel per 2^20-slot block.
+
+Runs ``run_simulation`` on the stock case-1 scenario (configs/case1.cfg)
+in three modes -- event sensing on 1 channel, signal sensing on 1 and on
+10 channels -- one 2^20-slot block per repeat, and times in each block:
+
+* ``draws``: the RNG calls (spectrum and energy uniforms, channel choice,
+  sensing draws);
+* ``spectrum_chain``: ``kernel.chain_path`` on the channel uniforms;
+* ``energy_chain``: ``kernel.chain_path`` on the energy uniforms;
+* ``battery_levels``: ``kernel.battery_levels``;
+* ``advance_rest``: the rest of ``kernel.advance`` (sensing verdicts,
+  counters and the level-move ``bincount``);
+* ``total``: the whole ``run_simulation`` call.
+
+The layers are timed with the thread's CPU time, by wrapping those
+functions where the simulator looks them up; the package is not changed.
+One short warm-up run precedes the REPEATS blocks of each mode. The
+median and quartiles over the blocks are recorded in ms, with Mslot/s
+from the median total.
+
+Usage:
+    python scripts/bench_kernel.py --out BENCH.json --label NAME
+
+Each invocation appends one run (label, environment, per-mode numbers) to
+the JSON file named by --out, so runs of two source trees can sit side by
+side: run the copy of this script inside each tree.
+"""
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from ehcrn import kernel, simulate  # noqa: E402
+from ehcrn.configio import load_config  # noqa: E402
+
+BLOCK = 1 << 20
+REPEATS = 9
+MODES = {"event-1ch": ("event", 1), "signal-1ch": ("signal", 1), "signal-10ch": ("signal", 10)}
+LAYERS = ("draws", "spectrum_chain", "energy_chain", "battery_levels", "advance_rest", "total")
+DRAWS = ("random", "integers", "gamma")
+
+
+class _Clock:
+    """Sums the thread CPU time spent in wrapped calls, by layer name."""
+
+    def __init__(self):
+        self.spent = dict.fromkeys(LAYERS[:-1] + ("advance",), 0.0)
+
+    def wrap(self, name_of, fn):
+        def timed(*args, **kwargs):
+            start = time.thread_time()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.spent[name_of(*args)] += time.thread_time() - start
+        return timed
+
+
+class _TimedGenerator:
+    def __init__(self, gen, clock):
+        self._gen = gen
+        self._clock = clock
+
+    def __getattr__(self, attr):
+        method = getattr(self._gen, attr)
+        return self._clock.wrap(lambda *a: "draws", method) if attr in DRAWS else method
+
+
+def _instrument(clock):
+    """Wrap the kernel's layers and the simulator's draws; returns the undo list."""
+    base = simulate.RandomStream
+
+    class TimedRandomStream(base):
+        @property
+        def generator(self):
+            return _TimedGenerator(base.generator.fget(self), clock)
+
+    chain = lambda u, *a: "spectrum_chain" if np.ndim(u) == 2 else "energy_chain"  # noqa: E731
+    patches = [
+        (kernel, "chain_path", clock.wrap(chain, kernel.chain_path)),
+        (kernel, "battery_levels", clock.wrap(lambda *a: "battery_levels", kernel.battery_levels)),
+        (kernel, "advance", clock.wrap(lambda *a: "advance", kernel.advance)),
+        (simulate, "RandomStream", TimedRandomStream),
+    ]
+    undo = [(mod, name, getattr(mod, name)) for mod, name, _ in patches]
+    for mod, name, value in patches:
+        setattr(mod, name, value)
+    return undo
+
+
+def _block_ms(scenario, cfg):
+    """Per-layer ms of one ``run_simulation`` call of one block."""
+    clock = _Clock()
+    undo = _instrument(clock)
+    try:
+        start = time.thread_time()
+        simulate.run_simulation(scenario, cfg)
+        total = time.thread_time() - start
+    finally:
+        for mod, name, value in undo:
+            setattr(mod, name, value)
+    s = clock.spent
+    rest = s.pop("advance") - s["spectrum_chain"] - s["energy_chain"] - s["battery_levels"]
+    return {**s, "advance_rest": rest, "total": total}
+
+
+def measure(scenario, base_sim, mode, channels):
+    cfg = replace(base_sim, slots=BLOCK, replications=1, sensing_mode=mode,
+                  num_pu_channels=channels)
+    simulate.run_simulation(scenario, replace(cfg, slots=2 * kernel.SUB_BLOCK))  # warm-up
+    runs = [_block_ms(scenario, replace(cfg, seed=cfg.seed + i)) for i in range(REPEATS)]
+    out = {}
+    for layer in LAYERS:
+        q1, med, q3 = np.percentile([1e3 * r[layer] for r in runs], [25, 50, 75])
+        out[layer] = {"median": round(med, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+    out["mslot_per_s"] = round(BLOCK / 1e3 / out["total"]["median"], 2)
+    return out
+
+
+def environment():
+    cpu = ""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), "")
+    except OSError:
+        pass
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "nproc": os.cpu_count(), "cpu": cpu or platform.processor(), "kernel": "numpy"}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="JSON file to append the run to")
+    parser.add_argument("--label", required=True, help="name of the measured source tree")
+    args = parser.parse_args()
+
+    bundle = load_config(str(ROOT / "configs" / "case1.cfg"))
+    modes = {}
+    for name, (mode, channels) in MODES.items():
+        modes[name] = measure(bundle.scenario, bundle.sim, mode, channels)
+        row = modes[name]
+        print(f"{args.label:>10} {name:>12} " + " ".join(
+            f"{layer}={row[layer]['median']:.2f}" for layer in LAYERS
+        ) + f" ms  {row['mslot_per_s']:.2f} Mslot/s", flush=True)
+
+    path = Path(args.out)
+    record = json.loads(path.read_text()) if path.exists() else {
+        "what": "ms per 2^20-slot block of run_simulation on configs/case1.cfg, "
+                "thread CPU time on one core; median and quartiles over the repeats",
+        "runs": [],
+    }
+    record["runs"].append({"label": args.label, "repeats": REPEATS,
+                           "environment": environment(), "modes": modes})
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from ehcrn.analytic import DetectorConfig, Scenario, threshold_for_target_pf
 from ehcrn.chains import TwoStateChain
 from ehcrn.errors import ConfigError
-from ehcrn.simulate import SimConfig
+from ehcrn.simulate import SimConfig, initial_level
 
 __all__ = ["OVERRIDE_FIELDS", "SWEEP_VARIABLES", "LoadedConfig", "CustomSweepDef", "load_config"]
 
@@ -272,6 +272,7 @@ def load_config(path: str) -> LoadedConfig:
             initial_states=get("sim", "initial_states", "steady-draw"),
             num_pu_channels=_int("sim", "num_pu_channels", get("sim", "num_pu_channels", "1")),
         )
+        initial_level(scenario, sim)
     except ValueError as exc:
         raise ConfigError(f"sim: {exc}") from exc
 

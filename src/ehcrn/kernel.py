@@ -71,22 +71,32 @@ def chain_path(u, stay_a, stay_b, start):
     """States of two-state chains after each step driven by the uniforms ``u``.
 
     Axis 0 of ``u`` is time; ``start`` holds the states before the first
-    step (0/1 or bool).  A step keeps state 0 if u < stay_a and state 1 if
-    u < stay_b, so each step is one of four maps of {0, 1}: identity, swap,
-    constant 0 or constant 1.  The state after a step is the value of the
-    last constant map XOR the parity of the swaps since (``start`` XOR the
-    parity when no constant map came yet): a running XOR and a running
-    maximum give both.  Returns a bool array shaped like ``u``.
+    step (0/1 or bool, broadcast against a step of ``u``).  A step keeps
+    state 0 if u < stay_a and state 1 if u < stay_b, so each step is one of
+    four maps of {0, 1}: identity, swap, constant 0 or constant 1.  The
+    state after a step is the value of the last constant map XOR the parity
+    of the swaps since (``start`` XOR the parity when no constant map came
+    yet): a running XOR gives the parity and a running maximum over keys
+    the last constant map.
+
+    The constant step at t (from 0) gets the key 2t + 2 + (its value XOR
+    the parity at t), every other step the key 0, so a running maximum
+    holds the latest constant step's key, whose low bit XOR the parity is
+    the state.  The start state (0 or 1) is folded into the first key with
+    one maximum: it stays the running maximum until the first constant
+    step, whose key of at least 2 beats it.  Keys reach 2n + 1 for n steps,
+    so they are int16 where that fits (every sub-block of :func:`advance`),
+    otherwise int32.  Returns a bool array shaped like ``u``.
     """
+    n = len(u)
     image_0 = u >= stay_a
     image_1 = u < stay_b
-    parity = np.logical_xor.accumulate(image_0 > image_1, axis=0)
-    # A constant step at t gets the key 2t + 2 + (its value XOR the parity
-    # at t), every other step the start state; the running maximum then
-    # holds the latest constant step's key, and its low bit is all we need.
-    t = np.arange(2, 2 * len(u) + 2, 2, dtype=np.int32).reshape((-1,) + (1,) * (u.ndim - 1))
+    parity = np.bitwise_xor.accumulate(image_0 > image_1, axis=0)
+    dtype = np.int16 if 2 * n + 1 <= np.iinfo(np.int16).max else np.int32
+    t = np.arange(2, 2 * n + 2, 2, dtype=dtype).reshape((-1,) + (1,) * (u.ndim - 1))
     key = t + (image_0 ^ parity)
-    np.copyto(key, start, where=image_0 != image_1)
+    key *= image_0 == image_1
+    np.maximum(key[:1], np.asarray(start, dtype), out=key[:1])
     np.maximum.accumulate(key, axis=0, out=key)
     key &= 1
     return key != parity

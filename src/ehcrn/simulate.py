@@ -55,6 +55,7 @@ from ehcrn.kernel import (
 __all__ = [
     "SimConfig",
     "SimReport",
+    "initial_level",
     "measure_signal_rate",
     "run_replication",
     "run_simulation",
@@ -167,6 +168,19 @@ def measure_signal_rate(spectrum_state: int, det, rng: RandomStream, trials: int
     return busy / trials
 
 
+def initial_level(scenario: Scenario, cfg: SimConfig) -> int:
+    """The battery level a replication starts at.
+
+    Raises ValueError if ``cfg.initial_battery`` is above the top level L - 1.
+    """
+    top = scenario.battery_levels - 1
+    if cfg.initial_battery == "full":
+        return top
+    if cfg.initial_battery > top:
+        raise ValueError(f"initial_battery {cfg.initial_battery} exceeds the top level {top}")
+    return int(cfg.initial_battery)
+
+
 def _initial_states(scenario: Scenario, cfg: SimConfig, rng: RandomStream):
     channels = cfg.num_pu_channels
     if cfg.initial_states == "steady-draw":
@@ -178,15 +192,7 @@ def _initial_states(scenario: Scenario, cfg: SimConfig, rng: RandomStream):
     else:
         spec = np.zeros(channels, np.int64)  # all idle
         energy = 1  # not harvesting
-    if cfg.initial_battery == "full":
-        level = scenario.battery_levels - 1
-    else:
-        level = int(cfg.initial_battery)
-        if level > scenario.battery_levels - 1:
-            raise ValueError(
-                f"initial_battery {level} exceeds the top level {scenario.battery_levels - 1}"
-            )
-    return spec, energy, level
+    return spec, energy, initial_level(scenario, cfg)
 
 
 def _replication_counts(scenario: Scenario, cfg: SimConfig, stream_id: int):

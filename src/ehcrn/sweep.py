@@ -24,7 +24,7 @@ from ehcrn.analytic import Scenario, operating_point, threshold_for_target_pf
 from ehcrn.chains import RandomStream
 from ehcrn.configio import OVERRIDE_FIELDS, SWEEP_VARIABLES, LoadedConfig, snr_db_to_linear
 from ehcrn.errors import ConfigError
-from ehcrn.simulate import SimConfig, run_simulation
+from ehcrn.simulate import SimConfig, initial_level, run_simulation
 
 __all__ = [
     "CASE_ONE_GRID_DB",
@@ -119,10 +119,15 @@ class SweepSpec:
             if label in seen:
                 raise ValueError(f"duplicate variant label {label!r}")
             seen.add(label)
-            # Every variant must give a valid scenario at every grid end.
+            # Every variant must give a valid scenario at every grid end,
+            # with room for the configured start level.
             scn, tgt = apply_overrides(self.base, self.target_pf, overrides)
             for value in (self.grid[0], self.grid[-1]):
                 _point_scenario(self.variable, scn, tgt, value)
+            try:
+                initial_level(scn, self.sim)
+            except ValueError as exc:
+                raise ValueError(f"variant {label!r}: {exc}") from None
 
 
 def apply_overrides(scenario: Scenario, target_pf, overrides: dict):

@@ -105,6 +105,48 @@ def test_step_empirical_stay_frequency():
     assert abs(freq - 0.7) <= 3.0 * sigma
 
 
+def step_path(u, stay_a, stay_b, start):
+    """chain_path one step at a time: the reference it must match."""
+    state = np.broadcast_to(np.asarray(start, bool), u.shape[1:])
+    path = np.empty(u.shape, bool)
+    for t, row in enumerate(u):
+        state = np.where(state, row < stay_b, row >= stay_a)
+        path[t] = state
+    return path
+
+
+# (stay_a, stay_b): mixed chains with either constant map (identity, swap
+# and constant 0 or 1 steps), then all identity, all swap, all constant 1
+# and all constant 0.
+STAYS = [(0.7, 0.4), (0.3, 0.6), (1.0, 1.0), (0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
+
+
+@pytest.mark.parametrize("stays", STAYS, ids=["mixed-const0", "mixed-const1", "identity", "swap",
+                                          "const1", "const0"])
+@pytest.mark.parametrize("n", [1, 2, 16383, 16384])
+def test_chain_path_matches_step_reference(n, stays):
+    # 16383 steps are the longest path with int16 keys (they reach 2n + 1),
+    # 16384 the shortest with int32 ones.
+    gen = RandomStream(31, n).generator
+    u = gen.random((n, 4))
+    # End on constant, swap, constant: the last key is the largest, and a
+    # wrapped one would leave the earlier constant step's (other) low bit.
+    u[-3:] = [[0.5], [0.9], [0.5]][-n:]
+    paths = [step_path(u, *stays, start) for start in (0, 1)]
+    earlier = chain_path(gen.random((5, 4)), 0.5, 0.5, np.array([1, 0, 1, 0]))
+    starts = [
+        0, 1, np.bool_(False), np.bool_(True),
+        np.array([0, 1, 1, 0], np.int64),  # as drawn by simulate._initial_states
+        earlier[-1],                       # the carry between sub-blocks
+    ]
+    for start in starts:
+        expect = np.where(np.asarray(start, bool), paths[1], paths[0])
+        assert (chain_path(u, *stays, start) == expect).all(), start
+    for start in (0, 1, np.bool_(True), earlier[-1, 0]):
+        expect = paths[1][:, 0] if start else paths[0][:, 0]
+        assert (chain_path(u[:, 0], *stays, start) == expect).all(), start
+
+
 def test_stream_reproducible():
     a = RandomStream(1234, 5).generator.random(1000)
     b = RandomStream(1234, 5).generator.random(1000)

@@ -107,6 +107,39 @@ class TestSweepCommand:
         assert code == 4
 
 
+class TestInitialBatteryAboveTop:
+    """A start level above the top is a config error (exit 2), found before
+    any slot runs: in the base scenario or under a variant's ``levels``."""
+
+    @pytest.fixture
+    def base_cfg(self, tmp_path):
+        path = tmp_path / "base.cfg"
+        path.write_text(SMALL.replace("levels = 20", "levels = 10").replace(
+            "seed = 5", "seed = 5\ninitial_battery = 50"))
+        return str(path)
+
+    def test_simulate(self, base_cfg, capsys):
+        assert main(["simulate", "--config", base_cfg, "--slots", "100"]) == 2
+        assert "initial_battery 50 exceeds the top level 9" in capsys.readouterr().err
+
+    def test_sweep_custom(self, base_cfg, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert main(["sweep", "--case", "custom", "--config", base_cfg, "--out", str(out)]) == 2
+        assert "initial_battery 50 exceeds the top level 9" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_custom_variant_levels(self, tmp_path, capsys):
+        path = tmp_path / "variant.cfg"
+        path.write_text(SMALL.replace("seed = 5", "seed = 5\ninitial_battery = 10").replace(
+            "variant_2 = b: q_o=0.3 q_i=0.5", "variant_2 = b: q_o=0.3 q_i=0.5 levels=5"))
+        assert main(["simulate", "--config", str(path), "--slots", "100"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "results"
+        assert main(["sweep", "--case", "custom", "--config", str(path), "--out", str(out)]) == 2
+        assert "variant 'b': initial_battery 10 exceeds the top level 4" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestValidate:
     def test_passes_on_bundled_config(self, capsys):
         assert main(["validate", "--config", CASE1]) == 0

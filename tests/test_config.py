@@ -155,6 +155,17 @@ class TestErrors:
         with pytest.raises(ConfigError, match="sim"):
             load_config(write(tmp_path, VALID.replace("slots = 5000", "slots = 0")))
 
+    def test_initial_battery_above_top_level(self, tmp_path):
+        text = VALID.replace("levels = 100", "levels = 10").replace(
+            "seed = 9", "seed = 9\ninitial_battery = 10")
+        with pytest.raises(ConfigError, match="initial_battery 10 exceeds the top level 9"):
+            load_config(write(tmp_path, text))
+
+    def test_initial_battery_at_top_level(self, tmp_path):
+        text = VALID.replace("levels = 100", "levels = 10").replace(
+            "seed = 9", "seed = 9\ninitial_battery = 9")
+        assert load_config(write(tmp_path, text)).sim.initial_battery == 9
+
     def test_duplicate_key_reports_line(self, tmp_path):
         text = VALID.replace("q_i = 0.5", "q_i = 0.5\nq_i = 0.6")
         with pytest.raises(ConfigError, match="line"):

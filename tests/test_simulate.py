@@ -375,6 +375,8 @@ KERNEL_CASES = {
     "event": (scenario(), {}),
     "signal": (scenario(det=detector(threshold=1.01, n=400)), {"sensing_mode": "signal"}),
     "five-channels": (scenario(), {"num_pu_channels": 5}),
+    "ten-channels-signal": (scenario(det=detector(threshold=1.01, n=400)),
+                            {"sensing_mode": "signal", "num_pu_channels": 10}),
     "empty-fixed-start": (scenario(levels=4), {"initial_battery": 0, "initial_states": "fixed"}),
     # idle and harvesting absorb: the battery fills and stays full
     "absorbing": (scenario(q_i=1.0, q_o=0.6, p_on=1.0, p_off=0.4, levels=5), {"initial_battery": 1}),
