@@ -12,6 +12,7 @@ Usage:
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -37,11 +38,7 @@ def main() -> int:
             sensing_duration=n / 1e6, sampling_rate=1e6,
             noise_power=1.0, threshold=1.0, primary_snr=snr,
         )
-        det = DetectorConfig(
-            sensing_duration=det.sensing_duration, sampling_rate=det.sampling_rate,
-            noise_power=det.noise_power, primary_snr=det.primary_snr,
-            threshold=threshold_for_target_pf(args.target_pf, det),
-        )
+        det = replace(det, threshold=threshold_for_target_pf(args.target_pf, det))
         pf_hat = measure_signal_rate(0, det, RandomStream(args.seed, 0), args.trials)
         pd_hat = measure_signal_rate(1, det, RandomStream(args.seed, 1), args.trials)
         print(f"{n:>6} {false_alarm_prob(det):>10.5f} {pf_hat:>11.5f} "

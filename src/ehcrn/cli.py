@@ -11,6 +11,10 @@ Subcommands::
 
 Exit codes: 0 success, 2 configuration error, 3 numeric/oracle failure,
 4 I/O error.  A sweep runs its points one after another in row order.
+
+``sweep --case`` takes the names in ``sweep.CASES`` plus ``custom``, and
+``sweep.campaign`` builds the campaign; ``_SIMULATE_FLAGS`` says which
+``SimConfig`` field each ``simulate`` flag overrides.
 """
 
 import argparse
@@ -23,9 +27,8 @@ from ehcrn.configio import load_config
 from ehcrn.errors import ConfigError, NumericsError
 from ehcrn.simulate import run_simulation
 from ehcrn.sweep import (
-    case_one_sweep,
-    case_two_sweep,
-    custom_sweep,
+    CASES,
+    campaign,
     emit_csv,
     emit_json,
     emit_plot_script,
@@ -35,6 +38,10 @@ from ehcrn.sweep import (
 from ehcrn.validate import run_validation
 
 ANALYZE_HEADER = "pf,pd,delta,pi_idle,e_on,alpha,analytic_pi0,analytic_pl"
+
+# simulate flag -> the SimConfig field it overrides
+_SIMULATE_FLAGS = (("slots", "slots"), ("seed", "seed"), ("sensing", "sensing_mode"),
+                   ("replications", "replications"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, help="replication count (overrides config)")
 
     p = sub.add_parser("sweep", help="run a sweep campaign and write result files")
-    p.add_argument("--case", required=True, choices=("1", "2", "custom"))
+    p.add_argument("--case", required=True, choices=(*CASES, "custom"))
     p.add_argument("--config", required=True, help="base scenario config file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -78,18 +85,11 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_simulate(args) -> int:
     bundle = load_config(args.config)
-    sim = bundle.sim
-    overrides = {}
-    if args.slots is not None:
-        overrides["slots"] = args.slots
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.sensing is not None:
-        overrides["sensing_mode"] = args.sensing
-    if args.replications is not None:
-        overrides["replications"] = args.replications
+    overrides = {
+        field: getattr(args, flag) for flag, field in _SIMULATE_FLAGS if getattr(args, flag) is not None
+    }
     try:
-        sim = replace(sim, **overrides)
+        sim = replace(bundle.sim, **overrides)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = run_simulation(bundle.scenario, sim)
@@ -111,18 +111,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    bundle = load_config(args.config)
-    if args.case in ("1", "2") and bundle.sweep is not None:
-        raise ConfigError(
-            "cases 1 and 2 use built-in sweep definitions; remove the [sweep] "
-            "section or run with --case custom"
-        )
-    if args.case == "1":
-        spec, stem = case_one_sweep(bundle), "case1"
-    elif args.case == "2":
-        spec, stem = case_two_sweep(bundle), "case2"
-    else:
-        spec, stem = custom_sweep(bundle), "custom"
+    spec = campaign(load_config(args.config), args.case)
+    stem = "custom" if args.case == "custom" else f"case{args.case}"
     rows = run_sweep(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

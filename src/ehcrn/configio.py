@@ -5,58 +5,40 @@ optionally carry a [sweep] section for custom sweep campaigns.  Parsing is
 strict: unknown sections or keys are errors, so typos cannot silently fall
 back to defaults.  The grammar is documented in the repository README.
 
-Sections and keys::
-
-    [spectrum]   q_i, q_o                  # self-transition probabilities
-    [energy]     p_on, p_off
-    [detector]   sensing_duration (s), sampling_rate (Hz), noise_power,
-                 primary_snr_db, and exactly one of:
-                 target_pf | normalized_threshold | threshold
-    [battery]    levels
-    [sim]        slot_duration (s, required), slots, replications, seed,
-                 sensing_mode, initial_battery, initial_states,
-                 num_pu_channels
-    [sweep]      variable, grid, variant_<n> = <label>: key=value ...
+Each decision is one table here: ``_SCHEMA`` says which keys exist and
+which are required (the optional [sim] keys are the ``SimConfig`` fields,
+and their defaults live there alone), ``OVERRIDE_FIELDS`` and
+``SWEEP_VARIABLES`` name the sweep override keys and variables, and
+``check_sweep`` says what makes a sweep definition valid.
 """
 
 import configparser
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields, replace
 
 from ehcrn.analytic import DetectorConfig, Scenario, threshold_for_target_pf
 from ehcrn.chains import TwoStateChain
 from ehcrn.errors import ConfigError
 from ehcrn.simulate import SimConfig, initial_level
 
-__all__ = ["OVERRIDE_FIELDS", "SWEEP_VARIABLES", "LoadedConfig", "CustomSweepDef", "load_config"]
+__all__ = ["OVERRIDE_FIELDS", "SWEEP_VARIABLES", "LoadedConfig", "SweepDef", "check_sweep", "load_config"]
 
-_REQUIRED = (
-    ("spectrum", "q_i"),
-    ("spectrum", "q_o"),
-    ("energy", "p_on"),
-    ("energy", "p_off"),
-    ("detector", "sensing_duration"),
-    ("detector", "sampling_rate"),
-    ("detector", "noise_power"),
-    ("detector", "primary_snr_db"),
-    ("battery", "levels"),
-    ("sim", "slot_duration"),
-)
-
-_KNOWN = {
-    "spectrum": {"q_i", "q_o"},
-    "energy": {"p_on", "p_off"},
+# Section -> {key: required}.  The [sweep] section is optional as a whole
+# and also takes any number of variant_<n> keys.
+_SCHEMA = {
+    "spectrum": {"q_i": True, "q_o": True},
+    "energy": {"p_on": True, "p_off": True},
     "detector": {
-        "sensing_duration", "sampling_rate", "noise_power", "primary_snr_db",
-        "target_pf", "normalized_threshold", "threshold",
+        "sensing_duration": True, "sampling_rate": True, "noise_power": True,
+        "primary_snr_db": True, "target_pf": False, "normalized_threshold": False,
+        "threshold": False,
     },
-    "battery": {"levels"},
-    "sim": {
-        "slot_duration", "slots", "replications", "seed", "sensing_mode",
-        "initial_battery", "initial_states", "num_pu_channels",
-    },
-    "sweep": None,  # validated separately (variant keys are enumerated)
+    "battery": {"levels": True},
+    "sim": {"slot_duration": True, **{f.name: False for f in fields(SimConfig)}},
+    "sweep": {"variable": True, "grid": True},
 }
+_VARIANT_PREFIX = "variant"
 
 # Sweep variant override key -> (part, field) it sets.  The parts are the
 # two chains, the detector, the scenario itself, and "target" for the
@@ -78,14 +60,19 @@ SWEEP_VARIABLES = {
     "normalized_threshold": "normalized detection threshold",
 }
 
+# Variant labels become words of a quoted gnuplot string and CSV cells, so
+# they may hold no quote, backslash, comma or blank.
+_LABEL = re.compile(r"[A-Za-z0-9_.+-]+")
+
 
 @dataclass(frozen=True)
-class CustomSweepDef:
-    """Sweep campaign parsed from a [sweep] section."""
+class SweepDef:
+    """A sweep campaign without its scenario: the swept variable, its grid
+    and the labelled variants, as (label, {override key: value}) pairs."""
 
     variable: str
     grid: tuple
-    variants: tuple  # of (label, {key: value}) pairs
+    variants: tuple
 
 
 @dataclass(frozen=True)
@@ -95,8 +82,39 @@ class LoadedConfig:
     scenario: Scenario
     sim: SimConfig
     target_pf: float | None
-    sweep: CustomSweepDef | None
+    sweep: SweepDef | None
     path: str
+
+
+def check_sweep(variable: str, grid, variants) -> None:
+    """Raise ``ValueError`` unless the sweep definition is well formed.
+
+    The checks need no scenario: a known variable, a grid of at least 2
+    strictly increasing values, at least one variant, unique labels that
+    match ``_LABEL``, and known, non-empty overrides.
+    """
+    if variable not in SWEEP_VARIABLES:
+        raise ValueError(f"variable must be one of {tuple(SWEEP_VARIABLES)}, got {variable!r}")
+    if len(grid) < 2:
+        raise ValueError(f"grid needs at least 2 values, got {len(grid)}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid values must be strictly increasing")
+    if not variants:
+        raise ValueError("at least one variant is required")
+    seen = set()
+    for label, overrides in variants:
+        if not _LABEL.fullmatch(label):
+            raise ValueError(f"variant label {label!r} must match {_LABEL.pattern}")
+        if label in seen:
+            raise ValueError(f"duplicate variant label {label!r}")
+        seen.add(label)
+        if not overrides:
+            raise ValueError(f"variant {label!r} has no overrides")
+        for key in overrides:
+            if key not in OVERRIDE_FIELDS:
+                raise ValueError(
+                    f"variant {label!r}: unknown override {key!r} (allowed: {sorted(OVERRIDE_FIELDS)})"
+                )
 
 
 def snr_db_to_linear(snr_db: float) -> float:
@@ -120,45 +138,37 @@ def _int(section, key, raw):
         raise ConfigError(f"{section}.{key}: expected an integer, got {raw!r}") from None
 
 
+def _sim_value(field, raw):
+    """A [sim] value as its ``SimConfig`` field takes it: text for text
+    fields and for a text default (``initial_battery = full``), else an
+    integer."""
+    if field.type is str or raw == field.default:
+        return raw
+    return _int("sim", field.name, raw)
+
+
 def _parse_variant(key: str, raw: str):
     label, sep, rest = raw.partition(":")
     if not sep:
         raise ConfigError(f"sweep.{key}: expected '<label>: key=value ...', got {raw!r}")
-    label = label.strip()
-    if not label or any(ch in label for ch in ", \t"):
-        raise ConfigError(f"sweep.{key}: label {label!r} must be non-empty, without commas or spaces")
     overrides = {}
     for token in rest.split():
         name, sep, value = token.partition("=")
         if not sep:
             raise ConfigError(f"sweep.{key}: expected key=value, got {token!r}")
-        if name not in OVERRIDE_FIELDS:
-            raise ConfigError(
-                f"sweep.{key}: unknown override {name!r} (allowed: {sorted(OVERRIDE_FIELDS)})"
-            )
         overrides[name] = _int("sweep", key, value) if name == "levels" else _float("sweep", key, value)
-    if not overrides:
-        raise ConfigError(f"sweep.{key}: variant {label!r} has no overrides")
-    return label, overrides
+    return label.strip(), overrides
 
 
-def _parse_sweep(section) -> CustomSweepDef:
-    keys = list(section.keys())
-    fixed = {"variable", "grid"}
-    for k in keys:
-        if k not in fixed and not k.startswith("variant"):
-            raise ConfigError(f"unknown key 'sweep.{k}'")
-    for k in fixed:
-        if k not in section:
-            raise ConfigError(f"missing required key 'sweep.{k}'")
+def _parse_sweep(section) -> SweepDef:
     variable = section["variable"].strip()
-    if variable not in SWEEP_VARIABLES:
-        raise ConfigError(f"sweep.variable must be one of {tuple(SWEEP_VARIABLES)}, got {variable!r}")
     grid = tuple(_float("sweep", "grid", tok) for tok in section["grid"].split(","))
-    variants = tuple(_parse_variant(k, section[k]) for k in keys if k.startswith("variant"))
-    if not variants:
-        raise ConfigError("sweep: at least one variant_<n> entry is required")
-    return CustomSweepDef(variable=variable, grid=grid, variants=variants)
+    variants = tuple(_parse_variant(k, section[k]) for k in section if k.startswith(_VARIANT_PREFIX))
+    try:
+        check_sweep(variable, grid, variants)
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {exc}") from exc
+    return SweepDef(variable=variable, grid=grid, variants=variants)
 
 
 def load_config(path: str) -> LoadedConfig:
@@ -166,8 +176,9 @@ def load_config(path: str) -> LoadedConfig:
 
     Raises:
         ConfigError: missing file, syntax errors (with line numbers from
-            the parser), unknown sections/keys, missing required keys, or
-            any model invariant violation (reported with the field name).
+            the parser), unknown sections/keys, missing required keys, a
+            malformed [sweep] section (``check_sweep``), or any model
+            invariant violation (reported with the field name).
     """
     parser = configparser.ConfigParser(
         delimiters=("=",),
@@ -185,20 +196,22 @@ def load_config(path: str) -> LoadedConfig:
         raise ConfigError(f"parse error in {path!r}: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _KNOWN:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}] in {path!r}")
-        if _KNOWN[section] is not None:
-            for key in parser[section]:
-                if key not in _KNOWN[section]:
-                    raise ConfigError(f"unknown key '{section}.{key}' in {path!r}")
-    for section, key in _REQUIRED:
-        if section not in parser or key not in parser[section]:
-            raise ConfigError(f"missing required key '{section}.{key}' in {path!r}")
+        for key in parser[section]:
+            if key not in _SCHEMA[section] and not (
+                section == "sweep" and key.startswith(_VARIANT_PREFIX)
+            ):
+                raise ConfigError(f"unknown key '{section}.{key}' in {path!r}")
+    for section, keys in _SCHEMA.items():
+        if section == "sweep" and section not in parser:
+            continue
+        for key, required in keys.items():
+            if required and (section not in parser or key not in parser[section]):
+                raise ConfigError(f"missing required key '{section}.{key}' in {path!r}")
 
-    def get(section, key, default=None):
-        if key in parser[section]:
-            return parser[section][key].strip()
-        return default
+    def get(section, key):
+        return parser[section][key].strip() if key in parser[section] else None
 
     try:
         spectrum = TwoStateChain(
@@ -245,7 +258,7 @@ def load_config(path: str) -> LoadedConfig:
         else:
             target_pf = _float("detector", key, get("detector", key))
             probe = DetectorConfig(threshold=noise_power, **base)
-            detector = DetectorConfig(threshold=threshold_for_target_pf(target_pf, probe), **base)
+            detector = replace(probe, threshold=threshold_for_target_pf(target_pf, probe))
     except ValueError as exc:
         raise ConfigError(f"detector: {exc}") from exc
 
@@ -260,22 +273,13 @@ def load_config(path: str) -> LoadedConfig:
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from exc
 
-    raw_battery = get("sim", "initial_battery", "full")
-    initial_battery = raw_battery if raw_battery == "full" else _int("sim", "initial_battery", raw_battery)
+    # Only the keys the file sets: the defaults live in SimConfig alone.
+    given = {f.name: _sim_value(f, get("sim", f.name)) for f in fields(SimConfig) if f.name in parser["sim"]}
     try:
-        sim = SimConfig(
-            slots=_int("sim", "slots", get("sim", "slots", "1000000")),
-            replications=_int("sim", "replications", get("sim", "replications", "4")),
-            seed=_int("sim", "seed", get("sim", "seed", "42")),
-            sensing_mode=get("sim", "sensing_mode", "event"),
-            initial_battery=initial_battery,
-            initial_states=get("sim", "initial_states", "steady-draw"),
-            num_pu_channels=_int("sim", "num_pu_channels", get("sim", "num_pu_channels", "1")),
-        )
+        sim = SimConfig(**given)
         initial_level(scenario, sim)
     except ValueError as exc:
         raise ConfigError(f"sim: {exc}") from exc
 
     sweep = _parse_sweep(parser["sweep"]) if "sweep" in parser else None
     return LoadedConfig(scenario=scenario, sim=sim, target_pf=target_pf, sweep=sweep, path=str(path))
-

@@ -7,26 +7,38 @@ simulation.  The points run one after another in row order; every point
 derives its own seed from the base seed and its (variant, point) index,
 so any row can be reproduced alone from its ``seed`` column.
 
-Two stock campaigns mirror the headline experiments:
+``CASES`` holds the two stock campaigns, which mirror the headline
+experiments; ``campaign`` builds one of them, or a config's [sweep]:
 
 * case 1 -- sweep the primary SNR (dB) with the detection threshold fixed
   by a target false-alarm probability, one curve per energy-arrival chain.
 * case 2 -- sweep the normalized detection threshold at fixed SNR, one
   curve per spectrum occupancy chain.
+
+The fields of ``SweepResultRow`` are the row schema: the CSV header and
+both data emitters walk them.
 """
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from ehcrn.analytic import Scenario, operating_point, threshold_for_target_pf
 from ehcrn.chains import RandomStream
-from ehcrn.configio import OVERRIDE_FIELDS, SWEEP_VARIABLES, LoadedConfig, snr_db_to_linear
+from ehcrn.configio import (
+    OVERRIDE_FIELDS,
+    SWEEP_VARIABLES,
+    LoadedConfig,
+    SweepDef,
+    check_sweep,
+    snr_db_to_linear,
+)
 from ehcrn.errors import ConfigError
 from ehcrn.simulate import SimConfig, initial_level, run_simulation
 
 __all__ = [
+    "CASES",
     "CASE_ONE_GRID_DB",
     "CASE_ONE_VARIANTS",
     "CASE_TWO_GRID",
@@ -34,9 +46,7 @@ __all__ = [
     "SweepResultRow",
     "SweepSpec",
     "apply_overrides",
-    "case_one_sweep",
-    "case_two_sweep",
-    "custom_sweep",
+    "campaign",
     "emit_csv",
     "emit_json",
     "emit_plot_script",
@@ -58,16 +68,11 @@ CASE_TWO_VARIANTS = (
     ("qo0.3-qi0.5", {"q_o": 0.3, "q_i": 0.5}),
 )
 
-CSV_HEADER = (
-    "variant,sweep_value,analytic_pl,sim_pl,sim_pl_ci95,analytic_pi0,sim_pi0,"
-    "pf,pd,delta,pi_idle,slots,seed"
-)
-
-_FLOAT_FIELDS = (
-    "sweep_value", "analytic_pl", "sim_pl", "sim_pl_ci95", "analytic_pi0",
-    "sim_pi0", "pf", "pd", "delta", "pi_idle",
-)
-_INT_FIELDS = ("slots", "seed")
+# Built-in campaigns by ``--case`` name; "custom" reads the config's [sweep].
+CASES = {
+    "1": SweepDef("primary_snr_db", CASE_ONE_GRID_DB, CASE_ONE_VARIANTS),
+    "2": SweepDef("normalized_threshold", CASE_TWO_GRID, CASE_TWO_VARIANTS),
+}
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,10 @@ class SweepResultRow:
     seed: int
 
 
+_FIELDS = fields(SweepResultRow)
+CSV_HEADER = ",".join(f.name for f in _FIELDS)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A sweep campaign: grid, labelled variants, base scenario, controls."""
@@ -102,25 +111,10 @@ class SweepSpec:
     target_pf: float | None = None
 
     def __post_init__(self):
-        if self.variable not in SWEEP_VARIABLES:
-            raise ValueError(
-                f"variable must be one of {tuple(SWEEP_VARIABLES)}, got {self.variable!r}"
-            )
-        if len(self.grid) < 2:
-            raise ValueError(f"grid needs at least 2 values, got {len(self.grid)}")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("grid values must be strictly increasing")
-        if not self.variants:
-            raise ValueError("at least one variant is required")
-        seen = set()
+        check_sweep(self.variable, self.grid, self.variants)
+        # Every variant must give a valid scenario at every grid end,
+        # with room for the configured start level.
         for label, overrides in self.variants:
-            if not label or any(ch in label for ch in ", \t\n"):
-                raise ValueError(f"variant label {label!r} must be non-empty, without commas or spaces")
-            if label in seen:
-                raise ValueError(f"duplicate variant label {label!r}")
-            seen.add(label)
-            # Every variant must give a valid scenario at every grid end,
-            # with room for the configured start level.
             scn, tgt = apply_overrides(self.base, self.target_pf, overrides)
             for value in (self.grid[0], self.grid[-1]):
                 _point_scenario(self.variable, scn, tgt, value)
@@ -128,6 +122,39 @@ class SweepSpec:
                 initial_level(scn, self.sim)
             except ValueError as exc:
                 raise ValueError(f"variant {label!r}: {exc}") from None
+
+
+def campaign(bundle: LoadedConfig, case: str) -> SweepSpec:
+    """The campaign ``ehcrn sweep --case <case>`` runs: a built-in case
+    from ``CASES``, or ``"custom"`` for the config's [sweep] section.
+    Raises ``ConfigError`` if the config does not fit the case."""
+    if case == "1" and bundle.target_pf is None:
+        raise ConfigError(
+            "case 1 derives the detection threshold from a target false-alarm "
+            "rate; set detector.target_pf in the config"
+        )
+    if case == "custom":
+        if bundle.sweep is None:
+            raise ConfigError("the config file has no [sweep] section; one is required for --case custom")
+        sweep = bundle.sweep
+    elif bundle.sweep is not None:
+        raise ConfigError(
+            "cases 1 and 2 use built-in sweep definitions; remove the [sweep] "
+            "section or run with --case custom"
+        )
+    else:
+        sweep = CASES[case]
+    try:
+        return SweepSpec(
+            variable=sweep.variable,
+            grid=sweep.grid,
+            base=bundle.scenario,
+            variants=sweep.variants,
+            sim=bundle.sim,
+            target_pf=bundle.target_pf,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {exc}") from exc
 
 
 def apply_overrides(scenario: Scenario, target_pf, overrides: dict):
@@ -177,83 +204,32 @@ def _point_scenario(variable: str, scenario: Scenario, target_pf, value: float) 
     return replace(scenario, detector=det)
 
 
-def _run_point(spec: SweepSpec, vi: int, gi: int) -> SweepResultRow:
-    label, overrides = spec.variants[vi]
-    scenario, target = apply_overrides(spec.base, spec.target_pf, overrides)
-    value = spec.grid[gi]
-    scenario = _point_scenario(spec.variable, scenario, target, value)
-    op = operating_point(scenario)
-    row_seed = RandomStream.derive_seed(spec.sim.seed, vi, gi)
-    report = run_simulation(scenario, replace(spec.sim, seed=row_seed))
-    return SweepResultRow(
-        variant=label,
-        sweep_value=float(value),
-        analytic_pl=op.packet_loss,
-        sim_pl=report.empirical_packet_loss,
-        sim_pl_ci95=report.packet_loss_ci95,
-        analytic_pi0=op.outage,
-        sim_pi0=report.empirical_outage_occupancy,
-        pf=op.pf,
-        pd=op.pd,
-        delta=op.delta,
-        pi_idle=op.pi_idle,
-        slots=report.slots,
-        seed=row_seed,
-    )
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepResultRow]:
     """Run every (variant, grid value) point; rows ordered by (variant, value)."""
-    return [
-        _run_point(spec, vi, gi) for vi in range(len(spec.variants)) for gi in range(len(spec.grid))
-    ]
-
-
-def case_one_sweep(bundle: LoadedConfig) -> SweepSpec:
-    """SNR sweep at a fixed target false-alarm rate, one curve per
-    energy-arrival chain."""
-    if bundle.target_pf is None:
-        raise ConfigError(
-            "case 1 derives the detection threshold from a target false-alarm "
-            "rate; set detector.target_pf in the config"
-        )
-    return SweepSpec(
-        variable="primary_snr_db",
-        grid=CASE_ONE_GRID_DB,
-        base=bundle.scenario,
-        variants=CASE_ONE_VARIANTS,
-        sim=bundle.sim,
-        target_pf=bundle.target_pf,
-    )
-
-
-def case_two_sweep(bundle: LoadedConfig) -> SweepSpec:
-    """Normalized-threshold sweep, one curve per spectrum occupancy chain."""
-    return SweepSpec(
-        variable="normalized_threshold",
-        grid=CASE_TWO_GRID,
-        base=bundle.scenario,
-        variants=CASE_TWO_VARIANTS,
-        sim=bundle.sim,
-        target_pf=None,
-    )
-
-
-def custom_sweep(bundle: LoadedConfig) -> SweepSpec:
-    """Sweep campaign defined by the config file's [sweep] section."""
-    if bundle.sweep is None:
-        raise ConfigError("the config file has no [sweep] section; one is required for --case custom")
-    try:
-        return SweepSpec(
-            variable=bundle.sweep.variable,
-            grid=bundle.sweep.grid,
-            base=bundle.scenario,
-            variants=bundle.sweep.variants,
-            sim=bundle.sim,
-            target_pf=bundle.target_pf,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
+    rows = []
+    for vi, (label, overrides) in enumerate(spec.variants):
+        variant, target = apply_overrides(spec.base, spec.target_pf, overrides)
+        for gi, value in enumerate(spec.grid):
+            scenario = _point_scenario(spec.variable, variant, target, value)
+            op = operating_point(scenario)
+            row_seed = RandomStream.derive_seed(spec.sim.seed, vi, gi)
+            report = run_simulation(scenario, replace(spec.sim, seed=row_seed))
+            rows.append(SweepResultRow(
+                variant=label,
+                sweep_value=float(value),
+                analytic_pl=op.packet_loss,
+                sim_pl=report.empirical_packet_loss,
+                sim_pl_ci95=report.packet_loss_ci95,
+                analytic_pi0=op.outage,
+                sim_pi0=report.empirical_outage_occupancy,
+                pf=op.pf,
+                pd=op.pd,
+                delta=op.delta,
+                pi_idle=op.pi_idle,
+                slots=report.slots,
+                seed=row_seed,
+            ))
+    return rows
 
 
 def format_float(x: float) -> str:
@@ -261,12 +237,12 @@ def format_float(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _row_cells(row: SweepResultRow) -> list[str]:
-    cells = [row.variant]
-    for name in _FLOAT_FIELDS:
-        cells.append(format_float(getattr(row, name)))
-    for name in _INT_FIELDS:
-        cells.append(str(int(getattr(row, name))))
+def _cells(row: SweepResultRow) -> list[str]:
+    """The row's cells in header order, as text: floats to 9 significant digits."""
+    cells = []
+    for f in _FIELDS:
+        value = getattr(row, f.name)
+        cells.append(format_float(value) if f.type is float else str(f.type(value)))
     return cells
 
 
@@ -278,7 +254,7 @@ def emit_csv(rows, path) -> None:
         fh.write(CSV_HEADER + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         for row in rows:
-            writer.writerow(_row_cells(row))
+            writer.writerow(_cells(row))
 
 
 def emit_json(rows, path) -> None:
@@ -286,16 +262,9 @@ def emit_json(rows, path) -> None:
     9-significant-digit values as the CSV."""
     if not rows:
         raise ValueError("no rows to emit")
-    payload = []
-    for row in rows:
-        obj = {"variant": row.variant}
-        for name in _FLOAT_FIELDS:
-            obj[name] = float(format_float(getattr(row, name)))
-        for name in _INT_FIELDS:
-            obj[name] = int(getattr(row, name))
-        payload.append(obj)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
+        records = [{f.name: f.type(cell) for f, cell in zip(_FIELDS, _cells(row))} for row in rows]
+        json.dump(records, fh, indent=2)
         fh.write("\n")
 
 

@@ -6,7 +6,7 @@ inverse, the chain fixed point).  They are cheap and deterministic; the
 CLI maps any failure to a non-zero exit code.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,13 +87,7 @@ def run_validation(bundle: LoadedConfig, instances: int = 200) -> list[CheckResu
     worst = 0.0
     det = bundle.scenario.detector
     for target in (0.001, 0.01, 0.05, 0.1, 0.5):
-        probe = type(det)(
-            sensing_duration=det.sensing_duration,
-            sampling_rate=det.sampling_rate,
-            noise_power=det.noise_power,
-            threshold=threshold_for_target_pf(target, det),
-            primary_snr=det.primary_snr,
-        )
+        probe = replace(det, threshold=threshold_for_target_pf(target, det))
         worst = max(worst, abs(false_alarm_prob(probe) - target))
     results.append(CheckResult(
         "threshold-from-target round trip",

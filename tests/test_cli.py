@@ -1,5 +1,6 @@
 """CLI subcommands, argument plumbing and exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -99,12 +100,52 @@ class TestSweepCommand:
     def test_custom_without_sweep_section_rejected(self, capsys):
         assert main(["sweep", "--case", "custom", "--config", CASE1, "--out", "/tmp/x"]) == 2
 
+    def test_analyze_rejects_bad_sweep_section(self, tmp_path, capsys):
+        # the [sweep] section is checked at load, whatever the subcommand
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL.replace("grid = 1.0, 1.03, 1.06", "grid = 1.06, 1.03"))
+        assert main(["analyze", "--config", str(path)]) == 2
+        assert "strictly increasing" in capsys.readouterr().err
+
     def test_out_path_collision_is_io_error(self, small_cfg, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory")
         code = main(["sweep", "--case", "custom", "--config", small_cfg,
                      "--out", str(blocker)])
         assert code == 4
+
+
+class TestGoldenOutput:
+    """The stock campaigns at 512 slots per replication, in event mode,
+    pinned by sha256.  The pins assume numpy's PCG64 bit stream: a numpy
+    release that changes it moves the simulated columns and these hashes
+    with them."""
+
+    GOLDEN = {
+        "1": {
+            "case1.csv": "db123cbc754622ddd7efb832b16388cb278f004c172c5fa146b5ae31bcfe8658",
+            "case1.json": "ba6c7dca02ecb5a8d787fc0a56430941e7875aa8e7d37b370a7a5b6366818330",
+            "case1.gp": "577fb12fecb5e8f503e3ccd5845a9b21e6021a100e49afbe881a392a90784328",
+        },
+        "2": {
+            "case2.csv": "94fc51709ec89eaffee48dca377b05aa8d919c8662cbd45a8c67cd7e42875088",
+            "case2.json": "d1f10776a26c086d7a1bd8f3fa87c5258df0118f809f3009aba16ebdca960a94",
+            "case2.gp": "3886728fffe229875f46e0f201911013dc81e3d8a8d4a93a2930b321974bfeba",
+        },
+    }
+
+    @pytest.mark.parametrize("case", ["1", "2"])
+    def test_stock_campaign_bytes(self, case, tmp_path, capsys):
+        text = (REPO / "configs" / f"case{case}.cfg").read_text()
+        assert "slots = 1000000\n" in text and "sensing_mode = event\n" in text
+        config = tmp_path / "stock.cfg"
+        config.write_text(text.replace("slots = 1000000\n", "slots = 512\n"))
+        out = tmp_path / "results"
+        assert main(["sweep", "--case", case, "--config", str(config), "--out", str(out),
+                     "--format", "json", "--plots"]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.GOLDEN[case]}
+        assert digests == self.GOLDEN[case]
 
 
 class TestInitialBatteryAboveTop:

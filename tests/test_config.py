@@ -181,6 +181,23 @@ class TestErrors:
         with pytest.raises(ConfigError, match="label"):
             load_config(write(tmp_path, text))
 
+    # Checked at load since check_sweep is shared with SweepSpec, so every
+    # subcommand rejects these, not only ``ehcrn sweep``.
+    @pytest.mark.parametrize("grid, variants, match", [
+        ("-10, -20", "variant_1 = a: p_on=0.7", "increasing"),
+        ("-10, -10", "variant_1 = a: p_on=0.7", "increasing"),
+        ("-10", "variant_1 = a: p_on=0.7", "at least 2"),
+        ("-20, -10", "variant_1 = a: p_on=0.7\nvariant_2 = a: p_on=0.3", "duplicate"),
+        ("-20, -10", 'variant_1 = a"x: p_on=0.7', "label"),
+        ("-20, -10", "variant_1 = a\\x: p_on=0.7", "label"),
+        ("-20, -10", "", "at least one variant"),
+    ], ids=["decreasing", "repeated", "one-value", "duplicate-label", "quote-label",
+            "backslash-label", "no-variant"])
+    def test_sweep_structure_rejected_at_load(self, tmp_path, grid, variants, match):
+        text = VALID + f"\n[sweep]\nvariable = primary_snr_db\ngrid = {grid}\n{variants}\n"
+        with pytest.raises(ConfigError, match=f"sweep: .*{match}"):
+            load_config(write(tmp_path, text))
+
     def test_sweep_unknown_override(self, tmp_path):
         text = VALID + "\n[sweep]\nvariable = primary_snr_db\ngrid = -20, -10\nvariant_1 = a: snr=3\n"
         with pytest.raises(ConfigError, match="unknown override"):

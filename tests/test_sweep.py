@@ -22,9 +22,7 @@ from ehcrn.sweep import (
     CSV_HEADER,
     SweepSpec,
     apply_overrides,
-    case_one_sweep,
-    case_two_sweep,
-    custom_sweep,
+    campaign,
     emit_csv,
     emit_json,
     emit_plot_script,
@@ -68,17 +66,17 @@ def tiny_bundle(tmp_path):
 
 @pytest.fixture
 def tiny_rows(tiny_bundle):
-    return run_sweep(custom_sweep(tiny_bundle))
+    return run_sweep(campaign(tiny_bundle, "custom"))
 
 
 class TestSweepSpec:
     def test_case_builders(self):
         repo = Path(__file__).resolve().parents[1]
-        one = case_one_sweep(load_config(str(repo / "configs" / "case1.cfg")))
+        one = campaign(load_config(str(repo / "configs" / "case1.cfg")), "1")
         assert one.variable == "primary_snr_db"
         assert one.grid == CASE_ONE_GRID_DB
         assert len(one.variants) == 3
-        two = case_two_sweep(load_config(str(repo / "configs" / "case2.cfg")))
+        two = campaign(load_config(str(repo / "configs" / "case2.cfg")), "2")
         assert two.variable == "normalized_threshold"
         assert two.grid == CASE_TWO_GRID
         assert len(two.variants) == 3
@@ -88,26 +86,28 @@ class TestSweepSpec:
         path = tmp_path / "x.cfg"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match="target"):
-            case_one_sweep(load_config(str(path)))
+            campaign(load_config(str(path)), "1")
 
     def test_custom_requires_sweep_section(self, tmp_path):
         text = TINY.split("[sweep]")[0]
         path = tmp_path / "x.cfg"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match="sweep"):
-            custom_sweep(load_config(str(path)))
+            campaign(load_config(str(path)), "custom")
 
     def test_grid_must_increase(self, tiny_bundle):
-        spec = custom_sweep(tiny_bundle)
+        spec = campaign(tiny_bundle, "custom")
         with pytest.raises(ValueError, match="increasing"):
             SweepSpec(variable=spec.variable, grid=(1.0, 1.0), base=spec.base,
                       variants=spec.variants, sim=spec.sim)
 
-    def test_labels_must_be_clean(self, tiny_bundle):
-        spec = custom_sweep(tiny_bundle)
+    @pytest.mark.parametrize("label", ["bad label", "bad,label", "bad\tlabel", 'bad"label', "bad\\label"],
+                             ids=["space", "comma", "tab", "quote", "backslash"])
+    def test_labels_must_be_clean(self, tiny_bundle, label):
+        spec = campaign(tiny_bundle, "custom")
         with pytest.raises(ValueError, match="label"):
             SweepSpec(variable=spec.variable, grid=spec.grid, base=spec.base,
-                      variants=(("bad label", {"p_on": 0.5}),), sim=spec.sim,
+                      variants=((label, {"p_on": 0.5}),), sim=spec.sim,
                       target_pf=spec.target_pf)
 
 
@@ -141,8 +141,8 @@ class TestRunSweep:
         assert len({round(r.pd, 12) for r in tiny_rows}) == 3
 
     def test_deterministic_rerun(self, tiny_bundle):
-        a = run_sweep(custom_sweep(tiny_bundle))
-        b = run_sweep(custom_sweep(tiny_bundle))
+        a = run_sweep(campaign(tiny_bundle, "custom"))
+        b = run_sweep(campaign(tiny_bundle, "custom"))
         assert a == b
 
     def test_each_row_reproduces_alone_from_its_seed(self, tiny_bundle, tiny_rows):
@@ -220,8 +220,8 @@ class TestEmitters:
 
     def test_byte_identical_emission(self, tiny_bundle, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(run_sweep(custom_sweep(tiny_bundle)), a)
-        emit_csv(run_sweep(custom_sweep(tiny_bundle)), b)
+        emit_csv(run_sweep(campaign(tiny_bundle, "custom")), a)
+        emit_csv(run_sweep(campaign(tiny_bundle, "custom")), b)
         assert a.read_bytes() == b.read_bytes()
 
 
