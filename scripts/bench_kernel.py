@@ -10,8 +10,9 @@ in three modes -- event sensing on 1 channel, signal sensing on 1 and on
 * ``spectrum_chain``: ``kernel.chain_path`` on the channel uniforms;
 * ``energy_chain``: ``kernel.chain_path`` on the energy uniforms;
 * ``battery_levels``: ``kernel.battery_levels``;
-* ``advance_rest``: the rest of ``kernel.advance`` (sensing verdicts,
-  counters and the level-move ``bincount``);
+* ``advance_rest``: the rest of ``kernel.advance`` (the sensed channel,
+  the verdicts and the one ``bincount`` of the joint tally over (channel
+  state, verdict, start level, level move));
 * ``total``: the whole ``run_simulation`` call.
 
 The layers are timed with the thread's CPU time, by wrapping those

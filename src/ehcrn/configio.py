@@ -60,6 +60,9 @@ SWEEP_VARIABLES = {
     "normalized_threshold": "normalized detection threshold",
 }
 
+# Override keys that fix the detection threshold; at most one may be set.
+_THRESHOLD_KEYS = frozenset({"target_pf", "normalized_threshold"})
+
 # Variant labels become words of a quoted gnuplot string and CSV cells, so
 # they may hold no quote, backslash, comma or blank.
 _LABEL = re.compile(r"[A-Za-z0-9_.+-]+")
@@ -91,7 +94,9 @@ def check_sweep(variable: str, grid, variants) -> None:
 
     The checks need no scenario: a known variable, a grid of at least 2
     strictly increasing values, at least one variant, unique labels that
-    match ``_LABEL``, and known, non-empty overrides.
+    match ``_LABEL``, and known, non-empty overrides.  A variant sets at
+    most one threshold key, and no key the grid point sets: the variable,
+    and for a threshold variable every threshold key.
     """
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"variable must be one of {tuple(SWEEP_VARIABLES)}, got {variable!r}")
@@ -101,6 +106,7 @@ def check_sweep(variable: str, grid, variants) -> None:
         raise ValueError("grid values must be strictly increasing")
     if not variants:
         raise ValueError("at least one variant is required")
+    grid_keys = _THRESHOLD_KEYS if variable in _THRESHOLD_KEYS else {variable}
     seen = set()
     for label, overrides in variants:
         if not _LABEL.fullmatch(label):
@@ -115,6 +121,11 @@ def check_sweep(variable: str, grid, variants) -> None:
                 raise ValueError(
                     f"variant {label!r}: unknown override {key!r} (allowed: {sorted(OVERRIDE_FIELDS)})"
                 )
+        if _THRESHOLD_KEYS <= overrides.keys():
+            raise ValueError(f"variant {label!r}: set one of {sorted(_THRESHOLD_KEYS)}, not both")
+        clash = sorted(grid_keys & overrides.keys())
+        if clash:
+            raise ValueError(f"variant {label!r}: cannot override {clash}, which the {variable} grid sets")
 
 
 def snr_db_to_linear(snr_db: float) -> float:

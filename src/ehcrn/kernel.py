@@ -2,11 +2,11 @@
 
 A block of slots is advanced with array scans, a few thousand slots at a
 time: the chain paths with a running XOR and a running maximum, the
-battery levels with a blocked scan of clamp maps, and the counters and
-battery tallies with counts and one ``bincount``.  It gives the same
-counts, bit for bit, as stepping the slots one at a time (see
-:mod:`ehcrn.simulate` for the slot rules); the tests hold that per-slot
-loop as the reference.
+battery levels with a blocked scan of clamp maps, and a tally of what
+happened in each slot with one ``bincount``; :mod:`ehcrn.simulate` sorts
+the tally into loss causes.  It gives the same counts, bit for bit, as
+stepping the slots one at a time (see :mod:`ehcrn.simulate` for the slot
+rules); the tests hold that per-slot loop as the reference.
 """
 
 import math
@@ -19,17 +19,6 @@ from ehcrn.analytic import Scenario, detection_prob, false_alarm_prob
 # Slots the kernel works on at once; bounds its temporaries, which would
 # otherwise grow with the block (and with the channel count).
 SUB_BLOCK = 1 << 13
-
-# Counter slots filled by the kernel.
-DELIVERED = 0
-OUTAGE = 1
-NONACCESS = 2
-COLLIDED = 3
-IDLE = 4
-ALARM_IDLE = 5
-ALARM_OCC = 6
-NCOUNTERS = 7
-
 
 @dataclass(frozen=True)
 class SlotRule:
@@ -150,48 +139,38 @@ def battery_levels(access, harvest, level, top):
     return levels[: n + 1]
 
 
-def advance(rule, state, u_spec, u_energy, chan_sel, sense_draw, counters, level_moves):
+def advance(rule, state, u_spec, u_energy, chan_sel, sense_draw, tally):
     """Advance the link over one run of slots; returns the state after it.
 
     ``state`` is (channel states, energy state, battery level) with 1 /
     True meaning occupied and not harvesting.  ``chan_sel`` is None for a
-    single channel.  Adds the slots' outcomes to ``counters`` and their
-    battery moves (level at slot start, down / stay / up) to ``level_moves``.
+    single channel.  Counts each slot in the (2, 2, L, 3) int64 ``tally``
+    at [sensed channel occupied, verdict busy, battery level at slot start,
+    move k = after - start + 1 (0 down, 1 stay, 2 up)].
     """
     spec, energy, level = state
-    n = len(u_energy)
+    n, c = u_spec.shape
     spec_path = chain_path(u_spec, rule.stay_idle, rule.stay_occ, spec)
     off_path = chain_path(u_energy, rule.stay_on, rule.stay_off, energy)
-    occupied = spec_path[:, 0] if chan_sel is None else spec_path[np.arange(n), chan_sel]
+    flat = spec_path.ravel()  # row t of the (n, c) path starts at t * c
+    occupied = flat if chan_sel is None else flat[np.arange(0, c * n, c) + chan_sel]
     if rule.signal:
         busy = np.where(occupied, rule.var_occ, rule.var_idle) * sense_draw > rule.eps_times_n
     else:
         busy = sense_draw < np.where(occupied, rule.pd, rule.pf)
-    access = ~busy
-    levels = battery_levels(access, ~off_path, level, rule.levels - 1)
-    sent = access & (levels[:-1] > 0)
-    alarms = np.count_nonzero(busy)
-    alarms_occ = np.count_nonzero(busy & occupied)
-    collided = np.count_nonzero(sent & occupied)
-    delivered = np.count_nonzero(sent) - collided
-    counters[DELIVERED] += delivered
-    counters[OUTAGE] += n - alarms - delivered - collided
-    counters[NONACCESS] += alarms
-    counters[COLLIDED] += collided
-    counters[IDLE] += n - np.count_nonzero(occupied)
-    counters[ALARM_IDLE] += alarms - alarms_occ
-    counters[ALARM_OCC] += alarms_occ
-    # move k = after - start + 1, so the bin of (start, k) is 2 start + after + 1
-    moves = np.bincount(2 * levels[:-1] + levels[1:] + 1, minlength=3 * rule.levels)
-    level_moves += moves.reshape(rule.levels, 3)
+    levels = battery_levels(~busy, ~off_path, level, rule.levels - 1)
+    # the flat bin of (occupied, busy, start, k); int32 scalars keep it int32
+    code = 2 * levels[:-1] + levels[1:] + 1
+    code += occupied * np.int32(6 * rule.levels)
+    code += busy * np.int32(3 * rule.levels)
+    tally += np.bincount(code, minlength=12 * rule.levels).reshape(tally.shape)
     return spec_path[-1], off_path[-1], int(levels[-1])
 
 
-def advance_block(rule, state, u_spec, u_energy, chan_sel, sense_draw, counters, level_moves):
+def advance_block(rule, state, u_spec, u_energy, chan_sel, sense_draw, tally):
     """:func:`advance` over a block, ``SUB_BLOCK`` slots at a time."""
     for i in range(0, len(u_energy), SUB_BLOCK):
         j = i + SUB_BLOCK
         state = advance(rule, state, u_spec[i:j], u_energy[i:j],
-                        None if chan_sel is None else chan_sel[i:j], sense_draw[i:j],
-                        counters, level_moves)
+                        None if chan_sel is None else chan_sel[i:j], sense_draw[i:j], tally)
     return state

@@ -28,7 +28,8 @@ so results are bit-identical for a given seed regardless of how
 replications or sweep points are scheduled.
 
 The slots themselves are advanced by the array kernel in
-:mod:`ehcrn.kernel`.
+:mod:`ehcrn.kernel`, which only tallies them by what happened; the report
+sorts that tally into the loss causes above.
 """
 
 import math
@@ -39,18 +40,7 @@ import numpy as np
 from ehcrn.analytic import Scenario
 from ehcrn.chains import RandomStream
 from ehcrn.gaussian import student_t_quantile
-from ehcrn.kernel import (
-    ALARM_IDLE,
-    ALARM_OCC,
-    COLLIDED,
-    DELIVERED,
-    IDLE,
-    NCOUNTERS,
-    NONACCESS,
-    OUTAGE,
-    advance_block,
-    slot_rule,
-)
+from ehcrn.kernel import advance_block, slot_rule
 
 __all__ = [
     "SimConfig",
@@ -196,8 +186,8 @@ def _initial_states(scenario: Scenario, cfg: SimConfig, rng: RandomStream):
 
 
 def _replication_counts(scenario: Scenario, cfg: SimConfig, stream_id: int):
-    """Raw counts of one replication of ``cfg.slots`` slots on its own stream:
-    the kernel's counters and the (L, 3) battery level moves."""
+    """The (2, 2, L, 3) slot tally of one replication of ``cfg.slots`` slots
+    on its own stream (axes as in :func:`ehcrn.kernel.advance`)."""
     rng = RandomStream(cfg.seed, stream_id)
     gen = rng.generator
     rule = slot_rule(scenario, cfg.sensing_mode == "signal")
@@ -205,8 +195,7 @@ def _replication_counts(scenario: Scenario, cfg: SimConfig, stream_id: int):
     n_samples = scenario.detector.sample_count
 
     state = _initial_states(scenario, cfg, rng)
-    counters = np.zeros(NCOUNTERS, np.int64)
-    level_moves = np.zeros((rule.levels, 3), np.int64)
+    tally = np.zeros((2, 2, rule.levels, 3), np.int64)
 
     done = 0
     while done < cfg.slots:
@@ -214,14 +203,10 @@ def _replication_counts(scenario: Scenario, cfg: SimConfig, stream_id: int):
         u_spec = gen.random((b, channels))
         u_energy = gen.random(b)
         chan_sel = gen.integers(0, channels, b) if channels > 1 else None
-        if rule.signal:
-            sense_draw = gen.gamma(n_samples, 1.0, b)
-        else:
-            sense_draw = gen.random(b)
-        state = advance_block(rule, state, u_spec, u_energy, chan_sel, sense_draw,
-                              counters, level_moves)
+        sense_draw = gen.gamma(n_samples, 1.0, b) if rule.signal else gen.random(b)
+        state = advance_block(rule, state, u_spec, u_energy, chan_sel, sense_draw, tally)
         done += b
-    return counters, level_moves
+    return tally
 
 
 def run_replication(scenario: Scenario, cfg: SimConfig, stream_id: int) -> SimReport:
@@ -235,20 +220,27 @@ def run_simulation(scenario: Scenario, cfg: SimConfig) -> SimReport:
     Replication i uses stream id i; pooling is an ordered sum, so the
     result is identical no matter how the replications are executed.
     """
-    counts = [_replication_counts(scenario, cfg, rep) for rep in range(cfg.replications)]
-    return _pooled_report(cfg.slots, counts)
+    tallies = [_replication_counts(scenario, cfg, rep) for rep in range(cfg.replications)]
+    return _pooled_report(cfg.slots, tallies)
 
 
-def _pooled_report(slots_per_replication: int, counts: list) -> SimReport:
-    """One report from the ``(counters, level_moves)`` of each replication."""
-    replications = len(counts)
+def _pooled_report(slots_per_replication: int, tallies: list) -> SimReport:
+    """One report from the tally t[occupied, busy, start, k] of each replication.
+
+    The one place that sorts slots into outcomes: a busy verdict is a
+    non-access loss, an idle one an outage at level 0 and otherwise a
+    packet, delivered on an idle channel and collided on an occupied one.
+    """
+    replications = len(tallies)
     slots = slots_per_replication * replications
-    counters = sum(c for c, _ in counts)
-    level_moves = sum(m for _, m in counts)
+    t = sum(tallies)
+    level_moves = t.sum(axis=(0, 1))
     level_counts = level_moves.sum(axis=1)
-    rates = tuple(1.0 - int(c[DELIVERED]) / slots_per_replication for c, _ in counts)
-    delivered = int(counters[DELIVERED])
-    idle = int(counters[IDLE])
+    rates = tuple(1.0 - int(r[0, 0, 1:].sum()) / slots_per_replication for r in tallies)
+    idle = int(t[0].sum())
+    alarms_idle, alarms_occ = (int(a) for a in t[:, 1].sum(axis=(1, 2)))
+    delivered, collided = (int(a) for a in t[:, 0, 1:].sum(axis=(1, 2)))
+    nonaccess = alarms_idle + alarms_occ
     occupied = slots - idle
     loss = 1.0 - delivered / slots
     if replications > 1:
@@ -260,21 +252,21 @@ def _pooled_report(slots_per_replication: int, counts: list) -> SimReport:
         slots=slots,
         replications=replications,
         packets_delivered=delivered,
-        packets_lost_outage=int(counters[OUTAGE]),
-        packets_lost_false_alarm_or_busy=int(counters[NONACCESS]),
-        packets_collided=int(counters[COLLIDED]),
+        packets_lost_outage=int(t[:, 0, 0].sum()),
+        packets_lost_false_alarm_or_busy=nonaccess,
+        packets_collided=collided,
         empirical_packet_loss=loss,
         packet_loss_ci95=ci95,
         empirical_outage_occupancy=float(level_counts[0]) / slots,
-        empirical_pf=float(counters[ALARM_IDLE]) / idle if idle else math.nan,
-        empirical_pd=float(counters[ALARM_OCC]) / occupied if occupied else math.nan,
-        empirical_delta=1.0 - int(counters[NONACCESS]) / slots,
+        empirical_pf=float(alarms_idle) / idle if idle else math.nan,
+        empirical_pd=float(alarms_occ) / occupied if occupied else math.nan,
+        empirical_delta=1.0 - nonaccess / slots,
         empirical_pi_idle=idle / slots,
         battery_histogram=level_counts / float(slots),
         battery_level_counts=level_counts,
         battery_transition_counts=level_moves,
         idle_slots=idle,
-        alarms_idle=int(counters[ALARM_IDLE]),
-        alarms_occupied=int(counters[ALARM_OCC]),
+        alarms_idle=alarms_idle,
+        alarms_occupied=alarms_occ,
         replication_loss_rates=rates,
     )

@@ -117,7 +117,7 @@ class SweepSpec:
         for label, overrides in self.variants:
             scn, tgt = apply_overrides(self.base, self.target_pf, overrides)
             for value in (self.grid[0], self.grid[-1]):
-                _point_scenario(self.variable, scn, tgt, value)
+                apply_overrides(scn, tgt, {self.variable: value})
             try:
                 initial_level(scn, self.sim)
             except ValueError as exc:
@@ -192,25 +192,13 @@ def apply_overrides(scenario: Scenario, target_pf, overrides: dict):
     return scenario, target
 
 
-def _point_scenario(variable: str, scenario: Scenario, target_pf, value: float) -> Scenario:
-    """Resolve the detector threshold for one grid value."""
-    det = scenario.detector
-    if variable == "primary_snr_db":
-        det = replace(det, primary_snr=snr_db_to_linear(value))
-        if target_pf is not None:
-            det = replace(det, threshold=threshold_for_target_pf(target_pf, det))
-    else:
-        det = replace(det, threshold=value * det.noise_power)
-    return replace(scenario, detector=det)
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepResultRow]:
     """Run every (variant, grid value) point; rows ordered by (variant, value)."""
     rows = []
     for vi, (label, overrides) in enumerate(spec.variants):
         variant, target = apply_overrides(spec.base, spec.target_pf, overrides)
         for gi, value in enumerate(spec.grid):
-            scenario = _point_scenario(spec.variable, variant, target, value)
+            scenario, _ = apply_overrides(variant, target, {spec.variable: value})
             op = operating_point(scenario)
             row_seed = RandomStream.derive_seed(spec.sim.seed, vi, gi)
             report = run_simulation(scenario, replace(spec.sim, seed=row_seed))

@@ -116,7 +116,8 @@ class TestSweepCommand:
 
 
 class TestGoldenOutput:
-    """The stock campaigns at 512 slots per replication, in event mode,
+    """The stock campaigns at 512 slots per replication, in event mode, and
+    ``ehcrn simulate`` at 20000 slots per replication in both sensing modes,
     pinned by sha256.  The pins assume numpy's PCG64 bit stream: a numpy
     release that changes it moves the simulated columns and these hashes
     with them."""
@@ -146,6 +147,20 @@ class TestGoldenOutput:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in self.GOLDEN[case]}
         assert digests == self.GOLDEN[case]
+
+    SIMULATE = {
+        ("1", "event"): "8159860b9fa69f79e19ee65569c684e8f1f479cacdef8cd5a241bd3b1c8f3cf2",
+        ("1", "signal"): "3dbcc0c3d975f5da0c0fa720f2a50be0c20b49e44a7e8c51ca9d47188ea1bd3c",
+        ("2", "event"): "87afff29442bae7c951c24981ba194fc3f7efdd7feef3d02637f31366128d432",
+        ("2", "signal"): "76a9b75bb2f521467ebdf75ea32299abd77717b2b6cb42a4e14cfdaa05cf9c22",
+    }
+
+    @pytest.mark.parametrize("case, sensing", sorted(SIMULATE))
+    def test_stock_simulate_stdout(self, case, sensing, capsys):
+        assert main(["simulate", "--config", str(REPO / "configs" / f"case{case}.cfg"),
+                     "--slots", "20000", "--sensing", sensing]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == self.SIMULATE[case, sensing]
 
 
 class TestInitialBatteryAboveTop:

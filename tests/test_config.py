@@ -183,18 +183,34 @@ class TestErrors:
 
     # Checked at load since check_sweep is shared with SweepSpec, so every
     # subcommand rejects these, not only ``ehcrn sweep``.
-    @pytest.mark.parametrize("grid, variants, match", [
-        ("-10, -20", "variant_1 = a: p_on=0.7", "increasing"),
-        ("-10, -10", "variant_1 = a: p_on=0.7", "increasing"),
-        ("-10", "variant_1 = a: p_on=0.7", "at least 2"),
-        ("-20, -10", "variant_1 = a: p_on=0.7\nvariant_2 = a: p_on=0.3", "duplicate"),
-        ("-20, -10", 'variant_1 = a"x: p_on=0.7', "label"),
-        ("-20, -10", "variant_1 = a\\x: p_on=0.7", "label"),
-        ("-20, -10", "", "at least one variant"),
+    # A variant may not set both threshold keys (the later one would win),
+    # nor a key the grid point sets (every point would overwrite it).
+    @pytest.mark.parametrize("variable, grid, variants, match", [
+        ("primary_snr_db", "-10, -20", "variant_1 = a: p_on=0.7", "increasing"),
+        ("primary_snr_db", "-10, -10", "variant_1 = a: p_on=0.7", "increasing"),
+        ("primary_snr_db", "-10", "variant_1 = a: p_on=0.7", "at least 2"),
+        ("primary_snr_db", "-20, -10", "variant_1 = a: p_on=0.7\nvariant_2 = a: p_on=0.3", "duplicate"),
+        ("primary_snr_db", "-20, -10", 'variant_1 = a"x: p_on=0.7', "label"),
+        ("primary_snr_db", "-20, -10", "variant_1 = a\\x: p_on=0.7", "label"),
+        ("primary_snr_db", "-20, -10", "", "at least one variant"),
+        ("primary_snr_db", "-20, -10", "variant_1 = a: target_pf=0.1 normalized_threshold=1.05",
+         "not both"),
+        ("primary_snr_db", "-20, -10", "variant_1 = a: normalized_threshold=1.05 target_pf=0.1",
+         "not both"),
+        ("normalized_threshold", "1.0, 1.1", "variant_1 = a: target_pf=0.1 normalized_threshold=1.05",
+         "not both"),
+        ("primary_snr_db", "-20, -10", "variant_1 = a: p_on=0.7\nvariant_2 = b: primary_snr_db=-5",
+         r"variant 'b': cannot override \['primary_snr_db'\], which the primary_snr_db grid"),
+        ("normalized_threshold", "1.0, 1.1", "variant_1 = a: normalized_threshold=1.05",
+         r"cannot override \['normalized_threshold'\]"),
+        ("normalized_threshold", "1.0, 1.1", "variant_1 = a: q_o=0.3 target_pf=0.1",
+         r"cannot override \['target_pf'\], which the normalized_threshold grid"),
     ], ids=["decreasing", "repeated", "one-value", "duplicate-label", "quote-label",
-            "backslash-label", "no-variant"])
-    def test_sweep_structure_rejected_at_load(self, tmp_path, grid, variants, match):
-        text = VALID + f"\n[sweep]\nvariable = primary_snr_db\ngrid = {grid}\n{variants}\n"
+            "backslash-label", "no-variant", "both-thresholds", "both-thresholds-reversed",
+            "both-thresholds-threshold-sweep", "snr-override-of-snr-sweep",
+            "threshold-override-of-threshold-sweep", "target-override-of-threshold-sweep"])
+    def test_sweep_structure_rejected_at_load(self, tmp_path, variable, grid, variants, match):
+        text = VALID + f"\n[sweep]\nvariable = {variable}\ngrid = {grid}\n{variants}\n"
         with pytest.raises(ConfigError, match=f"sweep: .*{match}"):
             load_config(write(tmp_path, text))
 

@@ -305,6 +305,17 @@ class TestSimConfigValidation:
             SimConfig(**kwargs)
 
 
+# Counter slots of the oracle, one per SimReport field in COUNTER_FIELDS.
+DELIVERED, OUTAGE, NONACCESS, COLLIDED, IDLE, ALARM_IDLE, ALARM_OCC = range(7)
+COUNTER_FIELDS = ("packets_delivered", "packets_lost_outage", "packets_lost_false_alarm_or_busy",
+                  "packets_collided", "idle_slots", "alarms_idle", "alarms_occupied")
+
+
+def report_counters(report):
+    """The report's counts in the oracle's counter order."""
+    return [getattr(report, name) for name in COUNTER_FIELDS]
+
+
 def slot_loop_oracle(rule, spec_states, carry, u_spec, u_energy, chan_sel, sense_draw,
                      counters, level_counts, level_moves):
     """Per-slot reference for the vectorised slot kernel.
@@ -337,23 +348,23 @@ def slot_loop_oracle(rule, spec_states, carry, u_spec, u_energy, chan_sel, sense
             theta = 1 if sense_draw[t] < p else 0
         level_counts[level] += 1
         if s == 0:
-            counters[kernel.IDLE] += 1
+            counters[IDLE] += 1
             if theta == 1:
-                counters[kernel.ALARM_IDLE] += 1
+                counters[ALARM_IDLE] += 1
         elif theta == 1:
-            counters[kernel.ALARM_OCC] += 1
+            counters[ALARM_OCC] += 1
         new_level = level
         if theta == 0:
             if level > 0:
                 new_level = level - 1
                 if s == 0:
-                    counters[kernel.DELIVERED] += 1
+                    counters[DELIVERED] += 1
                 else:
-                    counters[kernel.COLLIDED] += 1
+                    counters[COLLIDED] += 1
             else:
-                counters[kernel.OUTAGE] += 1
+                counters[OUTAGE] += 1
         else:
-            counters[kernel.NONACCESS] += 1
+            counters[NONACCESS] += 1
         if e_state == 0 and new_level < rule.levels - 1:
             new_level += 1
         level_moves[level, new_level - level + 1] += 1
@@ -392,24 +403,26 @@ class TestKernelMatchesLoopOracle:
         rule = kernel.slot_rule(scn, cfg.sensing_mode == "signal")
         spec, energy, level = simulate._initial_states(scn, cfg, RandomStream(seed, 1))
         state = (spec, energy, level)
-        counters = np.zeros(kernel.NCOUNTERS, np.int64)
-        moves = np.zeros((scn.battery_levels, 3), np.int64)
+        tally = np.zeros((2, 2, scn.battery_levels, 3), np.int64)
         o_spec = spec.astype(np.int64)
         o_carry = np.array([energy, level], np.int64)
-        o_counters = np.zeros_like(counters)
+        o_counters = np.zeros(len(COUNTER_FIELDS), np.int64)
         o_counts = np.zeros(scn.battery_levels, np.int64)
-        o_moves = np.zeros_like(moves)
+        o_moves = np.zeros((scn.battery_levels, 3), np.int64)
         gen = np.random.default_rng(seed)
         for b in blocks:
             draws = draw_block(gen, b, cfg.num_pu_channels, rule, scn.detector.sample_count)
-            state = kernel.advance_block(rule, state, *draws, counters, moves)
+            state = kernel.advance_block(rule, state, *draws, tally)
             slot_loop_oracle(rule, o_spec, o_carry, *draws, o_counters, o_counts, o_moves)
             assert (np.asarray(state[0]) == o_spec).all()
             assert (int(state[1]), state[2]) == (o_carry[0], o_carry[1])
+        report = simulate._pooled_report(sum(blocks), [tally])
+        counters = np.array(report_counters(report))
+        moves = report.battery_transition_counts
         assert (counters == o_counters).all()
         assert (moves.sum(axis=1) == o_counts).all()
         assert (moves == o_moves).all()
-        outcomes = (kernel.DELIVERED, kernel.OUTAGE, kernel.NONACCESS, kernel.COLLIDED)
+        outcomes = (DELIVERED, OUTAGE, NONACCESS, COLLIDED)
         assert counters[list(outcomes)].sum() == sum(blocks)
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
@@ -438,7 +451,7 @@ class TestKernelMatchesLoopOracle:
         spec, energy, level = simulate._initial_states(scn, cfg, rng)
         spec = spec.astype(np.int64)
         carry = np.array([energy, level], np.int64)
-        counters = np.zeros(kernel.NCOUNTERS, np.int64)
+        counters = np.zeros(len(COUNTER_FIELDS), np.int64)
         counts = np.zeros(scn.battery_levels, np.int64)
         moves = np.zeros((scn.battery_levels, 3), np.int64)
         for b in (1000, 1000, 500):
@@ -446,8 +459,6 @@ class TestKernelMatchesLoopOracle:
                                scn.detector.sample_count)
             slot_loop_oracle(rule, spec, carry, *draws, counters, counts, moves)
 
-        assert [report.packets_delivered, report.packets_lost_outage,
-                report.packets_lost_false_alarm_or_busy, report.packets_collided,
-                report.idle_slots, report.alarms_idle, report.alarms_occupied] == counters.tolist()
+        assert report_counters(report) == counters.tolist()
         assert (report.battery_level_counts == counts).all()
         assert (report.battery_transition_counts == moves).all()
