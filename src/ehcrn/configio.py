@@ -7,9 +7,10 @@ back to defaults.  The grammar is documented in the repository README.
 
 Each decision is one table here: ``_SCHEMA`` says which keys exist and
 which are required (the optional [sim] keys are the ``SimConfig`` fields,
-and their defaults live there alone), ``OVERRIDE_FIELDS`` and
-``SWEEP_VARIABLES`` name the sweep override keys and variables, and
-``check_sweep`` says what makes a sweep definition valid.
+and their defaults live there alone), ``OVERRIDE_FIELDS`` names the
+override keys that ``apply_overrides``, beside it, turns into scenario
+fields for config files and sweeps alike, ``SWEEP_VARIABLES`` the sweep
+variables, and ``check_sweep`` says what makes a sweep definition valid.
 """
 
 import configparser
@@ -22,7 +23,8 @@ from ehcrn.chains import TwoStateChain
 from ehcrn.errors import ConfigError
 from ehcrn.simulate import SimConfig, initial_level
 
-__all__ = ["OVERRIDE_FIELDS", "SWEEP_VARIABLES", "LoadedConfig", "SweepDef", "check_sweep", "load_config"]
+__all__ = ["OVERRIDE_FIELDS", "SWEEP_VARIABLES", "LoadedConfig", "SweepDef", "apply_overrides",
+           "check_sweep", "load_config"]
 
 # Section -> {key: required}.  The [sweep] section is optional as a whole
 # and also takes any number of variant_<n> keys.
@@ -86,7 +88,6 @@ class LoadedConfig:
     sim: SimConfig
     target_pf: float | None
     sweep: SweepDef | None
-    path: str
 
 
 def check_sweep(variable: str, grid, variants) -> None:
@@ -121,15 +122,57 @@ def check_sweep(variable: str, grid, variants) -> None:
                 raise ValueError(
                     f"variant {label!r}: unknown override {key!r} (allowed: {sorted(OVERRIDE_FIELDS)})"
                 )
-        if _THRESHOLD_KEYS <= overrides.keys():
-            raise ValueError(f"variant {label!r}: set one of {sorted(_THRESHOLD_KEYS)}, not both")
+        _one_threshold_key(overrides, f"variant {label!r}: ")
         clash = sorted(grid_keys & overrides.keys())
         if clash:
             raise ValueError(f"variant {label!r}: cannot override {clash}, which the {variable} grid sets")
 
 
+def _one_threshold_key(overrides, where: str = "") -> None:
+    """Raise ``ValueError`` if the overrides set both threshold keys (the later would win)."""
+    if _THRESHOLD_KEYS <= overrides.keys():
+        raise ValueError(f"{where}set one of {sorted(_THRESHOLD_KEYS)}, not both")
+
+
 def snr_db_to_linear(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
+
+
+def apply_overrides(scenario: Scenario, target_pf, overrides: dict):
+    """Rebuild a scenario with labelled parameter overrides applied.
+
+    Returns the new scenario and the (possibly overridden) target
+    false-alarm probability; a ``normalized_threshold`` override clears
+    the target since it pins the threshold directly.  A target of None
+    keeps the scenario's threshold.
+    """
+    _one_threshold_key(overrides)
+    changes = {part: {} for part, _ in OVERRIDE_FIELDS.values()}
+    changes["target"]["target_pf"] = target_pf
+    for key, value in overrides.items():
+        if key not in OVERRIDE_FIELDS:
+            raise ValueError(f"unknown override key {key!r}")
+        part, name = OVERRIDE_FIELDS[key]
+        if key == "levels":
+            value = int(value)
+        elif key == "primary_snr_db":
+            value = snr_db_to_linear(value)
+        elif key == "normalized_threshold":
+            value *= scenario.detector.noise_power
+            changes["target"]["target_pf"] = None
+        changes[part][name] = value
+    target = changes["target"]["target_pf"]
+    det = replace(scenario.detector, **changes["detector"])
+    if target is not None:
+        det = replace(det, threshold=threshold_for_target_pf(target, det))
+    scenario = replace(
+        scenario,
+        spectrum=replace(scenario.spectrum, **changes["spectrum"]),
+        energy=replace(scenario.energy, **changes["energy"]),
+        detector=det,
+        **changes["scenario"],
+    )
+    return scenario, target
 
 
 def _float(section, key, raw):
@@ -221,71 +264,44 @@ def load_config(path: str) -> LoadedConfig:
             if required and (section not in parser or key not in parser[section]):
                 raise ConfigError(f"missing required key '{section}.{key}' in {path!r}")
 
-    def get(section, key):
-        return parser[section][key].strip() if key in parser[section] else None
+    found = [k for k in ("target_pf", "normalized_threshold", "threshold") if k in parser["detector"]]
+    if len(found) != 1:
+        raise ConfigError("detector: exactly one of target_pf, normalized_threshold or threshold "
+                          f"is required, found {found or 'none'}")
 
+    # A probe scenario from the keys that are not overrides; each section's
+    # override keys then replace its placeholders (chains, primary SNR,
+    # battery size), so errors name their part.  The detector goes last,
+    # so a target false-alarm rate derives the threshold once.
+    num = {section: {key: (_int if key == "levels" else _float)(section, key, raw)
+                     for key, raw in parser[section].items()}
+           for section in ("spectrum", "energy", "battery", "detector")}
+    det = num["detector"]
     try:
-        spectrum = TwoStateChain(
-            stay_a=_float("spectrum", "q_i", get("spectrum", "q_i")),
-            stay_b=_float("spectrum", "q_o", get("spectrum", "q_o")),
-            labels=("idle", "occupied"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"spectrum: {exc}") from exc
-    try:
-        energy = TwoStateChain(
-            stay_a=_float("energy", "p_on", get("energy", "p_on")),
-            stay_b=_float("energy", "p_off", get("energy", "p_off")),
-            labels=("harvesting", "not-harvesting"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"energy: {exc}") from exc
-
-    snr_db = _float("detector", "primary_snr_db", get("detector", "primary_snr_db"))
-    threshold_keys = [
-        k for k in ("target_pf", "normalized_threshold", "threshold") if get("detector", k) is not None
-    ]
-    if len(threshold_keys) != 1:
-        raise ConfigError(
-            "detector: exactly one of target_pf, normalized_threshold or threshold "
-            f"is required, found {threshold_keys or 'none'}"
-        )
-    noise_power = _float("detector", "noise_power", get("detector", "noise_power"))
-    base = dict(
-        sensing_duration=_float("detector", "sensing_duration", get("detector", "sensing_duration")),
-        sampling_rate=_float("detector", "sampling_rate", get("detector", "sampling_rate")),
-        noise_power=noise_power,
-        primary_snr=snr_db_to_linear(snr_db),
-    )
-    target_pf = None
-    try:
-        key = threshold_keys[0]
-        if key == "threshold":
-            detector = DetectorConfig(threshold=_float("detector", key, get("detector", key)), **base)
-        elif key == "normalized_threshold":
-            detector = DetectorConfig(
-                threshold=_float("detector", key, get("detector", key)) * noise_power, **base
-            )
-        else:
-            target_pf = _float("detector", key, get("detector", key))
-            probe = DetectorConfig(threshold=noise_power, **base)
-            detector = replace(probe, threshold=threshold_for_target_pf(target_pf, probe))
+        detector = DetectorConfig(det["sensing_duration"], det["sampling_rate"], det["noise_power"],
+                                  threshold=det.get("threshold", det["noise_power"]), primary_snr=1.0)
     except ValueError as exc:
         raise ConfigError(f"detector: {exc}") from exc
-
     try:
         scenario = Scenario(
-            spectrum=spectrum,
-            energy=energy,
-            detector=detector,
-            battery_levels=_int("battery", "levels", get("battery", "levels")),
-            slot_duration=_float("sim", "slot_duration", get("sim", "slot_duration")),
+            TwoStateChain(0.5, 0.5, labels=("idle", "occupied")),
+            TwoStateChain(0.5, 0.5, labels=("harvesting", "not-harvesting")),
+            detector, battery_levels=2,
+            slot_duration=_float("sim", "slot_duration", parser["sim"]["slot_duration"]),
         )
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from exc
+    target_pf = None
+    for section, values in num.items():
+        overrides = {key: v for key, v in values.items() if key in OVERRIDE_FIELDS}
+        try:
+            scenario, target_pf = apply_overrides(scenario, target_pf, overrides)
+        except ValueError as exc:
+            raise ConfigError(f"{'scenario' if section == 'battery' else section}: {exc}") from exc
 
     # Only the keys the file sets: the defaults live in SimConfig alone.
-    given = {f.name: _sim_value(f, get("sim", f.name)) for f in fields(SimConfig) if f.name in parser["sim"]}
+    given = {f.name: _sim_value(f, parser["sim"][f.name])
+             for f in fields(SimConfig) if f.name in parser["sim"]}
     try:
         sim = SimConfig(**given)
         initial_level(scenario, sim)
@@ -293,4 +309,4 @@ def load_config(path: str) -> LoadedConfig:
         raise ConfigError(f"sim: {exc}") from exc
 
     sweep = _parse_sweep(parser["sweep"]) if "sweep" in parser else None
-    return LoadedConfig(scenario=scenario, sim=sim, target_pf=target_pf, sweep=sweep, path=str(path))
+    return LoadedConfig(scenario=scenario, sim=sim, target_pf=target_pf, sweep=sweep)

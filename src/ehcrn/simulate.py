@@ -152,7 +152,7 @@ def measure_signal_rate(spectrum_state: int, det, rng: RandomStream, trials: int
         k = min(rows, trials - done)
         re = gen.standard_normal((k, n))
         im = gen.standard_normal((k, n))
-        stats = 0.5 * variance * np.mean(re * re + im * im, axis=1)
+        stats = (0.5 * variance / n) * (np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im))
         busy += int(np.count_nonzero(stats > det.threshold))
         done += k
     return busy / trials

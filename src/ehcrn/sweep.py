@@ -24,16 +24,9 @@ import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from ehcrn.analytic import Scenario, operating_point, threshold_for_target_pf
+from ehcrn.analytic import Scenario, operating_point
 from ehcrn.chains import RandomStream
-from ehcrn.configio import (
-    OVERRIDE_FIELDS,
-    SWEEP_VARIABLES,
-    LoadedConfig,
-    SweepDef,
-    check_sweep,
-    snr_db_to_linear,
-)
+from ehcrn.configio import SWEEP_VARIABLES, LoadedConfig, SweepDef, apply_overrides, check_sweep
 from ehcrn.errors import ConfigError
 from ehcrn.simulate import SimConfig, initial_level, run_simulation
 
@@ -113,11 +106,12 @@ class SweepSpec:
     def __post_init__(self):
         check_sweep(self.variable, self.grid, self.variants)
         # Every variant must give a valid scenario at every grid end,
-        # with room for the configured start level.
+        # with room for the configured start level.  Grid values keep the
+        # variant's threshold: no override key moves what a target derives it from.
         for label, overrides in self.variants:
-            scn, tgt = apply_overrides(self.base, self.target_pf, overrides)
+            scn, _ = apply_overrides(self.base, self.target_pf, overrides)
             for value in (self.grid[0], self.grid[-1]):
-                apply_overrides(scn, tgt, {self.variable: value})
+                apply_overrides(scn, None, {self.variable: value})
             try:
                 initial_level(scn, self.sim)
             except ValueError as exc:
@@ -157,48 +151,13 @@ def campaign(bundle: LoadedConfig, case: str) -> SweepSpec:
         raise ConfigError(f"sweep: {exc}") from exc
 
 
-def apply_overrides(scenario: Scenario, target_pf, overrides: dict):
-    """Rebuild a scenario with labelled parameter overrides applied.
-
-    Returns the new scenario and the (possibly overridden) target
-    false-alarm probability; a ``normalized_threshold`` override clears
-    the target since it pins the threshold directly.
-    """
-    changes = {part: {} for part, _ in OVERRIDE_FIELDS.values()}
-    changes["target"]["target_pf"] = target_pf
-    for key, value in overrides.items():
-        if key not in OVERRIDE_FIELDS:
-            raise ValueError(f"unknown override key {key!r}")
-        part, name = OVERRIDE_FIELDS[key]
-        if key == "levels":
-            value = int(value)
-        elif key == "primary_snr_db":
-            value = snr_db_to_linear(value)
-        elif key == "normalized_threshold":
-            value *= scenario.detector.noise_power
-            changes["target"]["target_pf"] = None
-        changes[part][name] = value
-    target = changes["target"]["target_pf"]
-    det = replace(scenario.detector, **changes["detector"])
-    if target is not None:
-        det = replace(det, threshold=threshold_for_target_pf(target, det))
-    scenario = replace(
-        scenario,
-        spectrum=replace(scenario.spectrum, **changes["spectrum"]),
-        energy=replace(scenario.energy, **changes["energy"]),
-        detector=det,
-        **changes["scenario"],
-    )
-    return scenario, target
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepResultRow]:
     """Run every (variant, grid value) point; rows ordered by (variant, value)."""
     rows = []
     for vi, (label, overrides) in enumerate(spec.variants):
-        variant, target = apply_overrides(spec.base, spec.target_pf, overrides)
+        variant, _ = apply_overrides(spec.base, spec.target_pf, overrides)
         for gi, value in enumerate(spec.grid):
-            scenario, _ = apply_overrides(variant, target, {spec.variable: value})
+            scenario, _ = apply_overrides(variant, None, {spec.variable: value})
             op = operating_point(scenario)
             row_seed = RandomStream.derive_seed(spec.sim.seed, vi, gi)
             report = run_simulation(scenario, replace(spec.sim, seed=row_seed))

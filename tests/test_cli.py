@@ -162,6 +162,32 @@ class TestGoldenOutput:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == self.SIMULATE[case, sensing]
 
+    # ``ehcrn analyze`` under each threshold key, and case 2 at the two
+    # boundary thresholds: (config, old line, new line) -> sha256 of stdout.
+    ANALYZE = {
+        ("1", "target_pf = 0.01", "target_pf = 0.01"):
+            "5da5f487901e6bd400f5d417f4b7fc51de496990aa4b438331dcf0446025bcf6",
+        ("1", "target_pf = 0.01", "threshold = 1.03"):
+            "88640f28297c307a3371aa76ca1802df2cfbbb420ac94fa603472a3780f299be",
+        ("2", "normalized_threshold = 1.05", "normalized_threshold = 1.05"):
+            "2c08a18d9756c01471ac92a397486bd4ed10203560c22ed1821dd7c66921778f",
+        ("2", "normalized_threshold = 1.05", "normalized_threshold = 0.6"):
+            "65c5de5a17a0abed24fe689ef5ba706a70dbc6fb27417e5c1abfe79f0b3d85f3",
+        ("2", "normalized_threshold = 1.05", "normalized_threshold = 1.4"):
+            "4452dcb6a37bc765c13f5558b66a61a91a142e709b92f7e06e75af1e57930f0e",
+    }
+
+    @pytest.mark.parametrize("case, old, new", list(ANALYZE),
+                             ids=["target_pf", "threshold", "nt1.05", "nt0.6", "nt1.4"])
+    def test_analyze_stdout(self, case, old, new, tmp_path, capsys):
+        text = (REPO / "configs" / f"case{case}.cfg").read_text(encoding="utf-8")
+        assert old in text
+        config = tmp_path / "analyze.cfg"
+        config.write_text(text.replace(old, new), encoding="utf-8")
+        assert main(["analyze", "--config", str(config)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == self.ANALYZE[case, old, new]
+
 
 class TestInitialBatteryAboveTop:
     """A start level above the top is a config error (exit 2), found before

@@ -137,6 +137,27 @@ class TestErrors:
         with pytest.raises(ConfigError, match="stationary"):
             load_config(write(tmp_path, text))
 
+    # The whole message, section prefix included: each part of the file
+    # reports under its own name.
+    @pytest.mark.parametrize("old, new, message", [
+        ("q_o = 0.7", "q_o = 1.0",
+         "spectrum: degenerate chain (idle/occupied): both self-transition probabilities are 1, "
+         "so both states are absorbing and no unique stationary distribution exists"),
+        ("p_on = 0.7", "p_on = 1.5", "energy: stay_a must lie in [0, 1], got 1.5"),
+        ("sensing_duration = 0.002", "sensing_duration = -1",
+         "detector: sensing_duration must be a positive finite number, got -1.0"),
+        ("slot_duration = 0.1", "slot_duration = 0.001",
+         "scenario: sensing duration 0.002 s exceeds the slot duration 0.001 s"),
+        ("levels = 100", "levels = 1", "scenario: battery_levels must be an integer >= 2, got 1"),
+        ("target_pf = 0.01", "target_pf = 1.5",
+         "detector: target false-alarm probability must lie in (0, 1), got 1.5"),
+    ], ids=["degenerate-spectrum", "p_on", "sensing_duration", "slot_duration", "levels", "target_pf"])
+    def test_full_message(self, tmp_path, old, new, message):
+        text = VALID.replace("q_i = 0.5", "q_i = 1.0") if old == "q_o = 0.7" else VALID
+        with pytest.raises(ConfigError) as info:
+            load_config(write(tmp_path, text.replace(old, new)))
+        assert str(info.value) == message
+
     def test_both_threshold_keys(self, tmp_path):
         text = VALID.replace("target_pf = 0.01", "target_pf = 0.01\nnormalized_threshold = 1.0")
         with pytest.raises(ConfigError, match="exactly one"):

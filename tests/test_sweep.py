@@ -111,6 +111,30 @@ class TestSweepSpec:
                       target_pf=spec.target_pf)
 
 
+class TestApplyOverrides:
+    CASE1 = str(Path(__file__).resolve().parents[1] / "configs" / "case1.cfg")
+
+    @pytest.mark.parametrize("overrides", [
+        {"target_pf": 0.1, "normalized_threshold": 1.05},
+        {"normalized_threshold": 1.05, "target_pf": 0.1},
+    ], ids=["target-first", "threshold-first"])
+    def test_both_threshold_keys_rejected(self, overrides):
+        bundle = load_config(self.CASE1)
+        with pytest.raises(ValueError, match=r"set one of \['normalized_threshold', 'target_pf'\], not both"):
+            apply_overrides(bundle.scenario, bundle.target_pf, overrides)
+
+    def test_no_target_keeps_threshold(self):
+        # a grid point passes no target: the threshold a target derives
+        # depends on no override key, so it is the variant's already
+        bundle = load_config(self.CASE1)
+        variant, target = apply_overrides(bundle.scenario, 0.05, {"p_on": 0.3})
+        kept, none = apply_overrides(variant, None, {"primary_snr_db": -9.0})
+        derived, same = apply_overrides(variant, target, {"primary_snr_db": -9.0})
+        assert none is None and same == 0.05
+        assert kept == derived
+        assert kept.detector.threshold == variant.detector.threshold
+
+
 class TestRunSweep:
     def test_row_order_and_shape(self, tiny_rows):
         assert [(r.variant, r.sweep_value) for r in tiny_rows] == [
