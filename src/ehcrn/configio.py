@@ -135,7 +135,11 @@ def _one_threshold_key(overrides, where: str = "") -> None:
 
 
 def snr_db_to_linear(snr_db: float) -> float:
-    return 10.0 ** (snr_db / 10.0)
+    """The power ratio of ``snr_db``; raises ``ValueError`` if it overflows a float."""
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"primary_snr_db {snr_db!r} overflows a float") from None
 
 
 def apply_overrides(scenario: Scenario, target_pf, overrides: dict):
@@ -210,6 +214,8 @@ def _parse_variant(key: str, raw: str):
         name, sep, value = token.partition("=")
         if not sep:
             raise ConfigError(f"sweep.{key}: expected key=value, got {token!r}")
+        if name in overrides:
+            raise ConfigError(f"sweep: {key} sets {name!r} more than once")
         overrides[name] = _int("sweep", key, value) if name == "levels" else _float("sweep", key, value)
     return label.strip(), overrides
 

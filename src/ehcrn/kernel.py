@@ -4,13 +4,13 @@ A block of slots is advanced with array scans, a few thousand slots at a
 time: the chain paths with a running XOR and a running maximum, the
 battery levels with a blocked scan of clamp maps, and a tally of what
 happened in each slot with one ``bincount``; :mod:`ehcrn.simulate` sorts
-the tally into loss causes.  It gives the same counts, bit for bit, as
-stepping the slots one at a time (see :mod:`ehcrn.simulate` for the slot
-rules); the tests hold that per-slot loop as the reference.
+the tally into loss causes.  It reads the chains, L and the detector from
+the ``Scenario`` and gives the same counts, bit for bit, as stepping the
+slots one at a time by the rules in :mod:`ehcrn.simulate`; the tests hold
+that per-slot loop, with constants of its own, as the reference.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,41 +19,6 @@ from ehcrn.analytic import Scenario, detection_prob, false_alarm_prob
 # Slots the kernel works on at once; bounds its temporaries, which would
 # otherwise grow with the block (and with the channel count).
 SUB_BLOCK = 1 << 13
-
-@dataclass(frozen=True)
-class SlotRule:
-    """Per-replication constants of the slot kernel.
-
-    In event mode the sensed channel reads busy when its uniform draw is
-    below P_d (occupied) or P_f (idle); in signal mode when v * g > eps * N
-    for its Gamma(N, 1) draw g and the state's signal variance v.
-    """
-
-    stay_idle: float
-    stay_occ: float
-    stay_on: float
-    stay_off: float
-    pf: float
-    pd: float
-    signal: bool
-    eps_times_n: float
-    var_idle: float
-    var_occ: float
-    levels: int
-
-
-def slot_rule(scenario: Scenario, signal: bool) -> SlotRule:
-    """The kernel constants of ``scenario``, for signal or event sensing."""
-    det = scenario.detector
-    return SlotRule(
-        stay_idle=scenario.spectrum.stay_a, stay_occ=scenario.spectrum.stay_b,
-        stay_on=scenario.energy.stay_a, stay_off=scenario.energy.stay_b,
-        pf=false_alarm_prob(det), pd=detection_prob(det),
-        signal=signal,
-        eps_times_n=det.threshold * det.sample_count,
-        var_idle=det.noise_power, var_occ=(det.primary_snr + 1.0) * det.noise_power,
-        levels=scenario.battery_levels,
-    )
 
 
 def chain_path(u, stay_a, stay_b, start):
@@ -139,38 +104,44 @@ def battery_levels(access, harvest, level, top):
     return levels[: n + 1]
 
 
-def advance(rule, state, u_spec, u_energy, chan_sel, sense_draw, tally):
+def advance(scenario: Scenario, signal, state, u_spec, u_energy, chan_sel, sense_draw, tally):
     """Advance the link over one run of slots; returns the state after it.
 
     ``state`` is (channel states, energy state, battery level) with 1 /
     True meaning occupied and not harvesting.  ``chan_sel`` is None for a
-    single channel.  Counts each slot in the (2, 2, L, 3) int64 ``tally``
-    at [sensed channel occupied, verdict busy, battery level at slot start,
+    single channel.  The sensed channel reads busy, in event mode, when
+    its uniform draw is below P_d (occupied) or P_f (idle); in signal mode
+    when v * g > eps * N for its Gamma(N, 1) draw g and its state's signal
+    variance v.  Counts each slot in the (2, 2, L, 3) int64 ``tally`` at
+    [sensed channel occupied, verdict busy, battery level at slot start,
     move k = after - start + 1 (0 down, 1 stay, 2 up)].
     """
     spec, energy, level = state
     n, c = u_spec.shape
-    spec_path = chain_path(u_spec, rule.stay_idle, rule.stay_occ, spec)
-    off_path = chain_path(u_energy, rule.stay_on, rule.stay_off, energy)
+    det = scenario.detector
+    size = scenario.battery_levels
+    spec_path = chain_path(u_spec, scenario.spectrum.stay_a, scenario.spectrum.stay_b, spec)
+    off_path = chain_path(u_energy, scenario.energy.stay_a, scenario.energy.stay_b, energy)
     flat = spec_path.ravel()  # row t of the (n, c) path starts at t * c
     occupied = flat if chan_sel is None else flat[np.arange(0, c * n, c) + chan_sel]
-    if rule.signal:
-        busy = np.where(occupied, rule.var_occ, rule.var_idle) * sense_draw > rule.eps_times_n
+    if signal:
+        variance = np.where(occupied, (det.primary_snr + 1.0) * det.noise_power, det.noise_power)
+        busy = variance * sense_draw > det.threshold * det.sample_count
     else:
-        busy = sense_draw < np.where(occupied, rule.pd, rule.pf)
-    levels = battery_levels(~busy, ~off_path, level, rule.levels - 1)
+        busy = sense_draw < np.where(occupied, detection_prob(det), false_alarm_prob(det))
+    levels = battery_levels(~busy, ~off_path, level, size - 1)
     # the flat bin of (occupied, busy, start, k); int32 scalars keep it int32
     code = 2 * levels[:-1] + levels[1:] + 1
-    code += occupied * np.int32(6 * rule.levels)
-    code += busy * np.int32(3 * rule.levels)
-    tally += np.bincount(code, minlength=12 * rule.levels).reshape(tally.shape)
+    code += occupied * np.int32(6 * size)
+    code += busy * np.int32(3 * size)
+    tally += np.bincount(code, minlength=12 * size).reshape(tally.shape)
     return spec_path[-1], off_path[-1], int(levels[-1])
 
 
-def advance_block(rule, state, u_spec, u_energy, chan_sel, sense_draw, tally):
+def advance_block(scenario, signal, state, u_spec, u_energy, chan_sel, sense_draw, tally):
     """:func:`advance` over a block, ``SUB_BLOCK`` slots at a time."""
     for i in range(0, len(u_energy), SUB_BLOCK):
         j = i + SUB_BLOCK
-        state = advance(rule, state, u_spec[i:j], u_energy[i:j],
+        state = advance(scenario, signal, state, u_spec[i:j], u_energy[i:j],
                         None if chan_sel is None else chan_sel[i:j], sense_draw[i:j], tally)
     return state

@@ -28,7 +28,8 @@ so results are bit-identical for a given seed regardless of how
 replications or sweep points are scheduled.
 
 The slots themselves are advanced by the array kernel in
-:mod:`ehcrn.kernel`, which only tallies them by what happened; the report
+:mod:`ehcrn.kernel`, which reads the chains, L and the detector from the
+``Scenario`` and only tallies the slots by what happened; the report
 sorts that tally into the loss causes above.
 """
 
@@ -40,7 +41,7 @@ import numpy as np
 from ehcrn.analytic import Scenario
 from ehcrn.chains import RandomStream
 from ehcrn.gaussian import student_t_quantile
-from ehcrn.kernel import advance_block, slot_rule
+from ehcrn.kernel import advance_block
 
 __all__ = [
     "SimConfig",
@@ -190,12 +191,12 @@ def _replication_counts(scenario: Scenario, cfg: SimConfig, stream_id: int):
     on its own stream (axes as in :func:`ehcrn.kernel.advance`)."""
     rng = RandomStream(cfg.seed, stream_id)
     gen = rng.generator
-    rule = slot_rule(scenario, cfg.sensing_mode == "signal")
+    signal = cfg.sensing_mode == "signal"
     channels = cfg.num_pu_channels
     n_samples = scenario.detector.sample_count
 
     state = _initial_states(scenario, cfg, rng)
-    tally = np.zeros((2, 2, rule.levels, 3), np.int64)
+    tally = np.zeros((2, 2, scenario.battery_levels, 3), np.int64)
 
     done = 0
     while done < cfg.slots:
@@ -203,8 +204,8 @@ def _replication_counts(scenario: Scenario, cfg: SimConfig, stream_id: int):
         u_spec = gen.random((b, channels))
         u_energy = gen.random(b)
         chan_sel = gen.integers(0, channels, b) if channels > 1 else None
-        sense_draw = gen.gamma(n_samples, 1.0, b) if rule.signal else gen.random(b)
-        state = advance_block(rule, state, u_spec, u_energy, chan_sel, sense_draw, tally)
+        sense_draw = gen.gamma(n_samples, 1.0, b) if signal else gen.random(b)
+        state = advance_block(scenario, signal, state, u_spec, u_energy, chan_sel, sense_draw, tally)
         done += b
     return tally
 

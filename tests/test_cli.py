@@ -107,6 +107,16 @@ class TestSweepCommand:
         assert main(["analyze", "--config", str(path)]) == 2
         assert "strictly increasing" in capsys.readouterr().err
 
+    def test_overflowing_snr_grid_is_config_error(self, tmp_path, capsys):
+        # 4000 dB has no float power ratio; the sweep reports it, not a numeric error
+        path = tmp_path / "snr.cfg"
+        path.write_text(SMALL.replace("variable = normalized_threshold", "variable = primary_snr_db")
+                        .replace("grid = 1.0, 1.03, 1.06", "grid = -20, 4000"))
+        out = tmp_path / "results"
+        assert main(["sweep", "--case", "custom", "--config", str(path), "--out", str(out)]) == 2
+        assert "sweep: primary_snr_db 4000.0 overflows a float" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_path_collision_is_io_error(self, small_cfg, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory")

@@ -151,7 +151,10 @@ class TestErrors:
         ("levels = 100", "levels = 1", "scenario: battery_levels must be an integer >= 2, got 1"),
         ("target_pf = 0.01", "target_pf = 1.5",
          "detector: target false-alarm probability must lie in (0, 1), got 1.5"),
-    ], ids=["degenerate-spectrum", "p_on", "sensing_duration", "slot_duration", "levels", "target_pf"])
+        ("primary_snr_db = -15.0", "primary_snr_db = 4000",
+         "detector: primary_snr_db 4000.0 overflows a float"),
+    ], ids=["degenerate-spectrum", "p_on", "sensing_duration", "slot_duration", "levels", "target_pf",
+            "snr-overflow"])
     def test_full_message(self, tmp_path, old, new, message):
         text = VALID.replace("q_i = 0.5", "q_i = 1.0") if old == "q_o = 0.7" else VALID
         with pytest.raises(ConfigError) as info:
@@ -226,10 +229,13 @@ class TestErrors:
          r"cannot override \['normalized_threshold'\]"),
         ("normalized_threshold", "1.0, 1.1", "variant_1 = a: q_o=0.3 target_pf=0.1",
          r"cannot override \['target_pf'\], which the normalized_threshold grid"),
+        ("primary_snr_db", "-20, -10", "variant_1 = a: p_on=0.7 p_on=0.2",
+         "variant_1 sets 'p_on' more than once"),
     ], ids=["decreasing", "repeated", "one-value", "duplicate-label", "quote-label",
             "backslash-label", "no-variant", "both-thresholds", "both-thresholds-reversed",
             "both-thresholds-threshold-sweep", "snr-override-of-snr-sweep",
-            "threshold-override-of-threshold-sweep", "target-override-of-threshold-sweep"])
+            "threshold-override-of-threshold-sweep", "target-override-of-threshold-sweep",
+            "repeated-override"])
     def test_sweep_structure_rejected_at_load(self, tmp_path, variable, grid, variants, match):
         text = VALID + f"\n[sweep]\nvariable = {variable}\ngrid = {grid}\n{variants}\n"
         with pytest.raises(ConfigError, match=f"sweep: .*{match}"):

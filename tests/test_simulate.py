@@ -1,6 +1,7 @@
 """Slot simulator: deterministic micro-scenarios, rates, pooling, kernel oracle."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,10 +22,10 @@ from ehcrn.simulate import SimConfig, measure_signal_rate, run_replication, run_
 SNR_M15_DB = 10.0 ** (-1.5)
 
 
-def detector(threshold=1.0, snr=SNR_M15_DB, n=2000):
+def detector(threshold=1.0, snr=SNR_M15_DB, n=2000, noise_power=1.0):
     return DetectorConfig(
         sensing_duration=n / 1e6, sampling_rate=1e6,
-        noise_power=1.0, threshold=threshold, primary_snr=snr,
+        noise_power=noise_power, threshold=threshold, primary_snr=snr,
     )
 
 
@@ -316,6 +317,22 @@ def report_counters(report):
     return [getattr(report, name) for name in COUNTER_FIELDS]
 
 
+def oracle_constants(scn, signal):
+    """The oracle's slot constants, derived here from the scenario and its
+    detector rather than taken from the kernel, so that a wrong constant
+    in either one shows as a mismatch."""
+    det = scn.detector
+    return SimpleNamespace(
+        stay_idle=scn.spectrum.stay_a, stay_occ=scn.spectrum.stay_b,
+        stay_on=scn.energy.stay_a, stay_off=scn.energy.stay_b,
+        pf=false_alarm_prob(det), pd=detection_prob(det),
+        signal=signal,
+        eps_times_n=det.threshold * det.sample_count,
+        var_idle=det.noise_power, var_occ=(det.primary_snr + 1.0) * det.noise_power,
+        levels=scn.battery_levels,
+    )
+
+
 def slot_loop_oracle(rule, spec_states, carry, u_spec, u_energy, chan_sel, sense_draw,
                      counters, level_counts, level_moves):
     """Per-slot reference for the vectorised slot kernel.
@@ -393,6 +410,10 @@ KERNEL_CASES = {
     "absorbing": (scenario(q_i=1.0, q_o=0.6, p_on=1.0, p_off=0.4, levels=5), {"initial_battery": 1}),
     # rows of both transition matrices equal, L = 2: the battery hits both ends often
     "memoryless-two-levels": (scenario(q_i=0.4, q_o=0.6, p_on=0.5, p_off=0.5, levels=2), {}),
+    # a noise power other than 1 tells (snr + 1) * noise apart from snr + noise
+    "noise-power-event": (scenario(det=detector(threshold=2.5 * 1.01, n=400, noise_power=2.5)), {}),
+    "noise-power-signal": (scenario(det=detector(threshold=2.5 * 1.01, n=400, noise_power=2.5)),
+                           {"sensing_mode": "signal"}),
 }
 
 
@@ -400,7 +421,8 @@ class TestKernelMatchesLoopOracle:
     """The vectorised kernel reproduces the per-slot loop bit for bit."""
 
     def run_both(self, scn, cfg, blocks, seed):
-        rule = kernel.slot_rule(scn, cfg.sensing_mode == "signal")
+        signal = cfg.sensing_mode == "signal"
+        rule = oracle_constants(scn, signal)
         spec, energy, level = simulate._initial_states(scn, cfg, RandomStream(seed, 1))
         state = (spec, energy, level)
         tally = np.zeros((2, 2, scn.battery_levels, 3), np.int64)
@@ -412,7 +434,7 @@ class TestKernelMatchesLoopOracle:
         gen = np.random.default_rng(seed)
         for b in blocks:
             draws = draw_block(gen, b, cfg.num_pu_channels, rule, scn.detector.sample_count)
-            state = kernel.advance_block(rule, state, *draws, tally)
+            state = kernel.advance_block(scn, signal, state, *draws, tally)
             slot_loop_oracle(rule, o_spec, o_carry, *draws, o_counters, o_counts, o_moves)
             assert (np.asarray(state[0]) == o_spec).all()
             assert (int(state[1]), state[2]) == (o_carry[0], o_carry[1])
@@ -447,7 +469,7 @@ class TestKernelMatchesLoopOracle:
         report = run_replication(scn, cfg, 2)
 
         rng = RandomStream(cfg.seed, 2)
-        rule = kernel.slot_rule(scn, cfg.sensing_mode == "signal")
+        rule = oracle_constants(scn, cfg.sensing_mode == "signal")
         spec, energy, level = simulate._initial_states(scn, cfg, rng)
         spec = spec.astype(np.int64)
         carry = np.array([energy, level], np.int64)
