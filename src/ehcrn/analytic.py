@@ -293,40 +293,54 @@ def steady_state_numeric(matrix: np.ndarray) -> np.ndarray:
 
 
 def birth_death_steady_state(down: np.ndarray, stay: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """Stationary distribution of a tridiagonal chain from its diagonals.
+    """Stationary distributions of tridiagonal chains from their diagonals.
 
     Grassmann-Taksar-Heyman state reduction on a birth-death chain gives
     pi_l proportional to prod_{k <= l} P[k - 1, k] / P[k, k - 1]: an O(L),
     subtraction-free solve, taken in log space so that long products
     neither overflow nor underflow.  Certified with the guards of
-    :func:`steady_state_numeric`.
+    :func:`steady_state_numeric`, row by row.
+
+    The diagonals may have leading batch axes, shapes (..., L - 1), (..., L)
+    and (..., L - 1), solved along the last axis.  Pad a chain shorter than
+    the batch with down = 1, stay = 0, up = 0: those levels get exactly 0.
 
     Raises:
-        NumericsError: rows not stochastic, a zero down entry (the chain is
-            not irreducible), a residual above 1e-12 or a negative entry.
+        NumericsError: naming the first batch row (flat index) with a row sum off 1,
+            a zero down entry (not irreducible), a residual above 1e-12 or a negative entry.
     """
     down, stay, up = (np.asarray(v, dtype=float) for v in (down, stay, up))
     rows = stay.copy()
-    rows[:-1] += up
-    rows[1:] += down
-    if not np.all(np.abs(rows - 1.0) <= 1e-9):
-        raise NumericsError(f"matrix is not row-stochastic: row sums {rows}")
-    if not np.all(down != 0.0):
-        raise NumericsError("a down entry is 0; the chain is likely not irreducible")
+    rows[..., :-1] += up
+    rows[..., 1:] += down
+    _raise_first(~(np.abs(rows - 1.0) <= 1e-9), "matrix is not row-stochastic in batch row {row}")
+    _raise_first(down == 0.0, "a down entry is 0 in batch row {row}; "
+                 "the chain is likely not irreducible")
+    del rows  # each temporary is as large as the batch: keep few alive at once
+    logw = np.zeros(stay.shape)
     with np.errstate(divide="ignore"):
-        logw = np.concatenate(([0.0], np.cumsum(np.log(np.abs(up)) - np.log(np.abs(down)))))
-    sign = np.concatenate(([1.0], np.where(np.cumsum((up < 0) != (down < 0)) % 2, -1.0, 1.0)))
-    w = sign * np.exp(logw - logw.max())
-    pi = w / w.sum()
+        np.cumsum(np.log(np.abs(up)) - np.log(np.abs(down)), axis=-1, out=logw[..., 1:])
+    pi = np.exp(logw - logw.max(axis=-1, keepdims=True), out=logw)
+    flip = np.logical_xor.accumulate((up < 0) != (down < 0), axis=-1)
+    np.negative(pi[..., 1:], out=pi[..., 1:], where=flip)
+    pi /= pi.sum(axis=-1, keepdims=True)
     flow = pi * stay
-    flow[1:] += pi[:-1] * up
-    flow[:-1] += pi[1:] * down
-    residual = float(np.max(np.abs(flow - pi)))
-    if not (residual <= 1e-12 and pi.min() >= -1e-10):
-        raise NumericsError(
-            f"stationary solve is unreliable: residual {residual:.3e}, min entry {pi.min():.3e}"
-        )
+    flow[..., 1:] += pi[..., :-1] * up
+    flow[..., :-1] += pi[..., 1:] * down
+    flow -= pi
+    residual, lowest = np.max(np.abs(flow, out=flow), axis=-1), pi.min(axis=-1)
+    _raise_first(~((residual <= 1e-12) & (lowest >= -1e-10))[..., None],
+                 "stationary solve is unreliable: residual {residual:.3e}, "
+                 "min entry {lowest:.3e} in batch row {row}", residual=residual, lowest=lowest)
     return pi
+
+
+def _raise_first(bad: np.ndarray, message: str, **per_row):
+    """Raise NumericsError with ``message`` formatted for the first batch row flagged in ``bad``."""
+    hit = np.flatnonzero(np.any(bad, axis=-1))
+    if hit.size:
+        row = int(hit[0])
+        raise NumericsError(message.format(row=row, **{k: v.flat[row] for k, v in per_row.items()}))
 
 
 @dataclass(frozen=True)

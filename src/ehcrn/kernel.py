@@ -126,7 +126,8 @@ def advance(scenario: Scenario, signal, state, u_spec, u_energy, chan_sel, sense
     occupied = flat if chan_sel is None else flat[np.arange(0, c * n, c) + chan_sel]
     if signal:
         variance = np.where(occupied, (det.primary_snr + 1.0) * det.noise_power, det.noise_power)
-        busy = variance * sense_draw > det.threshold * det.sample_count
+        with np.errstate(over="ignore"):  # a huge finite SNR gives v * g = inf: busy
+            busy = variance * sense_draw > det.threshold * det.sample_count
     else:
         busy = sense_draw < np.where(occupied, detection_prob(det), false_alarm_prob(det))
     levels = battery_levels(~busy, ~off_path, level, size - 1)

@@ -409,6 +409,54 @@ class TestBirthDeathSolver:
             count += 1
         assert count == 200
 
+    @staticmethod
+    def padded_batch(instances):
+        """Stacked diagonals, padded past each chain's top with (1, 0, 0)."""
+        width = max(b.levels for b in instances)
+        down = np.ones((len(instances), width - 1))
+        stay = np.zeros((len(instances), width))
+        up = np.zeros((len(instances), width - 1))
+        for k, battery in enumerate(instances):
+            n = battery.levels
+            down[k, :n - 1], stay[k, :n], up[k, :n - 1] = battery_diagonals(battery)
+        return down, stay, up
+
+    def test_batch_matches_single_solves(self):
+        instances = list(validate_instances())
+        batch = birth_death_steady_state(*self.padded_batch(instances))
+        assert batch.shape == (200, max(b.levels for b in instances))
+        for battery, row in zip(instances, batch):
+            single = birth_death_steady_state(*battery_diagonals(battery))
+            # the normalising sum runs over the padded length: not bitwise
+            assert np.max(np.abs(row[:battery.levels] - single)) <= 2.3e-16
+            assert not row[battery.levels:].any()
+
+    def test_batch_axes(self):
+        instances = list(validate_instances(instances=6))
+        down, stay, up = self.padded_batch(instances)
+        flat = birth_death_steady_state(down, stay, up)
+        shaped = birth_death_steady_state(*(v.reshape(2, 3, -1) for v in (down, stay, up)))
+        assert np.array_equal(shaped.reshape(flat.shape), flat)
+
+    def test_batch_names_non_stochastic_row(self):
+        down, stay, up = self.padded_batch(list(validate_instances(instances=5)))
+        stay[3, 0] += 1e-6
+        with pytest.raises(NumericsError, match="row-stochastic in batch row 3$"):
+            birth_death_steady_state(down, stay, up)
+
+    def test_batch_names_zero_down_row(self):
+        down, stay, up = self.padded_batch(list(validate_instances(instances=5)))
+        stay[2, 1] += down[2, 0]
+        down[2, 0] = 0.0
+        with pytest.raises(NumericsError, match="down entry is 0 in batch row 2;.*irreducible"):
+            birth_death_steady_state(down, stay, up)
+
+    def test_batch_names_unreliable_row(self):
+        down, stay, up = self.padded_batch(list(validate_instances(instances=5)))
+        stay[4, 0] += 5e-10
+        with pytest.raises(NumericsError, match=r"unreliable: residual .* in batch row 4$"):
+            birth_death_steady_state(down, stay, up)
+
     @given(batteries)
     def test_matches_dense(self, battery):
         fast = birth_death_steady_state(*battery_diagonals(battery))

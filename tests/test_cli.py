@@ -291,6 +291,21 @@ class TestSubprocessEntryPoints:
         assert proc.returncode == 0
         assert proc.stdout.startswith(ANALYZE_HEADER)
 
+    def test_huge_snr_signal_mode_is_quiet(self, tmp_path):
+        # v * g overflows to inf at 3080 dB; inf > threshold is the verdict, with no warning
+        text = Path(CASE1).read_text(encoding="utf-8")
+        assert "primary_snr_db = -15.0" in text
+        config = tmp_path / "huge_snr.cfg"
+        config.write_text(text.replace("primary_snr_db = -15.0", "primary_snr_db = 3080"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ehcrn", "simulate", "--config", str(config),
+             "--sensing", "signal", "--slots", "2000"],
+            capture_output=True, text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(REPO / "src")},
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
     def test_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ehcrn", "frobnicate"],

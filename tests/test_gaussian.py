@@ -3,9 +3,11 @@ Student-t quantile against scipy."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtri
 from scipy.stats import t as student_t
 
 from ehcrn.gaussian import q_tail, q_tail_inverse, student_t_quantile
@@ -75,6 +77,28 @@ def test_inverse_round_trip_p_domain(p):
 @given(st.floats(min_value=1e-10, max_value=1.0, exclude_max=True))
 def test_inverse_round_trip_property(p):
     assert abs(q_tail(q_tail_inverse(p)) - p) <= 1e-10
+
+
+@pytest.mark.parametrize("ps", [np.logspace(-300.0, -1.0, 3000), np.linspace(0.1, 0.5, 2001)],
+                         ids=["p-1e-300-to-0.1", "p-0.1-to-0.5"])
+def test_inverse_matches_ndtri(ps):
+    # within 4 ulps of scipy's quantile, the ulp floored at ulp(1.0) near 0
+    ours = np.array([q_tail_inverse(float(p)) for p in ps])
+    ref = -ndtri(ps)
+    ulp = np.maximum(np.spacing(np.abs(ref)), np.spacing(1.0))
+    assert np.max(np.abs(ours - ref) / ulp) <= 4.0
+
+
+def test_inverse_p_residual_lower_half():
+    # x <= 0, where q_tail is near 1: the residual is within one ulp of p
+    ps = np.linspace(0.5, 1.0 - 1e-12, 2001)
+    assert max(abs(q_tail(q_tail_inverse(float(p))) - p) for p in ps) <= 1.2e-16
+
+
+def test_inverse_stock_targets_exact():
+    # the thresholds of the stock configs' target_pf values
+    assert q_tail_inverse(0.01) == 2.326347874040841
+    assert q_tail_inverse(0.001) == 3.0902323061678136
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, math.nan])
