@@ -3,7 +3,9 @@
 
 Runs ``run_simulation`` on the stock case-1 scenario (configs/case1.cfg)
 in three modes -- event sensing on 1 channel, signal sensing on 1 and on
-10 channels -- one 2^20-slot block per repeat, and times in each block:
+10 channels -- and ``run_points`` on the 13 points of that scenario's
+case-1 SNR grid in a fourth (event sensing, 1 channel), one 2^20-slot
+block per repeat, and times in each block:
 
 * ``draws``: the RNG calls (spectrum and energy uniforms, channel choice,
   sensing draws);
@@ -11,9 +13,13 @@ in three modes -- event sensing on 1 channel, signal sensing on 1 and on
 * ``energy_chain``: ``kernel.chain_path`` on the energy uniforms;
 * ``battery_levels``: ``kernel.battery_levels``;
 * ``advance_rest``: the rest of ``kernel.advance`` (the sensed channel,
-  the verdicts and the one ``bincount`` of the joint tally over (channel
-  state, verdict, start level, level move));
-* ``total``: the whole ``run_simulation`` call.
+  the verdicts and the one ``bincount`` of the joint tally over (point,
+  channel state, verdict, start level, level move));
+* ``total``: the whole ``run_simulation`` or ``run_points`` call.
+
+The draws and both chains are shared by the points of a batch; the
+battery levels and the rest of ``advance`` are worked out per point.
+``ms_per_point`` is the median total divided by the number of points.
 
 The layers are timed with the thread's CPU time, by wrapping those
 functions where the simulator looks them up; the package is not changed.
@@ -44,11 +50,14 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from ehcrn import kernel, simulate  # noqa: E402
-from ehcrn.configio import load_config  # noqa: E402
+from ehcrn.configio import apply_overrides, load_config  # noqa: E402
+from ehcrn.sweep import CASE_ONE_GRID_DB  # noqa: E402
 
 BLOCK = 1 << 20
 REPEATS = 9
-MODES = {"event-1ch": ("event", 1), "signal-1ch": ("signal", 1), "signal-10ch": ("signal", 10)}
+# mode -> (sensing mode, channels, grid of SNRs in dB or None for the configured point)
+MODES = {"event-1ch": ("event", 1, None), "signal-1ch": ("signal", 1, None),
+         "signal-10ch": ("signal", 10, None), "event-1ch-13pt": ("event", 1, CASE_ONE_GRID_DB)}
 LAYERS = ("draws", "spectrum_chain", "energy_chain", "battery_levels", "advance_rest", "total")
 DRAWS = ("random", "integers", "gamma")
 
@@ -101,13 +110,13 @@ def _instrument(clock):
     return undo
 
 
-def _block_ms(scenario, cfg):
-    """Per-layer ms of one ``run_simulation`` call of one block."""
+def _block_ms(scenarios, cfg):
+    """Per-layer ms of one ``run_points`` call of one block."""
     clock = _Clock()
     undo = _instrument(clock)
     try:
         start = time.thread_time()
-        simulate.run_simulation(scenario, cfg)
+        simulate.run_points(scenarios, cfg)
         total = time.thread_time() - start
     finally:
         for mod, name, value in undo:
@@ -117,15 +126,18 @@ def _block_ms(scenario, cfg):
     return {**s, "advance_rest": rest, "total": total}
 
 
-def measure(scenario, base_sim, mode, channels):
+def measure(scenario, base_sim, mode, channels, grid):
     cfg = replace(base_sim, slots=BLOCK, replications=1, sensing_mode=mode,
                   num_pu_channels=channels)
-    simulate.run_simulation(scenario, replace(cfg, slots=2 * kernel.SUB_BLOCK))  # warm-up
-    runs = [_block_ms(scenario, replace(cfg, seed=cfg.seed + i)) for i in range(REPEATS)]
-    out = {}
+    scenarios = [scenario] if grid is None else [
+        apply_overrides(scenario, None, {"primary_snr_db": v})[0] for v in grid]
+    simulate.run_points(scenarios, replace(cfg, slots=2 * kernel.SUB_BLOCK))  # warm-up
+    runs = [_block_ms(scenarios, replace(cfg, seed=cfg.seed + i)) for i in range(REPEATS)]
+    out = {"points": len(scenarios)}
     for layer in LAYERS:
         q1, med, q3 = np.percentile([1e3 * r[layer] for r in runs], [25, 50, 75])
         out[layer] = {"median": round(med, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+    out["ms_per_point"] = round(out["total"]["median"] / len(scenarios), 3)
     out["mslot_per_s"] = round(BLOCK / 1e3 / out["total"]["median"], 2)
     return out
 
@@ -149,17 +161,18 @@ def main() -> int:
 
     bundle = load_config(str(ROOT / "configs" / "case1.cfg"))
     modes = {}
-    for name, (mode, channels) in MODES.items():
-        modes[name] = measure(bundle.scenario, bundle.sim, mode, channels)
+    for name, (mode, channels, grid) in MODES.items():
+        modes[name] = measure(bundle.scenario, bundle.sim, mode, channels, grid)
         row = modes[name]
-        print(f"{args.label:>10} {name:>12} " + " ".join(
+        print(f"{args.label:>10} {name:>14} " + " ".join(
             f"{layer}={row[layer]['median']:.2f}" for layer in LAYERS
-        ) + f" ms  {row['mslot_per_s']:.2f} Mslot/s", flush=True)
+        ) + f" ms  {row['ms_per_point']:.2f} ms/point  {row['mslot_per_s']:.2f} Mslot/s", flush=True)
 
     path = Path(args.out)
     record = json.loads(path.read_text()) if path.exists() else {
-        "what": "ms per 2^20-slot block of run_simulation on configs/case1.cfg, "
-                "thread CPU time on one core; median and quartiles over the repeats",
+        "what": "ms per 2^20-slot block of run_simulation (run_points for a grid mode) "
+                "on configs/case1.cfg, thread CPU time on one core; median and quartiles "
+                "over the repeats",
         "runs": [],
     }
     record["runs"].append({"label": args.label, "repeats": REPEATS,

@@ -82,7 +82,7 @@ class RandomStream:
         """Derive a child seed from a base seed and an integer key path.
 
         Deterministic and collision-resistant; used to give every sweep
-        point its own independent seed that is reported alongside the
+        variant its own independent seed that is reported alongside the
         results.
         """
         ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))

@@ -10,7 +10,8 @@ Subcommands::
     ehcrn validate --config FILE                 oracle-equivalence suite
 
 Exit codes: 0 success, 2 configuration error, 3 numeric/oracle failure,
-4 I/O error.  A sweep runs its points one after another in row order.
+4 I/O error.  A sweep runs its variants one after another in row order,
+each variant's grid points as one simulation on the variant's seed.
 
 ``sweep --case`` takes the names in ``sweep.CASES`` plus ``custom``, and
 ``sweep.campaign`` builds the campaign; ``_SIMULATE_FLAGS`` says which

@@ -4,20 +4,23 @@ A block of slots is advanced with array scans, a few thousand slots at a
 time: the chain paths with a running XOR and a running maximum, the
 battery levels with a blocked scan of clamp maps, and a tally of what
 happened in each slot with one ``bincount``; :mod:`ehcrn.simulate` sorts
-the tally into loss causes.  It reads the chains, L and the detector from
-the ``Scenario`` and gives the same counts, bit for bit, as stepping the
-slots one at a time by the rules in :mod:`ehcrn.simulate`; the tests hold
-that per-slot loop, with constants of its own, as the reference.
+the tally into loss causes.  One pass serves G points that differ only in
+their detector (the grid of a sweep variant): the chain paths are worked
+out once and shared, the verdicts, battery levels and tally once per
+point.  It reads the chains, L and the detectors from the ``Scenario``s
+and gives every point the same counts, bit for bit, as stepping its slots
+one at a time by the rules in :mod:`ehcrn.simulate`; the tests hold that
+per-slot loop, with constants of its own, as the reference.
 """
 
 import math
 
 import numpy as np
 
-from ehcrn.analytic import Scenario, detection_prob, false_alarm_prob
+from ehcrn.analytic import detection_prob, false_alarm_prob
 
 # Slots the kernel works on at once; bounds its temporaries, which would
-# otherwise grow with the block (and with the channel count).
+# otherwise grow with the block (and with the channel count and the points).
 SUB_BLOCK = 1 << 13
 
 
@@ -104,45 +107,62 @@ def battery_levels(access, harvest, level, top):
     return levels[: n + 1]
 
 
-def advance(scenario: Scenario, signal, state, u_spec, u_energy, chan_sel, sense_draw, tally):
-    """Advance the link over one run of slots; returns the state after it.
+def advance(scenarios, signal, state, u_spec, u_energy, chan_sel, sense_draw, tally):
+    """Advance the link over one run of slots at G points at once; returns
+    the state after it.
 
-    ``state`` is (channel states, energy state, battery level) with 1 /
-    True meaning occupied and not harvesting.  ``chan_sel`` is None for a
-    single channel.  The sensed channel reads busy, in event mode, when
-    its uniform draw is below P_d (occupied) or P_f (idle); in signal mode
-    when v * g > eps * N for its Gamma(N, 1) draw g and its state's signal
-    variance v.  Counts each slot in the (2, 2, L, 3) int64 ``tally`` at
-    [sensed channel occupied, verdict busy, battery level at slot start,
-    move k = after - start + 1 (0 down, 1 stay, 2 up)].
+    The points are ``scenarios``, which differ only in their detector: the
+    chain paths (from the first) and the sensed channel are shared, while
+    each point has its own verdicts and battery.  ``state`` is
+    (channel states, energy state, battery level of each point, shape (G,))
+    with 1 / True meaning occupied and not harvesting.  ``chan_sel`` is None
+    for a single channel.  The sensed channel reads busy, in event mode,
+    when its uniform draw is below P_d (occupied) or P_f (idle); in signal
+    mode when v * g > eps * N for its Gamma(N, 1) draw g and its state's
+    signal variance v.  Counts each slot of point g in the (G, 2, 2, L, 3)
+    int64 ``tally`` at [g, sensed channel occupied, verdict busy, battery
+    level at slot start, move k = after - start + 1 (0 down, 1 stay, 2 up)].
     """
-    spec, energy, level = state
+    spec, energy, carry = state
     n, c = u_spec.shape
-    det = scenario.detector
-    size = scenario.battery_levels
-    spec_path = chain_path(u_spec, scenario.spectrum.stay_a, scenario.spectrum.stay_b, spec)
-    off_path = chain_path(u_energy, scenario.energy.stay_a, scenario.energy.stay_b, energy)
+    first = scenarios[0]
+    size = first.battery_levels
+    spec_path = chain_path(u_spec, first.spectrum.stay_a, first.spectrum.stay_b, spec)
+    off_path = chain_path(u_energy, first.energy.stay_a, first.energy.stay_b, energy)
     flat = spec_path.ravel()  # row t of the (n, c) path starts at t * c
     occupied = flat if chan_sel is None else flat[np.arange(0, c * n, c) + chan_sel]
+    dets = [s.detector for s in scenarios]
     if signal:
-        variance = np.where(occupied, (det.primary_snr + 1.0) * det.noise_power, det.noise_power)
+        v_idle = np.array([[d.noise_power] for d in dets])
+        v_occ = np.array([[(d.primary_snr + 1.0) * d.noise_power] for d in dets])
+        limit = np.array([[d.threshold * d.sample_count] for d in dets])
         with np.errstate(over="ignore"):  # a huge finite SNR gives v * g = inf: busy
-            busy = variance * sense_draw > det.threshold * det.sample_count
+            busy = np.where(occupied, v_occ, v_idle) * sense_draw > limit
     else:
-        busy = sense_draw < np.where(occupied, detection_prob(det), false_alarm_prob(det))
-    levels = battery_levels(~busy, ~off_path, level, size - 1)
-    # the flat bin of (occupied, busy, start, k); int32 scalars keep it int32
-    code = 2 * levels[:-1] + levels[1:] + 1
+        p_idle = np.array([[false_alarm_prob(d)] for d in dets])
+        p_occ = np.array([[detection_prob(d)] for d in dets])
+        busy = sense_draw < np.where(occupied, p_occ, p_idle)
+    # the flat bin of (g, occupied, busy, start, k); int32 scalars keep it int32.
+    # Row g of the (G, n) verdicts gives point g's levels on the shared harvests.
+    harvest = ~off_path
+    code = np.empty(busy.shape, np.int32)
+    ends = np.empty(len(dets), np.int32)
+    for g, (row, start) in enumerate(zip(code, carry)):
+        levels = battery_levels(~busy[g], harvest, int(start), size - 1)
+        np.multiply(levels[:-1], 2, out=row)
+        row += levels[1:]
+        ends[g] = levels[-1]
+    code += np.arange(1, 12 * size * len(dets), 12 * size, dtype=np.int32)[:, None]
     code += occupied * np.int32(6 * size)
     code += busy * np.int32(3 * size)
-    tally += np.bincount(code, minlength=12 * size).reshape(tally.shape)
-    return spec_path[-1], off_path[-1], int(levels[-1])
+    tally += np.bincount(code.ravel(), minlength=tally.size).reshape(tally.shape)
+    return spec_path[-1], off_path[-1], ends
 
 
-def advance_block(scenario, signal, state, u_spec, u_energy, chan_sel, sense_draw, tally):
+def advance_block(scenarios, signal, state, u_spec, u_energy, chan_sel, sense_draw, tally):
     """:func:`advance` over a block, ``SUB_BLOCK`` slots at a time."""
     for i in range(0, len(u_energy), SUB_BLOCK):
         j = i + SUB_BLOCK
-        state = advance(scenario, signal, state, u_spec[i:j], u_energy[i:j],
+        state = advance(scenarios, signal, state, u_spec[i:j], u_energy[i:j],
                         None if chan_sel is None else chan_sel[i:j], sense_draw[i:j], tally)
     return state

@@ -25,16 +25,19 @@ Reproducibility.  All randomness comes from a ``RandomStream`` keyed by
 (seed, replication index); draws are consumed in a fixed documented order
 (initial states, then per block: spectrum, energy, channel choice, sensing),
 so results are bit-identical for a given seed regardless of how
-replications or sweep points are scheduled.
+replications are scheduled.  No draw depends on the detector's threshold
+or SNR, so ``run_points`` runs points that differ only there on common
+random numbers: one set of draws and chain paths for all of them, and for
+each point the counts ``run_simulation`` gives it alone on the same seed.
 
 The slots themselves are advanced by the array kernel in
-:mod:`ehcrn.kernel`, which reads the chains, L and the detector from the
-``Scenario`` and only tallies the slots by what happened; the report
+:mod:`ehcrn.kernel`, which reads the chains, L and the detectors from the
+``Scenario``s and only tallies the slots by what happened; the report
 sorts that tally into the loss causes above.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,6 +51,7 @@ __all__ = [
     "SimReport",
     "initial_level",
     "measure_signal_rate",
+    "run_points",
     "run_replication",
     "run_simulation",
 ]
@@ -186,17 +190,21 @@ def _initial_states(scenario: Scenario, cfg: SimConfig, rng: RandomStream):
     return spec, energy, initial_level(scenario, cfg)
 
 
-def _replication_counts(scenario: Scenario, cfg: SimConfig, stream_id: int):
-    """The (2, 2, L, 3) slot tally of one replication of ``cfg.slots`` slots
-    on its own stream (axes as in :func:`ehcrn.kernel.advance`)."""
+def _replication_counts(scenarios, cfg: SimConfig, stream_id: int):
+    """The (G, 2, 2, L, 3) slot tally of one replication of ``cfg.slots``
+    slots on its own stream, for each of the G ``scenarios`` (axes as in
+    :func:`ehcrn.kernel.advance`).  The points share the draws and the
+    chain paths, so each point's tally is the one it gets alone."""
+    first = scenarios[0]
     rng = RandomStream(cfg.seed, stream_id)
     gen = rng.generator
     signal = cfg.sensing_mode == "signal"
     channels = cfg.num_pu_channels
-    n_samples = scenario.detector.sample_count
+    n_samples = first.detector.sample_count
 
-    state = _initial_states(scenario, cfg, rng)
-    tally = np.zeros((2, 2, scenario.battery_levels, 3), np.int64)
+    spec, energy, level = _initial_states(first, cfg, rng)
+    state = (spec, energy, np.full(len(scenarios), level))
+    tally = np.zeros((len(scenarios), 2, 2, first.battery_levels, 3), np.int64)
 
     done = 0
     while done < cfg.slots:
@@ -205,24 +213,54 @@ def _replication_counts(scenario: Scenario, cfg: SimConfig, stream_id: int):
         u_energy = gen.random(b)
         chan_sel = gen.integers(0, channels, b) if channels > 1 else None
         sense_draw = gen.gamma(n_samples, 1.0, b) if signal else gen.random(b)
-        state = advance_block(scenario, signal, state, u_spec, u_energy, chan_sel, sense_draw, tally)
+        state = advance_block(scenarios, signal, state, u_spec, u_energy, chan_sel, sense_draw, tally)
         done += b
     return tally
 
 
+def _shared(scenario: Scenario):
+    """What the points of one run must agree in: every field but the
+    detector, and the detector's sample count N, which the signal-mode
+    Gamma(N, 1) draws depend on."""
+    others = tuple(getattr(scenario, f.name) for f in fields(Scenario) if f.name != "detector")
+    return others + (scenario.detector.sample_count,)
+
+
+def run_points(scenarios, cfg: SimConfig) -> list[SimReport]:
+    """Simulate points that differ only in their detector on common random
+    numbers: every point gets the report ``run_simulation`` gives it alone
+    on ``cfg``, from one pass over the shared draws and chain paths.
+
+    Raises ValueError if there are no points, or if two differ anywhere
+    but in the detector (or in its sample count).
+    """
+    scenarios = list(scenarios)
+    if not scenarios:
+        raise ValueError("run_points needs at least one scenario")
+    shared = _shared(scenarios[0])
+    for i, scenario in enumerate(scenarios[1:], 1):
+        if _shared(scenario) != shared:
+            raise ValueError(
+                f"scenario {i} differs from scenario 0 outside its detector or in its "
+                "sample count; the points of one run share their chains, battery and draws"
+            )
+    tallies = [_replication_counts(scenarios, cfg, rep) for rep in range(cfg.replications)]
+    return [_pooled_report(cfg.slots, [t[g] for t in tallies]) for g in range(len(scenarios))]
+
+
 def run_replication(scenario: Scenario, cfg: SimConfig, stream_id: int) -> SimReport:
     """Simulate one replication of ``cfg.slots`` slots on its own stream."""
-    return _pooled_report(cfg.slots, [_replication_counts(scenario, cfg, stream_id)])
+    return _pooled_report(cfg.slots, [_replication_counts([scenario], cfg, stream_id)[0]])
 
 
 def run_simulation(scenario: Scenario, cfg: SimConfig) -> SimReport:
-    """Run all replications on distinct substreams and pool their counts.
+    """Run all replications on distinct substreams and pool their counts:
+    the one-point case of :func:`run_points`.
 
     Replication i uses stream id i; pooling is an ordered sum, so the
     result is identical no matter how the replications are executed.
     """
-    tallies = [_replication_counts(scenario, cfg, rep) for rep in range(cfg.replications)]
-    return _pooled_report(cfg.slots, tallies)
+    return run_points([scenario], cfg)[0]
 
 
 def _pooled_report(slots_per_replication: int, tallies: list) -> SimReport:

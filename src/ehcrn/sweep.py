@@ -3,9 +3,12 @@
 A sweep runs a grid of operating points for several labelled parameter
 variants, producing one row per (variant, grid value) with the analytic
 quantities, the simulated estimates and the seed that reproduces the
-simulation.  The points run one after another in row order; every point
-derives its own seed from the base seed and its (variant, point) index,
-so any row can be reproduced alone from its ``seed`` column.
+simulation.  Each variant derives one seed from the base seed and its
+index, and its grid points run as one simulation on that seed: a sweep
+variable moves only the detector, so the points share their draws and
+chain paths (common random numbers), which makes the simulated curve
+smooth along the grid.  Each point's counts are those it gets alone on
+that seed, so any row can be reproduced alone from its ``seed`` column.
 
 ``CASES`` holds the two stock campaigns, which mirror the headline
 experiments; ``campaign`` builds one of them, or a config's [sweep]:
@@ -28,7 +31,7 @@ from ehcrn.analytic import Scenario, operating_point
 from ehcrn.chains import RandomStream
 from ehcrn.configio import SWEEP_VARIABLES, LoadedConfig, SweepDef, apply_overrides, check_sweep
 from ehcrn.errors import ConfigError
-from ehcrn.simulate import SimConfig, initial_level, run_simulation
+from ehcrn.simulate import SimConfig, initial_level, run_points
 
 __all__ = [
     "CASES",
@@ -71,7 +74,8 @@ CASES = {
 @dataclass(frozen=True)
 class SweepResultRow:
     """One sweep point: analytic columns are re-derivable from the row's
-    parameters alone; ``seed`` reproduces the simulation columns."""
+    parameters alone; ``seed``, shared by the rows of one variant,
+    reproduces the simulation columns of this row alone."""
 
     variant: str
     sweep_value: float
@@ -152,15 +156,18 @@ def campaign(bundle: LoadedConfig, case: str) -> SweepSpec:
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepResultRow]:
-    """Run every (variant, grid value) point; rows ordered by (variant, value)."""
+    """Run every (variant, grid value) point; rows ordered by (variant, value).
+
+    A variant's grid points differ only in the detector, so they run as one
+    simulation on common random numbers, on the variant's seed."""
     rows = []
     for vi, (label, overrides) in enumerate(spec.variants):
         variant, _ = apply_overrides(spec.base, spec.target_pf, overrides)
-        for gi, value in enumerate(spec.grid):
-            scenario, _ = apply_overrides(variant, None, {spec.variable: value})
+        points = [apply_overrides(variant, None, {spec.variable: value})[0] for value in spec.grid]
+        seed = RandomStream.derive_seed(spec.sim.seed, vi)
+        reports = run_points(points, replace(spec.sim, seed=seed))
+        for value, scenario, report in zip(spec.grid, points, reports):
             op = operating_point(scenario)
-            row_seed = RandomStream.derive_seed(spec.sim.seed, vi, gi)
-            report = run_simulation(scenario, replace(spec.sim, seed=row_seed))
             rows.append(SweepResultRow(
                 variant=label,
                 sweep_value=float(value),
@@ -174,7 +181,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepResultRow]:
                 delta=op.delta,
                 pi_idle=op.pi_idle,
                 slots=report.slots,
-                seed=row_seed,
+                seed=seed,
             ))
     return rows
 

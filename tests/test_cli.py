@@ -134,13 +134,13 @@ class TestGoldenOutput:
 
     GOLDEN = {
         "1": {
-            "case1.csv": "db123cbc754622ddd7efb832b16388cb278f004c172c5fa146b5ae31bcfe8658",
-            "case1.json": "ba6c7dca02ecb5a8d787fc0a56430941e7875aa8e7d37b370a7a5b6366818330",
+            "case1.csv": "bb5e5130bcbb25258fc39a135387a3200b552965073d3e085a527c82035345f7",
+            "case1.json": "99a6d3f26c06fd8525f2b02a97af1a16eef2c6042159011ba8f0fa48ea8b5a95",
             "case1.gp": "577fb12fecb5e8f503e3ccd5845a9b21e6021a100e49afbe881a392a90784328",
         },
         "2": {
-            "case2.csv": "94fc51709ec89eaffee48dca377b05aa8d919c8662cbd45a8c67cd7e42875088",
-            "case2.json": "d1f10776a26c086d7a1bd8f3fa87c5258df0118f809f3009aba16ebdca960a94",
+            "case2.csv": "0ca8f674aaff024c1d071c68f36b72be5146eacee56db43c16c22616928d99b7",
+            "case2.json": "8f572f6698c4a7d08f65cab8243c504b14afa5707d7eaa2d77a3dc702a2f6e0c",
             "case2.gp": "3886728fffe229875f46e0f201911013dc81e3d8a8d4a93a2930b321974bfeba",
         },
     }

@@ -1,6 +1,8 @@
 """Slot simulator: deterministic micro-scenarios, rates, pooling, kernel oracle."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +19,11 @@ from ehcrn.analytic import (
 )
 from ehcrn import kernel, simulate
 from ehcrn.chains import RandomStream, TwoStateChain
+from ehcrn.configio import apply_overrides, load_config
 from ehcrn.simulate import SimConfig, measure_signal_rate, run_replication, run_simulation
+from ehcrn.sweep import campaign
+
+REPO = Path(__file__).resolve().parents[1]
 
 SNR_M15_DB = 10.0 ** (-1.5)
 
@@ -417,49 +423,86 @@ KERNEL_CASES = {
 }
 
 
+def with_detectors(scn, *changes):
+    """The scenario once per detector change (a dict of detector fields)."""
+    return [replace(scn, detector=replace(scn.detector, **change)) for change in changes]
+
+
+# Stacks of points that differ only in the detector, as a sweep variant's
+# grid does; the spread of thresholds and SNRs takes the batteries apart.
+DETECTOR_STACKS = {
+    "event-snr": (with_detectors(scenario(p_on=0.3, levels=3, det=detector(threshold=1.01, n=400)),
+                                 {"primary_snr": 0.01}, {"primary_snr": 0.04},
+                                 {"primary_snr": 0.08}, {"primary_snr": 0.15}), {}),
+    "event-threshold-two-levels": (with_detectors(
+        scenario(q_i=0.4, q_o=0.6, p_on=0.5, p_off=0.5, levels=2, det=detector(n=400)),
+        {"threshold": 0.95}, {"threshold": 1.0}, {"threshold": 1.05}), {}),
+    "signal-three-channels": (with_detectors(scenario(p_on=0.3, levels=4,
+                                                      det=detector(threshold=1.01, n=400)),
+                                             {"threshold": 0.98}, {"threshold": 1.02},
+                                             {"primary_snr": 0.3}),
+                              {"sensing_mode": "signal", "num_pu_channels": 3}),
+}
+
+
 class TestKernelMatchesLoopOracle:
     """The vectorised kernel reproduces the per-slot loop bit for bit."""
 
-    def run_both(self, scn, cfg, blocks, seed):
+    def run_both(self, scenarios, cfg, blocks, seed):
+        """Feed the same draws to the kernel, for all ``scenarios`` at once,
+        and to the loop oracle, for each scenario alone; compare each point."""
         signal = cfg.sensing_mode == "signal"
-        rule = oracle_constants(scn, signal)
-        spec, energy, level = simulate._initial_states(scn, cfg, RandomStream(seed, 1))
-        state = (spec, energy, level)
-        tally = np.zeros((2, 2, scn.battery_levels, 3), np.int64)
-        o_spec = spec.astype(np.int64)
-        o_carry = np.array([energy, level], np.int64)
-        o_counters = np.zeros(len(COUNTER_FIELDS), np.int64)
-        o_counts = np.zeros(scn.battery_levels, np.int64)
-        o_moves = np.zeros((scn.battery_levels, 3), np.int64)
+        first = scenarios[0]
+        rules = [oracle_constants(scn, signal) for scn in scenarios]
+        spec, energy, level = simulate._initial_states(first, cfg, RandomStream(seed, 1))
+        state = (spec, energy, np.full(len(scenarios), level))
+        tally = np.zeros((len(scenarios), 2, 2, first.battery_levels, 3), np.int64)
+        oracles = [SimpleNamespace(
+            spec=spec.astype(np.int64), carry=np.array([energy, level], np.int64),
+            counters=np.zeros(len(COUNTER_FIELDS), np.int64),
+            counts=np.zeros(first.battery_levels, np.int64),
+            moves=np.zeros((first.battery_levels, 3), np.int64),
+        ) for _ in scenarios]
         gen = np.random.default_rng(seed)
         for b in blocks:
-            draws = draw_block(gen, b, cfg.num_pu_channels, rule, scn.detector.sample_count)
-            state = kernel.advance_block(scn, signal, state, *draws, tally)
-            slot_loop_oracle(rule, o_spec, o_carry, *draws, o_counters, o_counts, o_moves)
-            assert (np.asarray(state[0]) == o_spec).all()
-            assert (int(state[1]), state[2]) == (o_carry[0], o_carry[1])
-        report = simulate._pooled_report(sum(blocks), [tally])
-        counters = np.array(report_counters(report))
-        moves = report.battery_transition_counts
-        assert (counters == o_counters).all()
-        assert (moves.sum(axis=1) == o_counts).all()
-        assert (moves == o_moves).all()
-        outcomes = (DELIVERED, OUTAGE, NONACCESS, COLLIDED)
-        assert counters[list(outcomes)].sum() == sum(blocks)
+            draws = draw_block(gen, b, cfg.num_pu_channels, rules[0], first.detector.sample_count)
+            state = kernel.advance_block(scenarios, signal, state, *draws, tally)
+            for g, (rule, o) in enumerate(zip(rules, oracles)):
+                slot_loop_oracle(rule, o.spec, o.carry, *draws, o.counters, o.counts, o.moves)
+                assert (np.asarray(state[0]) == o.spec).all()
+                assert (int(state[1]), int(state[2][g])) == (o.carry[0], o.carry[1])
+        for g, o in enumerate(oracles):
+            report = simulate._pooled_report(sum(blocks), [tally[g]])
+            counters = np.array(report_counters(report))
+            moves = report.battery_transition_counts
+            assert (counters == o.counters).all()
+            assert (moves.sum(axis=1) == o.counts).all()
+            assert (moves == o.moves).all()
+            outcomes = (DELIVERED, OUTAGE, NONACCESS, COLLIDED)
+            assert counters[list(outcomes)].sum() == sum(blocks)
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_blocks_across_sub_blocks(self, case):
         scn, kwargs = KERNEL_CASES[case]
         cfg = SimConfig(slots=1, replications=1, seed=61, **kwargs)
         sub = kernel.SUB_BLOCK
-        self.run_both(scn, cfg, blocks=(1, sub + 1, 2 * sub - 5, 3000), seed=61)
+        self.run_both([scn], cfg, blocks=(1, sub + 1, 2 * sub - 5, 3000), seed=61)
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_many_short_sub_blocks(self, case, monkeypatch):
         monkeypatch.setattr(kernel, "SUB_BLOCK", 7)
         scn, kwargs = KERNEL_CASES[case]
         cfg = SimConfig(slots=1, replications=1, seed=62, **kwargs)
-        self.run_both(scn, cfg, blocks=(1, 2, 5, 7, 8, 64, 300), seed=62)
+        self.run_both([scn], cfg, blocks=(1, 2, 5, 7, 8, 64, 300), seed=62)
+
+    @pytest.mark.parametrize("case", sorted(DETECTOR_STACKS))
+    def test_detector_stack_columns(self, case, monkeypatch):
+        # each point of a stack keeps its own verdicts and battery on the
+        # shared chain paths, across uneven blocks and sub-blocks
+        monkeypatch.setattr(kernel, "SUB_BLOCK", 300)
+        scenarios, kwargs = DETECTOR_STACKS[case]
+        cfg = SimConfig(slots=1, replications=1, seed=64, **kwargs)
+        self.run_both(scenarios, cfg, blocks=(1, 299, 301, 1000, 7), seed=64)
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_run_replication_matches_oracle(self, case, monkeypatch):
@@ -484,3 +527,61 @@ class TestKernelMatchesLoopOracle:
         assert report_counters(report) == counters.tolist()
         assert (report.battery_level_counts == counts).all()
         assert (report.battery_transition_counts == moves).all()
+
+
+class TestRunPoints:
+    """``run_points`` runs a stack of points on common random numbers: each
+    point's tally is the one it gets alone on the same seed."""
+
+    @staticmethod
+    def campaign_points(case, sensing_mode, channels):
+        """The grid points of each variant of a small stock campaign."""
+        bundle = load_config(str(REPO / "configs" / f"case{case}.cfg"))
+        spec = campaign(replace(bundle, sim=replace(
+            bundle.sim, slots=1500, replications=2, sensing_mode=sensing_mode,
+            num_pu_channels=channels)), case)
+        for vi, (_, overrides) in enumerate(spec.variants):
+            variant, _ = apply_overrides(spec.base, spec.target_pf, overrides)
+            points = [apply_overrides(variant, None, {spec.variable: v})[0] for v in spec.grid]
+            yield points, replace(spec.sim, seed=RandomStream.derive_seed(spec.sim.seed, vi))
+
+    @pytest.mark.parametrize("case", ["1", "2"])
+    @pytest.mark.parametrize("sensing_mode, channels", [("event", 1), ("signal", 1), ("event", 3)])
+    def test_every_point_matches_its_own_run(self, case, sensing_mode, channels, monkeypatch):
+        monkeypatch.setattr(simulate, "_BLOCK", 1000)  # two blocks per replication
+        for points, cfg in self.campaign_points(case, sensing_mode, channels):
+            for rep in range(cfg.replications):
+                batch = simulate._replication_counts(points, cfg, rep)
+                for g, scn in enumerate(points):
+                    alone = simulate._replication_counts([scn], cfg, rep)
+                    assert (batch[g] == alone[0]).all()
+
+    def test_reports_equal_run_simulation(self):
+        points, cfg = next(self.campaign_points("1", "event", 1))
+        for scn, report in zip(points, simulate.run_points(points, cfg)):
+            alone = run_simulation(scn, cfg)
+            assert report_counters(report) == report_counters(alone)
+            assert report.replication_loss_rates == alone.replication_loss_rates
+            assert report.packet_loss_ci95 == alone.packet_loss_ci95
+
+    @pytest.mark.parametrize("change", [
+        {"spectrum": TwoStateChain(0.5, 0.6)},
+        {"energy": TwoStateChain(0.3, 0.5)},
+        {"battery_levels": 11},
+        {"slot_duration": 0.2},
+    ], ids=["spectrum", "energy", "levels", "slot"])
+    def test_rejects_points_that_differ_outside_the_detector(self, change):
+        scn = scenario()
+        with pytest.raises(ValueError, match="outside its detector"):
+            simulate.run_points([scn, replace(scn, **change)], SimConfig(slots=10, replications=1))
+
+    def test_rejects_a_different_sample_count(self):
+        # the signal-mode draws are Gamma(N, 1), so N must be shared
+        scn = scenario()
+        other = replace(scn, detector=replace(scn.detector, sensing_duration=0.001))
+        with pytest.raises(ValueError, match="sample count"):
+            simulate.run_points([scn, other], SimConfig(slots=10, replications=1))
+
+    def test_rejects_no_points(self):
+        with pytest.raises(ValueError, match="at least one"):
+            simulate.run_points([], SimConfig(slots=10, replications=1))

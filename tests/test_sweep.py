@@ -13,7 +13,7 @@ from ehcrn.analytic import (
     outage_prob,
     threshold_for_target_pf,
 )
-from ehcrn.configio import load_config, snr_db_to_linear
+from ehcrn.configio import OVERRIDE_FIELDS, SWEEP_VARIABLES, load_config, snr_db_to_linear
 from ehcrn.errors import ConfigError
 from ehcrn.simulate import run_simulation
 from ehcrn.sweep import (
@@ -180,6 +180,39 @@ class TestRunSweep:
             report = run_simulation(replace(scn, detector=det),
                                     replace(tiny_bundle.sim, seed=row.seed))
             assert report.empirical_packet_loss == row.sim_pl
+
+
+class TestCommonRandomNumbers:
+    """A variant's grid points run on one seed and share their draws and
+    chain paths, which only holds while a sweep variable moves the detector."""
+
+    def test_sweep_variables_move_only_the_detector(self):
+        for variable in SWEEP_VARIABLES:
+            assert OVERRIDE_FIELDS[variable][0] == "detector", variable
+
+    def test_seed_repeats_within_a_variant(self, tiny_rows):
+        seeds = {}
+        for row in tiny_rows:
+            seeds.setdefault(row.variant, set()).add(row.seed)
+        assert all(len(s) == 1 for s in seeds.values())
+        assert len({s.pop() for s in seeds.values()}) == len(seeds)
+
+    @pytest.mark.parametrize("sensing_mode", ["event", "signal"])
+    def test_case_one_loss_falls_along_the_snr_grid(self, sensing_mode):
+        # pf is fixed by target_pf and a higher SNR only adds busy verdicts
+        # on occupied slots; the battery map is monotone, so on the same
+        # draws the battery path, and with it the delivered count, can only rise
+        repo = Path(__file__).resolve().parents[1]
+        bundle = load_config(str(repo / "configs" / "case1.cfg"))
+        bundle = replace(bundle, sim=replace(bundle.sim, slots=512, sensing_mode=sensing_mode))
+        rows = run_sweep(campaign(bundle, "1"))
+        curves = {}
+        for row in rows:
+            curves.setdefault(row.variant, []).append(row.sim_pl)
+        assert len(curves) == 3
+        for label, curve in curves.items():
+            assert len(curve) == len(CASE_ONE_GRID_DB)
+            assert all(b <= a for a, b in zip(curve, curve[1:])), (label, curve)
 
 
 class TestEmitters:
