@@ -2,23 +2,27 @@
 """Time each layer of the slot kernel per 2^20-slot block.
 
 Runs ``run_simulation`` on the stock case-1 scenario (configs/case1.cfg)
-in three modes -- event sensing on 1 channel, signal sensing on 1 and on
-10 channels -- and ``run_points`` on the 13 points of that scenario's
-case-1 SNR grid in a fourth (event sensing, 1 channel), one 2^20-slot
-block per repeat, and times in each block:
+in four modes -- event sensing on 1 channel, signal sensing on 1 and on
+10 channels, and event sensing on 1 channel with L = 2 battery levels,
+where the battery touches both ends within most sub-blocks and takes the
+kernel's fallback scan -- and ``run_points`` on the 13 points of that
+scenario's case-1 SNR grid in a fifth (event sensing, 1 channel), one
+2^20-slot block per repeat, and times in each block:
 
 * ``draws``: the RNG calls (spectrum and energy uniforms, channel choice,
   sensing draws);
 * ``spectrum_chain``: ``kernel.chain_path`` on the channel uniforms;
 * ``energy_chain``: ``kernel.chain_path`` on the energy uniforms;
-* ``battery_levels``: ``kernel.battery_levels``;
+* ``battery_levels``: every ``kernel.battery_levels`` call, the battery
+  scan (older trees call it once per point, newer ones once for all the
+  points of a sub-block);
 * ``advance_rest``: the rest of ``kernel.advance`` (the sensed channel,
   the verdicts and the one ``bincount`` of the joint tally over (point,
   channel state, verdict, start level, level move));
 * ``total``: the whole ``run_simulation`` or ``run_points`` call.
 
 The draws and both chains are shared by the points of a batch; the
-battery levels and the rest of ``advance`` are worked out per point.
+verdicts, battery levels and tally are each point's own.
 ``ms_per_point`` is the median total divided by the number of points.
 
 The layers are timed with the thread's CPU time, by wrapping those
@@ -55,9 +59,12 @@ from ehcrn.sweep import CASE_ONE_GRID_DB  # noqa: E402
 
 BLOCK = 1 << 20
 REPEATS = 9
-# mode -> (sensing mode, channels, grid of SNRs in dB or None for the configured point)
-MODES = {"event-1ch": ("event", 1, None), "signal-1ch": ("signal", 1, None),
-         "signal-10ch": ("signal", 10, None), "event-1ch-13pt": ("event", 1, CASE_ONE_GRID_DB)}
+# mode -> (sensing mode, channels, grid of SNRs in dB or None for the configured
+# point, overrides of the configured scenario)
+MODES = {"event-1ch": ("event", 1, None, {}), "signal-1ch": ("signal", 1, None, {}),
+         "signal-10ch": ("signal", 10, None, {}),
+         "event-1ch-13pt": ("event", 1, CASE_ONE_GRID_DB, {}),
+         "event-1ch-L2": ("event", 1, None, {"levels": 2})}
 LAYERS = ("draws", "spectrum_chain", "energy_chain", "battery_levels", "advance_rest", "total")
 DRAWS = ("random", "integers", "gamma")
 
@@ -126,9 +133,10 @@ def _block_ms(scenarios, cfg):
     return {**s, "advance_rest": rest, "total": total}
 
 
-def measure(scenario, base_sim, mode, channels, grid):
+def measure(scenario, base_sim, mode, channels, grid, overrides):
     cfg = replace(base_sim, slots=BLOCK, replications=1, sensing_mode=mode,
                   num_pu_channels=channels)
+    scenario = apply_overrides(scenario, None, overrides)[0]
     scenarios = [scenario] if grid is None else [
         apply_overrides(scenario, None, {"primary_snr_db": v})[0] for v in grid]
     simulate.run_points(scenarios, replace(cfg, slots=2 * kernel.SUB_BLOCK))  # warm-up
@@ -161,8 +169,8 @@ def main() -> int:
 
     bundle = load_config(str(ROOT / "configs" / "case1.cfg"))
     modes = {}
-    for name, (mode, channels, grid) in MODES.items():
-        modes[name] = measure(bundle.scenario, bundle.sim, mode, channels, grid)
+    for name, (mode, channels, grid, overrides) in MODES.items():
+        modes[name] = measure(bundle.scenario, bundle.sim, mode, channels, grid, overrides)
         row = modes[name]
         print(f"{args.label:>10} {name:>14} " + " ".join(
             f"{layer}={row[layer]['median']:.2f}" for layer in LAYERS

@@ -2,15 +2,23 @@
 
 A block of slots is advanced with array scans, a few thousand slots at a
 time: the chain paths with a running XOR and a running maximum, the
-battery levels with a blocked scan of clamp maps, and a tally of what
-happened in each slot with one ``bincount``; :mod:`ehcrn.simulate` sorts
-the tally into loss causes.  One pass serves G points that differ only in
-their detector (the grid of a sweep variant): the chain paths are worked
-out once and shared, the verdicts, battery levels and tally once per
-point.  It reads the chains, L and the detectors from the ``Scenario``s
-and gives every point the same counts, bit for bit, as stepping its slots
-one at a time by the rules in :mod:`ehcrn.simulate`; the tests hold that
-per-slot loop, with constants of its own, as the reference.
+battery levels with one running sum and one running extreme, and a tally
+of what happened in each slot with one ``bincount``; :mod:`ehcrn.simulate`
+sorts the tally into loss causes.  One pass serves G points that differ
+only in their detector (the grid of a sweep variant): the chain paths are
+worked out once and shared, the verdicts once per point, and the battery
+levels and the tally of all G points in one array step each.
+
+The battery level is a random walk of harvests and transmissions held in
+[0, top].  Where it touches only the floor, Lindley's recursion gives it
+as the walk plus its running deficit below empty (the lower form); where
+it touches only the cap, as the walk minus its running excess over top
+(the mirror form).  The rows that touch both in one run of slots fall
+back to a blocked scan of clamp maps.  The kernel reads the chains, L and
+the detectors from the ``Scenario``s and gives every point the same
+counts, bit for bit, as stepping its slots one at a time by the rules in
+:mod:`ehcrn.simulate`; the tests hold that per-slot loop, with constants
+of its own, as the reference.
 """
 
 import math
@@ -59,19 +67,77 @@ def chain_path(u, stay_a, stay_b, start):
     return key != parity
 
 
-def battery_levels(access, harvest, level, top):
-    """Battery level before each slot and after the last one (n + 1 values).
+def battery_levels(access, harvest, start, top):
+    """Battery level of each of G points before each slot and after the last.
 
-    Slot t maps the level x to clamp(x + h - a, h, top) with a = ``access[t]``
-    and h = ``harvest[t]``: a transmission spends a unit if there is one and
-    the harvest lands after it, capped at ``top``.  Maps of the form
-    clamp(x + d, lo, hi) compose into maps of the same form (the discrete
-    two-sided Skorokhod map on [0, top]), so a blocked scan gives every
-    level: the slots are cut into chunks of about sqrt(n) / 4 slots, the
-    maps from each chunk start are composed for all chunks at once (one
-    vector step per slot of a chunk), the chunk starts then follow one
-    after another (one cheaper scalar step per chunk), and each slot's level
-    is its prefix map applied to its chunk start.
+    ``access`` is the (G, n) bool transmit attempts, ``harvest`` the (n,)
+    bool harvests that the points share and ``start`` the (G,) levels
+    before the first slot; returns the (G, n + 1) levels.  Slot t maps the
+    level x to clamp(x + h - a, h, top) with a = ``access[g, t]`` and
+    h = ``harvest[t]``: a transmission spends a unit if there is one and
+    the harvest lands after it, capped at ``top``.
+
+    All forms share one running sum, the walk P[t] = start + sum_{s<t}
+    (h[s] - a[s]), which is the level itself while it never spends a unit
+    it lacks (P[s] >= a[s]) and never passes the cap (P <= top).  A row
+    whose walk dips below empty takes the lower form, the walk reflected at
+    0 by Lindley's recursion: y[t + 1] = P[t + 1] + max(0, -min_{s<=t}
+    (P[s] - a[s])), exact if it stays at or below ``top``.  A row whose walk
+    passes the cap takes the mirror form, the walk reflected at ``top``:
+    y[t] = P[t] - max(0, max_{s<=t} P[s] - top), exact if y[t] >= a[t] in
+    every slot.  The lower form lies at or above P and the mirror form at
+    or below it, so a row whose walk does both, or whose form fails its
+    check, touches both boundaries: it falls back to :func:`_clamp_scan`.
+    """
+    g, n = access.shape
+    a = access.view(np.int8)
+    levels = np.empty((g, n + 1), np.int16 if top + n < 1 << 15 else np.int32)
+    levels[:, 0] = start
+    np.subtract(harvest.view(np.int8), a, out=levels[:, 1:])
+    np.cumsum(levels, axis=1, out=levels)
+    gap = levels[:, :-1] - a
+    empties = gap.min(axis=1) < 0
+    fills = levels.max(axis=1) > top
+    fallback = empties & fills
+    lower = (empties & ~fills).nonzero()[0]
+    if len(lower):
+        whole = len(lower) == g
+        lift = gap if whole else gap[lower]
+        # lift[t] = min(0, min_{s<=t} (P[s] - a[s])), the 0 folded into the first term
+        np.minimum(lift[:, 0], 0, out=lift[:, 0])
+        np.minimum.accumulate(lift, axis=1, out=lift)
+        y = levels if whole else levels[lower]
+        y[:, 1:] -= lift
+        fallback[lower] = y.max(axis=1) > top
+        if not whole:
+            levels[lower] = y
+    mirror = (fills & ~empties).nonzero()[0]
+    if len(mirror):
+        whole = len(mirror) == g
+        y = levels if whole else levels[mirror]
+        # cut[t] = max(0, max_{s<=t} P[s] - top) for t >= 1; P[0] <= top adds nothing
+        cut = y[:, 1:] - top
+        np.maximum(cut[:, 0], 0, out=cut[:, 0])
+        np.maximum.accumulate(cut, axis=1, out=cut)
+        y[:, 1:] -= cut
+        fallback[mirror] = ~(y[:, :-1] >= (access if whole else access[mirror])).all(axis=1)
+        if not whole:
+            levels[mirror] = y
+    for row in fallback.nonzero()[0].tolist():
+        levels[row] = _clamp_scan(access[row], harvest, int(start[row]), top)
+    return levels
+
+
+def _clamp_scan(access, harvest, level, top):
+    """The levels of one point (n + 1 values) by a blocked scan of clamp maps.
+
+    Maps of the form clamp(x + d, lo, hi) compose into maps of the same
+    form (the discrete two-sided Skorokhod map on [0, top]), so a blocked
+    scan gives every level: the slots are cut into chunks of about
+    sqrt(n) / 4 slots, the maps from each chunk start are composed for all
+    chunks at once (one vector step per slot of a chunk), the chunk starts
+    then follow one after another (one cheaper scalar step per chunk), and
+    each slot's level is its prefix map applied to its chunk start.
     """
     n = len(access)
     width = math.isqrt(n) // 4 + 1
@@ -144,19 +210,14 @@ def advance(scenarios, signal, state, u_spec, u_energy, chan_sel, sense_draw, ta
         busy = sense_draw < np.where(occupied, p_occ, p_idle)
     # the flat bin of (g, occupied, busy, start, k); int32 scalars keep it int32.
     # Row g of the (G, n) verdicts gives point g's levels on the shared harvests.
-    harvest = ~off_path
-    code = np.empty(busy.shape, np.int32)
-    ends = np.empty(len(dets), np.int32)
-    for g, (row, start) in enumerate(zip(code, carry)):
-        levels = battery_levels(~busy[g], harvest, int(start), size - 1)
-        np.multiply(levels[:-1], 2, out=row)
-        row += levels[1:]
-        ends[g] = levels[-1]
+    levels = battery_levels(~busy, ~off_path, carry, size - 1)
+    code = np.multiply(levels[:, :-1], 2, dtype=np.int32)
+    code += levels[:, 1:]
     code += np.arange(1, 12 * size * len(dets), 12 * size, dtype=np.int32)[:, None]
     code += occupied * np.int32(6 * size)
     code += busy * np.int32(3 * size)
     tally += np.bincount(code.ravel(), minlength=tally.size).reshape(tally.shape)
-    return spec_path[-1], off_path[-1], ends
+    return spec_path[-1], off_path[-1], levels[:, -1].copy()
 
 
 def advance_block(scenarios, signal, state, u_spec, u_energy, chan_sel, sense_draw, tally):

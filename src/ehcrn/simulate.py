@@ -245,7 +245,8 @@ def run_points(scenarios, cfg: SimConfig) -> list[SimReport]:
                 "sample count; the points of one run share their chains, battery and draws"
             )
     tallies = [_replication_counts(scenarios, cfg, rep) for rep in range(cfg.replications)]
-    return [_pooled_report(cfg.slots, [t[g] for t in tallies]) for g in range(len(scenarios))]
+    t975 = student_t_quantile(0.975, cfg.replications - 1) if cfg.replications > 1 else None
+    return [_pooled_report(cfg.slots, [t[g] for t in tallies], t975) for g in range(len(scenarios))]
 
 
 def run_replication(scenario: Scenario, cfg: SimConfig, stream_id: int) -> SimReport:
@@ -263,8 +264,11 @@ def run_simulation(scenario: Scenario, cfg: SimConfig) -> SimReport:
     return run_points([scenario], cfg)[0]
 
 
-def _pooled_report(slots_per_replication: int, tallies: list) -> SimReport:
+def _pooled_report(slots_per_replication: int, tallies: list, t975=None) -> SimReport:
     """One report from the tally t[occupied, busy, start, k] of each replication.
+
+    ``t975`` is t(0.975, R - 1), which the CI needs when there are R > 1
+    replications; the caller works it out once for all its points.
 
     The one place that sorts slots into outcomes: a busy verdict is a
     non-access loss, an idle one an outage at level 0 and otherwise a
@@ -284,7 +288,7 @@ def _pooled_report(slots_per_replication: int, tallies: list) -> SimReport:
     loss = 1.0 - delivered / slots
     if replications > 1:
         spread = float(np.std(rates, ddof=1)) / math.sqrt(replications)
-        ci95 = student_t_quantile(0.975, replications - 1) * spread
+        ci95 = t975 * spread
     else:
         ci95 = 1.96 * math.sqrt(max(loss * (1.0 - loss), 0.0) / slots)
     return SimReport(

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.special import gammaincc
 from scipy.stats import t as student_t
 
@@ -420,6 +421,11 @@ KERNEL_CASES = {
     "noise-power-event": (scenario(det=detector(threshold=2.5 * 1.01, n=400, noise_power=2.5)), {}),
     "noise-power-signal": (scenario(det=detector(threshold=2.5 * 1.01, n=400, noise_power=2.5)),
                            {"sensing_mode": "signal"}),
+    # never harvesting, the battery drains and sits at empty: only the floor binds
+    "lower-form-only": (scenario(p_on=0.0, p_off=1.0, levels=6), {}),
+    # always harvesting and always busy, the battery fills and sits at the cap
+    "mirror-form-only": (scenario(p_on=1.0, p_off=0.5, det=detector(threshold=0.2), levels=4),
+                         {"initial_battery": 1}),
 }
 
 
@@ -442,7 +448,75 @@ DETECTOR_STACKS = {
                                              {"threshold": 0.98}, {"threshold": 1.02},
                                              {"primary_snr": 0.3}),
                               {"sensing_mode": "signal", "num_pu_channels": 3}),
+    # always busy (mirror form), never busy (lower form) and in between
+    # (both boundaries, the fallback) in one batch
+    "mixed-battery-branches": (with_detectors(scenario(p_on=0.5, p_off=0.5, levels=3,
+                                                       det=detector(n=400)),
+                                              {"threshold": 0.2}, {"threshold": 2.0},
+                                              {"threshold": 1.0}), {}),
 }
+
+
+def clamp_loop(access, harvest, level, top):
+    """Battery levels of one point, one slot at a time, and the boundaries
+    it binds: the floor (a transmission with no unit) and the cap."""
+    levels, floor, cap = [level], False, False
+    for a, h in zip(access, harvest):
+        floor |= bool(a) and level == 0
+        cap |= max(level - a, 0) + h > top
+        level = min(max(level - a, 0) + h, top)
+        levels.append(level)
+    return levels, floor, cap
+
+
+def battery_branch(access, harvest, level, top):
+    """Which form of :func:`ehcrn.kernel.battery_levels` a row must take."""
+    _, floor, cap = clamp_loop(access, harvest, level, top)
+    return {(False, False): "walk", (True, False): "lower",
+            (False, True): "mirror", (True, True): "fallback"}[floor, cap]
+
+
+@st.composite
+def battery_inputs(draw):
+    top = draw(st.integers(1, 6) | st.sampled_from([29, 1 << 15]))
+    n = draw(st.integers(1, 48))
+    g = draw(st.integers(1, 4))
+    row = st.lists(st.booleans(), min_size=n, max_size=n)
+    access = draw(st.lists(row, min_size=g, max_size=g))
+    start = draw(st.lists(st.sampled_from([0, top]) | st.integers(0, top), min_size=g, max_size=g))
+    return np.array(access, bool), np.array(draw(row), bool), np.array(start), top
+
+
+# Rows of one call that take the lower form, the mirror form (reaching
+# y[t] == a[t]: it spends its last unit) and the fallback, on one harvest row.
+MIXED_ROWS = (np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 1]], bool),
+              np.array([1, 0, 0, 0], bool), np.array([0, 2, 2]), 2)
+
+
+class TestBatteryLevels:
+    """The batched battery scan against the per-slot clamp loop."""
+
+    @given(battery_inputs())
+    @example((np.array([[True], [False]]), np.array([True]), np.array([0, 1]), 1))
+    @example((np.array([[False], [True]]), np.array([False]), np.array([1, 0]), 1))
+    @example(MIXED_ROWS)
+    def test_rows_equal_the_clamp_loop(self, inputs):
+        access, harvest, start, top = inputs
+        levels = kernel.battery_levels(access, harvest, start, top)
+        assert levels.shape == (len(access), len(harvest) + 1)
+        for row, a, s in zip(levels, access, start):
+            assert row.tolist() == clamp_loop(a.tolist(), harvest.tolist(), int(s), top)[0]
+
+    def test_only_rows_on_both_boundaries_fall_back(self, monkeypatch):
+        access, harvest, start, top = MIXED_ROWS
+        branches = [battery_branch(a, harvest, s, top) for a, s in zip(access, start)]
+        assert branches == ["lower", "mirror", "fallback"]
+        scanned = []
+        clamp_scan = kernel._clamp_scan
+        monkeypatch.setattr(kernel, "_clamp_scan",
+                            lambda a, *rest: scanned.append(a.tolist()) or clamp_scan(a, *rest))
+        kernel.battery_levels(access, harvest, start, top)
+        assert scanned == [access[2].tolist()]
 
 
 class TestKernelMatchesLoopOracle:
@@ -503,6 +577,36 @@ class TestKernelMatchesLoopOracle:
         scenarios, kwargs = DETECTOR_STACKS[case]
         cfg = SimConfig(slots=1, replications=1, seed=64, **kwargs)
         self.run_both(scenarios, cfg, blocks=(1, 299, 301, 1000, 7), seed=64)
+
+    @pytest.mark.parametrize("case, taken", [
+        ("lower-form-only", {"lower"}),
+        ("mirror-form-only", {"mirror"}),
+        ("mixed-battery-branches", {"lower", "mirror", "fallback"}),
+    ])
+    def test_battery_branches_taken(self, case, taken, monkeypatch):
+        # a spy sorts every row the kernel scans by the boundaries its
+        # per-slot path binds; only the rows that bind both are scanned
+        # by the fallback, and each case takes the forms it is built for
+        monkeypatch.setattr(kernel, "SUB_BLOCK", 300)
+        calls, scanned = [], []
+        battery_levels, clamp_scan = kernel.battery_levels, kernel._clamp_scan
+
+        def spy(access, harvest, start, top):
+            calls.append([battery_branch(a, harvest, int(s), top) for a, s in zip(access, start)])
+            return battery_levels(access, harvest, start, top)
+
+        monkeypatch.setattr(kernel, "battery_levels", spy)
+        monkeypatch.setattr(kernel, "_clamp_scan",
+                            lambda *args: scanned.append(1) or clamp_scan(*args))
+        scenarios, kwargs = DETECTOR_STACKS[case] if case in DETECTOR_STACKS else (
+            [KERNEL_CASES[case][0]], KERNEL_CASES[case][1])
+        cfg = SimConfig(slots=1, replications=1, seed=65, **kwargs)
+        self.run_both(scenarios, cfg, blocks=(1, 299, 301, 1000, 7), seed=65)
+        rows = [branch for call in calls for branch in call]
+        assert set(rows) - {"walk"} == taken
+        assert len(scanned) == rows.count("fallback")
+        if len(scenarios) > 1:
+            assert any(len(set(call) - {"walk"}) == len(taken) for call in calls)
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_run_replication_matches_oracle(self, case, monkeypatch):
