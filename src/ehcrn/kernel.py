@@ -13,15 +13,19 @@ The battery level is a random walk of harvests and transmissions held in
 [0, top].  Where it touches only the floor, Lindley's recursion gives it
 as the walk plus its running deficit below empty (the lower form); where
 it touches only the cap, as the walk minus its running excess over top
-(the mirror form).  The rows that touch both in one run of slots fall
-back to a blocked scan of clamp maps.  The kernel reads the chains, L and
-the detectors from the ``Scenario``s and gives every point the same
-counts, bit for bit, as stepping its slots one at a time by the rules in
+(the mirror form).  A row that meets one end and then the other switches
+forms at that contact; only the rows that go back and forth between the
+ends in one run of slots fall back to a blocked scan of clamp maps.  The
+kernel reads the chains, L and the detectors from the ``Scenario``s (the
+detectors' verdict constants once per run, as a :class:`Sensing`) and
+gives every point the same counts, bit for bit, as stepping its slots one
+at a time by the rules in
 :mod:`ehcrn.simulate`; the tests hold that per-slot loop, with constants
 of its own, as the reference.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,17 +81,20 @@ def battery_levels(access, harvest, start, top):
     h = ``harvest[t]``: a transmission spends a unit if there is one and
     the harvest lands after it, capped at ``top``.
 
-    All forms share one running sum, the walk P[t] = start + sum_{s<t}
-    (h[s] - a[s]), which is the level itself while it never spends a unit
-    it lacks (P[s] >= a[s]) and never passes the cap (P <= top).  A row
-    whose walk dips below empty takes the lower form, the walk reflected at
-    0 by Lindley's recursion: y[t + 1] = P[t + 1] + max(0, -min_{s<=t}
-    (P[s] - a[s])), exact if it stays at or below ``top``.  A row whose walk
-    passes the cap takes the mirror form, the walk reflected at ``top``:
-    y[t] = P[t] - max(0, max_{s<=t} P[s] - top), exact if y[t] >= a[t] in
-    every slot.  The lower form lies at or above P and the mirror form at
-    or below it, so a row whose walk does both, or whose form fails its
-    check, touches both boundaries: it falls back to :func:`_clamp_scan`.
+    All forms start from one running sum, the walk P[t] = start +
+    sum_{s<t} (h[s] - a[s]), which is the level itself until the row's
+    first contact: a slot that spends a unit it lacks (P[s] < a[s]) or
+    passes the cap (P > top).  A row whose first contact is with empty
+    takes the lower form, the walk reflected at 0 by Lindley's recursion
+    (:func:`_lower_form`), exact until it first passes the cap; one whose
+    first contact is with the cap takes the mirror form, the walk
+    reflected at ``top`` (:func:`_mirror_form`), exact until it first
+    spends a unit it lacks.  Where a form fails there, the level is
+    ``top`` (or 0) and the row switches to the other form from that slot
+    on: the other reflection of the first form's path, exact if the row
+    never meets the first end again.  Only the rows that this one switch
+    does not serve, the ones that go back and forth between the ends, fall
+    back to :func:`_clamp_scan`.
     """
     g, n = access.shape
     a = access.view(np.int8)
@@ -98,34 +105,79 @@ def battery_levels(access, harvest, start, top):
     gap = levels[:, :-1] - a
     empties = gap.min(axis=1) < 0
     fills = levels.max(axis=1) > top
-    fallback = empties & fills
-    lower = (empties & ~fills).nonzero()[0]
-    if len(lower):
-        whole = len(lower) == g
-        lift = gap if whole else gap[lower]
-        # lift[t] = min(0, min_{s<=t} (P[s] - a[s])), the 0 folded into the first term
-        np.minimum(lift[:, 0], 0, out=lift[:, 0])
-        np.minimum.accumulate(lift, axis=1, out=lift)
-        y = levels if whole else levels[lower]
-        y[:, 1:] -= lift
-        fallback[lower] = y.max(axis=1) > top
+    both = (empties & fills).nonzero()[0]
+    if len(both):
+        # the walk does both: the form of the end it meets first
+        floor_first = (gap[both] < 0).argmax(axis=1) < (levels[both, 1:] > top).argmax(axis=1)
+        empties[both] = floor_first
+        fills[both] = ~floor_first
+    fallback = []
+    for rows, lower in ((empties.nonzero()[0], True), (fills.nonzero()[0], False)):
+        if not len(rows):
+            continue
+        whole = len(rows) == g
+        y = levels if whole else levels[rows]
+        ar = a if whole else a[rows]
+        # contact[i] > 0 is where row i's form fails (its level index; the
+        # start level never fails), 0 where the form holds to the end
+        if lower:
+            bound = _lower_form(y, gap if whole else gap[rows])
+            contact = (y > top).argmax(axis=1)
+        else:
+            bound = _mirror_form(y, top)
+            contact = (y[:, :-1] < ar).argmax(axis=1)
+        switch = contact.nonzero()[0]
+        if len(switch):
+            # a form that meets its own end again after its contact with the
+            # other one needs more than one switch: the true level, which it
+            # bounds, meets that end there too
+            once = bound[switch, contact[switch] - 1] == bound[switch, -1]
+            fallback += rows[switch[~once]].tolist()
+            switch = switch[once]
+        if len(switch):
+            z = y[switch]
+            az = ar[switch]
+            if lower:
+                cut = _mirror_form(z, top)
+                # the mirror form must hold where it cuts (from the cap
+                # contact on); before that the lower form's contacts stand
+                ok = ((z[:, 1:-1] >= az[:, 1:]) | (cut[:, :-1] == 0)).all(axis=1)
+            else:
+                _lower_form(z, z[:, :-1] - az)
+                ok = z.max(axis=1) <= top
+            y[switch[ok]] = z[ok]
+            fallback += rows[switch[~ok]].tolist()
         if not whole:
-            levels[lower] = y
-    mirror = (fills & ~empties).nonzero()[0]
-    if len(mirror):
-        whole = len(mirror) == g
-        y = levels if whole else levels[mirror]
-        # cut[t] = max(0, max_{s<=t} P[s] - top) for t >= 1; P[0] <= top adds nothing
-        cut = y[:, 1:] - top
-        np.maximum(cut[:, 0], 0, out=cut[:, 0])
-        np.maximum.accumulate(cut, axis=1, out=cut)
-        y[:, 1:] -= cut
-        fallback[mirror] = ~(y[:, :-1] >= (access if whole else access[mirror])).all(axis=1)
-        if not whole:
-            levels[mirror] = y
-    for row in fallback.nonzero()[0].tolist():
+            levels[rows] = y
+    for row in fallback:
         levels[row] = _clamp_scan(access[row], harvest, int(start[row]), top)
     return levels
+
+
+def _lower_form(y, lift):
+    """Reflect the paths ``y`` (rows of levels) at empty, in place, by
+    Lindley's recursion: y[t + 1] -= min(0, min_{s<=t} (y[s] - a[s])).
+
+    ``lift`` holds y[:, :-1] - a on entry and that running minimum, which
+    only falls where a row spends a unit it lacks, on return.
+    """
+    np.minimum(lift[:, 0], 0, out=lift[:, 0])  # the 0 folded into the first term
+    np.minimum.accumulate(lift, axis=1, out=lift)
+    y[:, 1:] -= lift
+    return lift
+
+
+def _mirror_form(y, top):
+    """Reflect the paths ``y`` (rows of levels, y[:, 0] <= top) at ``top``,
+    in place: y[t] -= max(0, max_{s<=t} y[s] - top) for t >= 1.
+
+    Returns that running excess, which only rises where a row passes the cap.
+    """
+    cut = y[:, 1:] - top
+    np.maximum(cut[:, 0], 0, out=cut[:, 0])
+    np.maximum.accumulate(cut, axis=1, out=cut)
+    y[:, 1:] -= cut
+    return cut
 
 
 def _clamp_scan(access, harvest, level, top):
@@ -173,21 +225,49 @@ def _clamp_scan(access, harvest, level, top):
     return levels[: n + 1]
 
 
-def advance(scenarios, signal, state, u_spec, u_energy, chan_sel, sense_draw, tally):
+class Sensing(NamedTuple):
+    """The constants of each of G points' sensing verdicts, as (G, 1)
+    columns: in event mode the probabilities P_f and P_d of a busy verdict
+    on an idle and on an occupied channel, and no ``limit``; in signal mode
+    the signal variances v_idle = N0 and v_occ = (SNR + 1) N0 and the
+    limit eps * N."""
+
+    idle: np.ndarray
+    occupied: np.ndarray
+    limit: np.ndarray | None
+
+
+def sensing(scenarios, signal):
+    """The :class:`Sensing` of ``scenarios`` in signal (or event) mode.
+
+    The detectors do not change within a run, so a run works these out
+    once and hands them to every :func:`advance`.
+    """
+    dets = [s.detector for s in scenarios]
+    if signal:
+        return Sensing(np.array([[d.noise_power] for d in dets]),
+                       np.array([[(d.primary_snr + 1.0) * d.noise_power] for d in dets]),
+                       np.array([[d.threshold * d.sample_count] for d in dets]))
+    return Sensing(np.array([[false_alarm_prob(d)] for d in dets]),
+                   np.array([[detection_prob(d)] for d in dets]), None)
+
+
+def advance(scenarios, rule, state, u_spec, u_energy, chan_sel, sense_draw, tally):
     """Advance the link over one run of slots at G points at once; returns
     the state after it.
 
-    The points are ``scenarios``, which differ only in their detector: the
-    chain paths (from the first) and the sensed channel are shared, while
-    each point has its own verdicts and battery.  ``state`` is
-    (channel states, energy state, battery level of each point, shape (G,))
-    with 1 / True meaning occupied and not harvesting.  ``chan_sel`` is None
-    for a single channel.  The sensed channel reads busy, in event mode,
-    when its uniform draw is below P_d (occupied) or P_f (idle); in signal
-    mode when v * g > eps * N for its Gamma(N, 1) draw g and its state's
-    signal variance v.  Counts each slot of point g in the (G, 2, 2, L, 3)
-    int64 ``tally`` at [g, sensed channel occupied, verdict busy, battery
-    level at slot start, move k = after - start + 1 (0 down, 1 stay, 2 up)].
+    The points are ``scenarios``, which differ only in their detector, and
+    ``rule`` is their :class:`Sensing`: the chain paths (from the first
+    point) and the sensed channel are shared, while each point has its own
+    verdicts and battery.  ``state`` is (channel states, energy state,
+    battery level of each point, shape (G,)) with 1 / True meaning occupied
+    and not harvesting.  ``chan_sel`` is None for a single channel.  The
+    sensed channel reads busy, in event mode, when its uniform draw is
+    below P_d (occupied) or P_f (idle); in signal mode when v * g > eps * N
+    for its Gamma(N, 1) draw g and its state's signal variance v.  Counts
+    each slot of point g in the (G, 2, 2, L, 3) int64 ``tally`` at [g,
+    sensed channel occupied, verdict busy, battery level at slot start,
+    move k = after - start + 1 (0 down, 1 stay, 2 up)].
     """
     spec, energy, carry = state
     n, c = u_spec.shape
@@ -197,33 +277,28 @@ def advance(scenarios, signal, state, u_spec, u_energy, chan_sel, sense_draw, ta
     off_path = chain_path(u_energy, first.energy.stay_a, first.energy.stay_b, energy)
     flat = spec_path.ravel()  # row t of the (n, c) path starts at t * c
     occupied = flat if chan_sel is None else flat[np.arange(0, c * n, c) + chan_sel]
-    dets = [s.detector for s in scenarios]
-    if signal:
-        v_idle = np.array([[d.noise_power] for d in dets])
-        v_occ = np.array([[(d.primary_snr + 1.0) * d.noise_power] for d in dets])
-        limit = np.array([[d.threshold * d.sample_count] for d in dets])
-        with np.errstate(over="ignore"):  # a huge finite SNR gives v * g = inf: busy
-            busy = np.where(occupied, v_occ, v_idle) * sense_draw > limit
+    per_state = np.where(occupied, rule.occupied, rule.idle)
+    if rule.limit is None:
+        busy = sense_draw < per_state
     else:
-        p_idle = np.array([[false_alarm_prob(d)] for d in dets])
-        p_occ = np.array([[detection_prob(d)] for d in dets])
-        busy = sense_draw < np.where(occupied, p_occ, p_idle)
+        with np.errstate(over="ignore"):  # a huge finite SNR gives v * g = inf: busy
+            busy = per_state * sense_draw > rule.limit
     # the flat bin of (g, occupied, busy, start, k); int32 scalars keep it int32.
     # Row g of the (G, n) verdicts gives point g's levels on the shared harvests.
     levels = battery_levels(~busy, ~off_path, carry, size - 1)
     code = np.multiply(levels[:, :-1], 2, dtype=np.int32)
     code += levels[:, 1:]
-    code += np.arange(1, 12 * size * len(dets), 12 * size, dtype=np.int32)[:, None]
+    code += np.arange(1, 12 * size * len(scenarios), 12 * size, dtype=np.int32)[:, None]
     code += occupied * np.int32(6 * size)
     code += busy * np.int32(3 * size)
     tally += np.bincount(code.ravel(), minlength=tally.size).reshape(tally.shape)
     return spec_path[-1], off_path[-1], levels[:, -1].copy()
 
 
-def advance_block(scenarios, signal, state, u_spec, u_energy, chan_sel, sense_draw, tally):
+def advance_block(scenarios, rule, state, u_spec, u_energy, chan_sel, sense_draw, tally):
     """:func:`advance` over a block, ``SUB_BLOCK`` slots at a time."""
     for i in range(0, len(u_energy), SUB_BLOCK):
         j = i + SUB_BLOCK
-        state = advance(scenarios, signal, state, u_spec[i:j], u_energy[i:j],
+        state = advance(scenarios, rule, state, u_spec[i:j], u_energy[i:j],
                         None if chan_sel is None else chan_sel[i:j], sense_draw[i:j], tally)
     return state

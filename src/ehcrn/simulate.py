@@ -44,7 +44,7 @@ import numpy as np
 from ehcrn.analytic import Scenario
 from ehcrn.chains import RandomStream
 from ehcrn.gaussian import student_t_quantile
-from ehcrn.kernel import advance_block
+from ehcrn.kernel import advance_block, sensing
 
 __all__ = [
     "SimConfig",
@@ -80,11 +80,11 @@ class SimConfig:
     num_pu_channels: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.slots, int) and self.slots >= 1):
+        if not (_is_int(self.slots) and self.slots >= 1):
             raise ValueError(f"slots must be a positive integer, got {self.slots!r}")
-        if not (isinstance(self.replications, int) and self.replications >= 1):
+        if not (_is_int(self.replications) and self.replications >= 1):
             raise ValueError(f"replications must be a positive integer, got {self.replications!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.sensing_mode not in ("event", "signal"):
             raise ValueError(f"sensing_mode must be 'event' or 'signal', got {self.sensing_mode!r}")
@@ -93,15 +93,20 @@ class SimConfig:
                 f"initial_states must be 'steady-draw' or 'fixed', got {self.initial_states!r}"
             )
         if self.initial_battery != "full" and not (
-            isinstance(self.initial_battery, int) and self.initial_battery >= 0
+            _is_int(self.initial_battery) and self.initial_battery >= 0
         ):
             raise ValueError(
                 f"initial_battery must be 'full' or a non-negative level, got {self.initial_battery!r}"
             )
-        if not (isinstance(self.num_pu_channels, int) and self.num_pu_channels >= 1):
+        if not (_is_int(self.num_pu_channels) and self.num_pu_channels >= 1):
             raise ValueError(
                 f"num_pu_channels must be a positive integer, got {self.num_pu_channels!r}"
             )
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool (``bool`` subclasses ``int``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -190,10 +195,11 @@ def _initial_states(scenario: Scenario, cfg: SimConfig, rng: RandomStream):
     return spec, energy, initial_level(scenario, cfg)
 
 
-def _replication_counts(scenarios, cfg: SimConfig, stream_id: int):
+def _replication_counts(scenarios, rule, cfg: SimConfig, stream_id: int):
     """The (G, 2, 2, L, 3) slot tally of one replication of ``cfg.slots``
     slots on its own stream, for each of the G ``scenarios`` (axes as in
-    :func:`ehcrn.kernel.advance`).  The points share the draws and the
+    :func:`ehcrn.kernel.advance`), whose verdict constants are ``rule``
+    (:func:`ehcrn.kernel.sensing`).  The points share the draws and the
     chain paths, so each point's tally is the one it gets alone."""
     first = scenarios[0]
     rng = RandomStream(cfg.seed, stream_id)
@@ -213,7 +219,7 @@ def _replication_counts(scenarios, cfg: SimConfig, stream_id: int):
         u_energy = gen.random(b)
         chan_sel = gen.integers(0, channels, b) if channels > 1 else None
         sense_draw = gen.gamma(n_samples, 1.0, b) if signal else gen.random(b)
-        state = advance_block(scenarios, signal, state, u_spec, u_energy, chan_sel, sense_draw, tally)
+        state = advance_block(scenarios, rule, state, u_spec, u_energy, chan_sel, sense_draw, tally)
         done += b
     return tally
 
@@ -244,14 +250,16 @@ def run_points(scenarios, cfg: SimConfig) -> list[SimReport]:
                 f"scenario {i} differs from scenario 0 outside its detector or in its "
                 "sample count; the points of one run share their chains, battery and draws"
             )
-    tallies = [_replication_counts(scenarios, cfg, rep) for rep in range(cfg.replications)]
-    t975 = student_t_quantile(0.975, cfg.replications - 1) if cfg.replications > 1 else None
-    return [_pooled_report(cfg.slots, [t[g] for t in tallies], t975) for g in range(len(scenarios))]
+    rule = sensing(scenarios, cfg.sensing_mode == "signal")
+    tallies = np.stack([_replication_counts(scenarios, rule, cfg, rep)
+                        for rep in range(cfg.replications)])
+    return _reports(cfg.slots, tallies)
 
 
 def run_replication(scenario: Scenario, cfg: SimConfig, stream_id: int) -> SimReport:
     """Simulate one replication of ``cfg.slots`` slots on its own stream."""
-    return _pooled_report(cfg.slots, [_replication_counts([scenario], cfg, stream_id)[0]])
+    rule = sensing([scenario], cfg.sensing_mode == "signal")
+    return _reports(cfg.slots, _replication_counts([scenario], rule, cfg, stream_id)[None])[0]
 
 
 def run_simulation(scenario: Scenario, cfg: SimConfig) -> SimReport:
@@ -264,52 +272,59 @@ def run_simulation(scenario: Scenario, cfg: SimConfig) -> SimReport:
     return run_points([scenario], cfg)[0]
 
 
-def _pooled_report(slots_per_replication: int, tallies: list, t975=None) -> SimReport:
-    """One report from the tally t[occupied, busy, start, k] of each replication.
-
-    ``t975`` is t(0.975, R - 1), which the CI needs when there are R > 1
-    replications; the caller works it out once for all its points.
+def _reports(slots_per_replication: int, tallies: np.ndarray) -> list[SimReport]:
+    """The report of each of G points from the (R, G, 2, 2, L, 3) tallies
+    t[replication, point, occupied, busy, start, k] of R replications.
 
     The one place that sorts slots into outcomes: a busy verdict is a
     non-access loss, an idle one an outage at level 0 and otherwise a
     packet, delivered on an idle channel and collided on an occupied one.
+    Every count and rate is an array step over all the points at once.
     """
     replications = len(tallies)
     slots = slots_per_replication * replications
-    t = sum(tallies)
-    level_moves = t.sum(axis=(0, 1))
-    level_counts = level_moves.sum(axis=1)
-    rates = tuple(1.0 - int(r[0, 0, 1:].sum()) / slots_per_replication for r in tallies)
-    idle = int(t[0].sum())
-    alarms_idle, alarms_occ = (int(a) for a in t[:, 1].sum(axis=(1, 2)))
-    delivered, collided = (int(a) for a in t[:, 0, 1:].sum(axis=(1, 2)))
-    nonaccess = alarms_idle + alarms_occ
-    occupied = slots - idle
+    t = tallies.sum(axis=0)
+    level_moves = t.sum(axis=(1, 2))
+    level_counts = level_moves.sum(axis=2)
+    rates = 1.0 - tallies[:, :, 0, 0, 1:].sum(axis=(2, 3)).T / slots_per_replication
+    delivered, collided = t[:, :, 0, 1:].sum(axis=(2, 3)).T
     loss = 1.0 - delivered / slots
     if replications > 1:
-        spread = float(np.std(rates, ddof=1)) / math.sqrt(replications)
-        ci95 = t975 * spread
+        t975 = student_t_quantile(0.975, replications - 1)
+        ci95 = t975 * (np.std(rates, axis=1, ddof=1) / math.sqrt(replications))
     else:
-        ci95 = 1.96 * math.sqrt(max(loss * (1.0 - loss), 0.0) / slots)
-    return SimReport(
-        slots=slots,
-        replications=replications,
-        packets_delivered=delivered,
-        packets_lost_outage=int(t[:, 0, 0].sum()),
-        packets_lost_false_alarm_or_busy=nonaccess,
-        packets_collided=collided,
-        empirical_packet_loss=loss,
-        packet_loss_ci95=ci95,
-        empirical_outage_occupancy=float(level_counts[0]) / slots,
-        empirical_pf=float(alarms_idle) / idle if idle else math.nan,
-        empirical_pd=float(alarms_occ) / occupied if occupied else math.nan,
-        empirical_delta=1.0 - nonaccess / slots,
-        empirical_pi_idle=idle / slots,
-        battery_histogram=level_counts / float(slots),
-        battery_level_counts=level_counts,
-        battery_transition_counts=level_moves,
-        idle_slots=idle,
-        alarms_idle=alarms_idle,
-        alarms_occupied=alarms_occ,
-        replication_loss_rates=rates,
-    )
+        ci95 = 1.96 * np.sqrt(np.maximum(loss * (1.0 - loss), 0.0) / slots)
+    alarms_idle, alarms_occ = t[:, :, 1].sum(axis=(2, 3)).T.tolist()
+    idle = t[:, 0].sum(axis=(1, 2, 3)).tolist()
+    outage = t[:, :, 0, 0].sum(axis=(1, 2)).tolist()
+    empty = level_counts[:, 0].tolist()
+    histogram = level_counts / float(slots)
+    delivered, collided, loss, ci95, rates = (
+        a.tolist() for a in (delivered, collided, loss, ci95, rates))
+    reports = []
+    for g in range(len(idle)):
+        nonaccess = alarms_idle[g] + alarms_occ[g]
+        occupied = slots - idle[g]
+        reports.append(SimReport(
+            slots=slots,
+            replications=replications,
+            packets_delivered=delivered[g],
+            packets_lost_outage=outage[g],
+            packets_lost_false_alarm_or_busy=nonaccess,
+            packets_collided=collided[g],
+            empirical_packet_loss=loss[g],
+            packet_loss_ci95=ci95[g],
+            empirical_outage_occupancy=float(empty[g]) / slots,
+            empirical_pf=float(alarms_idle[g]) / idle[g] if idle[g] else math.nan,
+            empirical_pd=float(alarms_occ[g]) / occupied if occupied else math.nan,
+            empirical_delta=1.0 - nonaccess / slots,
+            empirical_pi_idle=idle[g] / slots,
+            battery_histogram=histogram[g],
+            battery_level_counts=level_counts[g],
+            battery_transition_counts=level_moves[g],
+            idle_slots=idle[g],
+            alarms_idle=alarms_idle[g],
+            alarms_occupied=alarms_occ[g],
+            replication_loss_rates=tuple(rates[g]),
+        ))
+    return reports

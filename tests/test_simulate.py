@@ -1,7 +1,7 @@
 """Slot simulator: deterministic micro-scenarios, rates, pooling, kernel oracle."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,6 +20,7 @@ from ehcrn.analytic import (
 )
 from ehcrn import kernel, simulate
 from ehcrn.chains import RandomStream, TwoStateChain
+from ehcrn.gaussian import student_t_quantile
 from ehcrn.configio import apply_overrides, load_config
 from ehcrn.simulate import SimConfig, measure_signal_rate, run_replication, run_simulation
 from ehcrn.sweep import campaign
@@ -264,6 +265,78 @@ class TestPoolingAndDeterminism:
         assert r.slots == 1000
 
 
+def pooled_reference(slots_per_replication, tallies):
+    """Reference for the pooling: one point's report from its R (2, 2, L, 3)
+    tallies, with sums and rates worked out for this point alone."""
+    replications = len(tallies)
+    slots = slots_per_replication * replications
+    t = sum(tallies)
+    level_moves = t.sum(axis=(0, 1))
+    level_counts = level_moves.sum(axis=1)
+    rates = tuple(1.0 - int(r[0, 0, 1:].sum()) / slots_per_replication for r in tallies)
+    idle = int(t[0].sum())
+    alarms_idle, alarms_occ = (int(a) for a in t[:, 1].sum(axis=(1, 2)))
+    delivered, collided = (int(a) for a in t[:, 0, 1:].sum(axis=(1, 2)))
+    nonaccess = alarms_idle + alarms_occ
+    occupied = slots - idle
+    loss = 1.0 - delivered / slots
+    if replications > 1:
+        spread = float(np.std(rates, ddof=1)) / math.sqrt(replications)
+        ci95 = student_t_quantile(0.975, replications - 1) * spread
+    else:
+        ci95 = 1.96 * math.sqrt(max(loss * (1.0 - loss), 0.0) / slots)
+    return simulate.SimReport(
+        slots=slots, replications=replications, packets_delivered=delivered,
+        packets_lost_outage=int(t[:, 0, 0].sum()), packets_lost_false_alarm_or_busy=nonaccess,
+        packets_collided=collided, empirical_packet_loss=loss, packet_loss_ci95=ci95,
+        empirical_outage_occupancy=float(level_counts[0]) / slots,
+        empirical_pf=float(alarms_idle) / idle if idle else math.nan,
+        empirical_pd=float(alarms_occ) / occupied if occupied else math.nan,
+        empirical_delta=1.0 - nonaccess / slots, empirical_pi_idle=idle / slots,
+        battery_histogram=level_counts / float(slots), battery_level_counts=level_counts,
+        battery_transition_counts=level_moves, idle_slots=idle, alarms_idle=alarms_idle,
+        alarms_occupied=alarms_occ, replication_loss_rates=rates,
+    )
+
+
+def assert_same_report(report, reference):
+    """Every field equal, bit for bit and of the same type (NaN equal to NaN)."""
+    for f in fields(simulate.SimReport):
+        got, want = getattr(report, f.name), getattr(reference, f.name)
+        assert type(got) is type(want), f.name
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+        elif isinstance(want, float) and math.isnan(want):
+            assert math.isnan(got), f.name
+        else:
+            assert got == want, f.name
+            if isinstance(want, tuple):
+                assert all(type(a) is type(b) for a, b in zip(got, want)), f.name
+
+
+class TestPooledReports:
+    """``simulate._reports`` builds the reports of all points at once; each
+    must equal the per-point reference, field for field."""
+
+    @pytest.mark.parametrize("replications", [1, 2, 9])
+    def test_equals_the_per_point_reference(self, replications):
+        # point 1 never sees an idle channel (NaN pf), point 2 never an
+        # occupied one (NaN pd); the others fill every cell
+        rng = np.random.default_rng(replications)
+        levels, slots = 4, 5000
+        cells = rng.random((5, 2, 2, levels, 3))
+        cells[1, 0] = 0.0
+        cells[2, 1] = 0.0
+        cells /= cells.sum(axis=(1, 2, 3, 4), keepdims=True)
+        tallies = np.stack([[rng.multinomial(slots, c.ravel()).reshape(c.shape) for c in cells]
+                            for _ in range(replications)])
+        reports = simulate._reports(slots, tallies)
+        assert len(reports) == len(cells)
+        for g, report in enumerate(reports):
+            assert_same_report(report, pooled_reference(slots, list(tallies[:, g])))
+        assert math.isnan(reports[1].empirical_pf) and math.isnan(reports[2].empirical_pd)
+
+
 class TestSignalModeSimulation:
     def test_signal_mode_false_alarm_matches_exact_law(self):
         # always-idle spectrum isolates the false-alarm rate
@@ -311,6 +384,14 @@ class TestSimConfigValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("field", ["slots", "replications", "seed", "initial_battery",
+                                       "num_pu_channels"])
+    def test_rejects_booleans(self, field, value):
+        # bool subclasses int, so True would pass for 1 and False for 0
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
 
 
 # Counter slots of the oracle, one per SimReport field in COUNTER_FIELDS.
@@ -454,26 +535,37 @@ DETECTOR_STACKS = {
                                                        det=detector(n=400)),
                                               {"threshold": 0.2}, {"threshold": 2.0},
                                               {"threshold": 1.0}), {}),
+    # thresholds about the balance point at L = 8: rows that switch forms
+    # once (either way round) next to rows that need the fallback
+    "one-switch-rows": (with_detectors(scenario(p_on=0.5, p_off=0.5, levels=8, det=detector(n=400)),
+                                       {"threshold": 0.99}, {"threshold": 1.0},
+                                       {"threshold": 1.01}, {"threshold": 1.02}), {}),
 }
 
 
 def clamp_loop(access, harvest, level, top):
-    """Battery levels of one point, one slot at a time, and the boundaries
-    it binds: the floor (a transmission with no unit) and the cap."""
-    levels, floor, cap = [level], False, False
+    """Battery levels of one point, one slot at a time, and the ends it
+    meets in their order, a repeat of the last one dropped: "floor" where a
+    transmission finds no unit, "cap" where a harvest overflows."""
+    levels, ends = [level], []
     for a, h in zip(access, harvest):
-        floor |= bool(a) and level == 0
-        cap |= max(level - a, 0) + h > top
+        end = "floor" if a and level == 0 else "cap" if max(level - a, 0) + h > top else None
+        if end is not None and ends[-1:] != [end]:
+            ends.append(end)
         level = min(max(level - a, 0) + h, top)
         levels.append(level)
-    return levels, floor, cap
+    return levels, ends
+
+
+BRANCHES = {(): "walk", ("floor",): "lower", ("cap",): "mirror",
+            ("floor", "cap"): "lower-mirror", ("cap", "floor"): "mirror-lower"}
 
 
 def battery_branch(access, harvest, level, top):
-    """Which form of :func:`ehcrn.kernel.battery_levels` a row must take."""
-    _, floor, cap = clamp_loop(access, harvest, level, top)
-    return {(False, False): "walk", (True, False): "lower",
-            (False, True): "mirror", (True, True): "fallback"}[floor, cap]
+    """How :func:`ehcrn.kernel.battery_levels` must serve a row: the walk,
+    one form, one switch from the form of its first end to the other, or
+    (for a row that meets an end again after the switch) the fallback."""
+    return BRANCHES.get(tuple(clamp_loop(access, harvest, level, top)[1]), "fallback")
 
 
 @st.composite
@@ -487,10 +579,15 @@ def battery_inputs(draw):
     return np.array(access, bool), np.array(draw(row), bool), np.array(start), top
 
 
-# Rows of one call that take the lower form, the mirror form (reaching
-# y[t] == a[t]: it spends its last unit) and the fallback, on one harvest row.
-MIXED_ROWS = (np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 1]], bool),
-              np.array([1, 0, 0, 0], bool), np.array([0, 2, 2]), 2)
+# Rows of one call, on one harvest row, that take each way of the scan: the
+# walk, the lower form, the mirror form (reaching y[t] == a[t]: it spends its
+# last unit), a switch from each form to the other and the fallback.
+MIXED_HARVEST = np.array([0, 1, 1, 1, 0, 0, 0, 0], bool)
+MIXED_ROWS = (np.array([[0, 0, 0, 1, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1, 1, 1],
+                        [0, 0, 0, 0, 1, 1, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0],
+                        [0, 0, 0, 0, 1, 1, 1, 0], [1, 0, 0, 0, 1, 1, 1, 1]], bool),
+              MIXED_HARVEST, np.array([0, 0, 2, 0, 2, 0]), 2)
+MIXED_BRANCHES = ["walk", "lower", "mirror", "lower-mirror", "mirror-lower", "fallback"]
 
 
 class TestBatteryLevels:
@@ -500,6 +597,17 @@ class TestBatteryLevels:
     @example((np.array([[True], [False]]), np.array([True]), np.array([0, 1]), 1))
     @example((np.array([[False], [True]]), np.array([False]), np.array([1, 0]), 1))
     @example(MIXED_ROWS)
+    # floor then cap, every row of the call (the switch on the whole batch)
+    @example((np.array([[1, 0, 0, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0, 1]], bool),
+              MIXED_HARVEST, np.array([0, 0]), 2))
+    # cap then floor, one row, and the same at a cap of 1
+    @example((np.array([[0, 0, 0, 0, 1, 1, 1, 0]], bool), MIXED_HARVEST, np.array([2]), 2))
+    @example((np.array([[0, 1, 0, 1, 1, 0]], bool), np.array([1, 0, 0, 0, 0, 0], bool),
+              np.array([1]), 1))
+    # floor, cap, floor and cap, floor, cap, floor: alternations the switch cannot serve
+    @example((np.array([[1, 0, 0, 0, 1, 1, 1, 1]], bool), MIXED_HARVEST, np.array([0]), 2))
+    @example((np.array([[0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1]], bool),
+              np.array([1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0], bool), np.array([2]), 2))
     def test_rows_equal_the_clamp_loop(self, inputs):
         access, harvest, start, top = inputs
         levels = kernel.battery_levels(access, harvest, start, top)
@@ -507,16 +615,16 @@ class TestBatteryLevels:
         for row, a, s in zip(levels, access, start):
             assert row.tolist() == clamp_loop(a.tolist(), harvest.tolist(), int(s), top)[0]
 
-    def test_only_rows_on_both_boundaries_fall_back(self, monkeypatch):
+    def test_only_rows_that_switch_more_than_once_fall_back(self, monkeypatch):
         access, harvest, start, top = MIXED_ROWS
         branches = [battery_branch(a, harvest, s, top) for a, s in zip(access, start)]
-        assert branches == ["lower", "mirror", "fallback"]
+        assert branches == MIXED_BRANCHES
         scanned = []
         clamp_scan = kernel._clamp_scan
         monkeypatch.setattr(kernel, "_clamp_scan",
                             lambda a, *rest: scanned.append(a.tolist()) or clamp_scan(a, *rest))
         kernel.battery_levels(access, harvest, start, top)
-        assert scanned == [access[2].tolist()]
+        assert scanned == [access[5].tolist()]
 
 
 class TestKernelMatchesLoopOracle:
@@ -538,15 +646,15 @@ class TestKernelMatchesLoopOracle:
             moves=np.zeros((first.battery_levels, 3), np.int64),
         ) for _ in scenarios]
         gen = np.random.default_rng(seed)
+        sensing = kernel.sensing(scenarios, signal)
         for b in blocks:
             draws = draw_block(gen, b, cfg.num_pu_channels, rules[0], first.detector.sample_count)
-            state = kernel.advance_block(scenarios, signal, state, *draws, tally)
+            state = kernel.advance_block(scenarios, sensing, state, *draws, tally)
             for g, (rule, o) in enumerate(zip(rules, oracles)):
                 slot_loop_oracle(rule, o.spec, o.carry, *draws, o.counters, o.counts, o.moves)
                 assert (np.asarray(state[0]) == o.spec).all()
                 assert (int(state[1]), int(state[2][g])) == (o.carry[0], o.carry[1])
-        for g, o in enumerate(oracles):
-            report = simulate._pooled_report(sum(blocks), [tally[g]])
+        for o, report in zip(oracles, simulate._reports(sum(blocks), tally[None])):
             counters = np.array(report_counters(report))
             moves = report.battery_transition_counts
             assert (counters == o.counters).all()
@@ -582,11 +690,13 @@ class TestKernelMatchesLoopOracle:
         ("lower-form-only", {"lower"}),
         ("mirror-form-only", {"mirror"}),
         ("mixed-battery-branches", {"lower", "mirror", "fallback"}),
+        ("one-switch-rows", {"lower", "mirror", "lower-mirror", "mirror-lower", "fallback"}),
     ])
     def test_battery_branches_taken(self, case, taken, monkeypatch):
-        # a spy sorts every row the kernel scans by the boundaries its
-        # per-slot path binds; only the rows that bind both are scanned
-        # by the fallback, and each case takes the forms it is built for
+        # a spy sorts every row the kernel scans by the ends its per-slot
+        # path meets, in order; only the rows that need more than one switch
+        # of form are scanned by the fallback, and each case takes the ways
+        # it is built for
         monkeypatch.setattr(kernel, "SUB_BLOCK", 300)
         calls, scanned = [], []
         battery_levels, clamp_scan = kernel.battery_levels, kernel._clamp_scan
@@ -606,7 +716,9 @@ class TestKernelMatchesLoopOracle:
         assert set(rows) - {"walk"} == taken
         assert len(scanned) == rows.count("fallback")
         if len(scenarios) > 1:
-            assert any(len(set(call) - {"walk"}) == len(taken) for call in calls)
+            # one call serves rows of three ways at once (of every way, when
+            # the case is built for fewer)
+            assert any(len(set(call) - {"walk"}) == min(len(taken), 3) for call in calls)
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_run_replication_matches_oracle(self, case, monkeypatch):
@@ -653,11 +765,12 @@ class TestRunPoints:
     @pytest.mark.parametrize("sensing_mode, channels", [("event", 1), ("signal", 1), ("event", 3)])
     def test_every_point_matches_its_own_run(self, case, sensing_mode, channels, monkeypatch):
         monkeypatch.setattr(simulate, "_BLOCK", 1000)  # two blocks per replication
+        signal = sensing_mode == "signal"
         for points, cfg in self.campaign_points(case, sensing_mode, channels):
             for rep in range(cfg.replications):
-                batch = simulate._replication_counts(points, cfg, rep)
+                batch = simulate._replication_counts(points, kernel.sensing(points, signal), cfg, rep)
                 for g, scn in enumerate(points):
-                    alone = simulate._replication_counts([scn], cfg, rep)
+                    alone = simulate._replication_counts([scn], kernel.sensing([scn], signal), cfg, rep)
                     assert (batch[g] == alone[0]).all()
 
     def test_reports_equal_run_simulation(self):
@@ -667,6 +780,29 @@ class TestRunPoints:
             assert report_counters(report) == report_counters(alone)
             assert report.replication_loss_rates == alone.replication_loss_rates
             assert report.packet_loss_ci95 == alone.packet_loss_ci95
+
+    def test_reports_equal_the_per_point_reference(self):
+        # run_points and run_simulation share the pooling, so each point is
+        # checked against the per-point reference on its own tallies
+        points, cfg = next(self.campaign_points("1", "event", 1))
+        rule = kernel.sensing(points, False)
+        tallies = [simulate._replication_counts(points, rule, cfg, rep)
+                   for rep in range(cfg.replications)]
+        for g, report in enumerate(simulate.run_points(points, cfg)):
+            assert_same_report(report, pooled_reference(cfg.slots, [t[g] for t in tallies]))
+
+    def test_detector_rates_worked_out_once_per_run(self, monkeypatch):
+        # two replications of three sub-blocks each: each point's P_f and
+        # P_d are worked out once for the run, not once per sub-block
+        monkeypatch.setattr(kernel, "SUB_BLOCK", 100)
+        points = DETECTOR_STACKS["event-snr"][0]
+        calls = []
+        for name in ("false_alarm_prob", "detection_prob"):
+            rate = getattr(kernel, name)
+            monkeypatch.setattr(kernel, name, lambda det, name=name, rate=rate:
+                                calls.append(name) or rate(det))
+        simulate.run_points(points, SimConfig(slots=300, replications=2))
+        assert calls.count("false_alarm_prob") == calls.count("detection_prob") == len(points)
 
     @pytest.mark.parametrize("change", [
         {"spectrum": TwoStateChain(0.5, 0.6)},
