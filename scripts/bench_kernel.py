@@ -24,6 +24,12 @@ scenario's case-1 SNR grid in a fifth (event sensing, 1 channel), one
 The draws and both chains are shared by the points of a batch; the
 verdicts, battery levels and tally are each point's own.
 ``ms_per_point`` is the median total divided by the number of points.
+``battery_per_chains`` is each block's ``battery_levels`` time over its
+``spectrum_chain`` + ``energy_chain`` time: the chains do the same work on
+both sides of a change to the battery scan, so the ratio, taken within one
+block, reads that change against the load of the machine at the time,
+which on a shared VM moves the ms of untouched layers by more than 10 %
+between runs.
 
 The layers are timed with the thread's CPU time, by wrapping those
 functions where the simulator looks them up; the package is not changed.
@@ -133,6 +139,11 @@ def _block_ms(scenarios, cfg):
     return {**s, "advance_rest": rest, "total": total}
 
 
+def _quartiles(values, digits):
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": round(med, digits), "q1": round(q1, digits), "q3": round(q3, digits)}
+
+
 def measure(scenario, base_sim, mode, channels, grid, overrides):
     cfg = replace(base_sim, slots=BLOCK, replications=1, sensing_mode=mode,
                   num_pu_channels=channels)
@@ -143,8 +154,9 @@ def measure(scenario, base_sim, mode, channels, grid, overrides):
     runs = [_block_ms(scenarios, replace(cfg, seed=cfg.seed + i)) for i in range(REPEATS)]
     out = {"points": len(scenarios)}
     for layer in LAYERS:
-        q1, med, q3 = np.percentile([1e3 * r[layer] for r in runs], [25, 50, 75])
-        out[layer] = {"median": round(med, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+        out[layer] = _quartiles([1e3 * r[layer] for r in runs], 3)
+    out["battery_per_chains"] = _quartiles(
+        [r["battery_levels"] / (r["spectrum_chain"] + r["energy_chain"]) for r in runs], 4)
     out["ms_per_point"] = round(out["total"]["median"] / len(scenarios), 3)
     out["mslot_per_s"] = round(BLOCK / 1e3 / out["total"]["median"], 2)
     return out
@@ -174,7 +186,8 @@ def main() -> int:
         row = modes[name]
         print(f"{args.label:>10} {name:>14} " + " ".join(
             f"{layer}={row[layer]['median']:.2f}" for layer in LAYERS
-        ) + f" ms  {row['ms_per_point']:.2f} ms/point  {row['mslot_per_s']:.2f} Mslot/s", flush=True)
+        ) + f" ms  battery/chains={row['battery_per_chains']['median']:.3f}"
+            f"  {row['ms_per_point']:.2f} ms/point  {row['mslot_per_s']:.2f} Mslot/s", flush=True)
 
     path = Path(args.out)
     record = json.loads(path.read_text()) if path.exists() else {

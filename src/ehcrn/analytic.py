@@ -201,17 +201,19 @@ def battery_transition_matrix(b: BatteryModel) -> np.ndarray:
 def outage_prob(b: BatteryModel) -> float:
     """Stationary probability pi_0 that the battery is empty.
 
-    Closed form of the birth-death chain: with alpha the geometric ratio,
+    Closed form of the birth-death chain: with alpha the geometric ratio
+    and d = alpha - 1,
 
-        pi_0 = (1 - delta)(1 - alpha) / (1 - alpha^L - delta (1 - alpha))
+        pi_0 = (1 - delta) / ((1 - delta) + alpha (alpha^(L-1) - 1) / d)
 
     for alpha != 1, and the limit (1 - delta) / ((1 - delta) + (L - 1)) at
-    alpha == 1.  Evaluation goes through expm1/log1p in terms of
-    d = alpha - 1, which is stable on both sides of alpha == 1 and does
-    not overflow for large alpha^L.  The boundaries short circuit to their
-    limits: never harvesting pins the battery at empty, harvesting every
-    slot or never accessing keeps it away from empty, and accessing every
-    slot gives 1 - e_on.
+    alpha == 1.  alpha^(L-1) - 1 goes through expm1 of (L - 1) log(alpha),
+    with log(alpha) = log1p(d) near alpha == 1, so the sum of positive
+    terms is stable on both sides of alpha == 1, keeps alpha's digits as
+    delta -> 1 (where d -> -1) and does not overflow for large alpha^L.
+    The boundaries short circuit to their limits: never harvesting pins the
+    battery at empty, harvesting every slot or never accessing keeps it
+    away from empty, and accessing every slot gives 1 - e_on.
     """
     if b.harvest_prob == 0.0:
         return 1.0
@@ -220,15 +222,16 @@ def outage_prob(b: BatteryModel) -> float:
     delta = b.access_prob
     d = b._alpha_minus_one()
     if d <= -1.0:
-        # delta == 1, or so near it that alpha rounds to 0 and log1p fails
+        # delta == 1, or so near it that alpha - 1 rounds to -1
         return 1.0 - b.harvest_prob
     if d == 0.0:
         return (1.0 - delta) / (b.levels - delta)
-    t = b.levels * math.log1p(d)
-    if t > 700.0:
+    alpha = b.alpha
+    lg = math.log1p(d) if abs(d) < 0.5 else math.log(alpha)
+    if b.levels * lg > 700.0:
         # alpha^L overflows a double; pi_0 has underflowed to zero.
         return 0.0
-    return (1.0 - delta) * d / (math.expm1(t) - delta * d) + 0.0
+    return (1.0 - delta) / ((1.0 - delta) + alpha * math.expm1((b.levels - 1) * lg) / d) + 0.0
 
 
 def battery_steady_state(b: BatteryModel) -> np.ndarray:

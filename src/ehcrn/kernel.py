@@ -2,26 +2,26 @@
 
 A block of slots is advanced with array scans, a few thousand slots at a
 time: the chain paths with a running XOR and a running maximum, the
-battery levels with one running sum and one running extreme, and a tally
-of what happened in each slot with one ``bincount``; :mod:`ehcrn.simulate`
-sorts the tally into loss causes.  One pass serves G points that differ
-only in their detector (the grid of a sweep variant): the chain paths are
-worked out once and shared, the verdicts once per point, and the battery
-levels and the tally of all G points in one array step each.
+battery levels with one running sum and a running extreme at each end it
+meets, and a tally of what happened in each slot with one ``bincount``;
+:mod:`ehcrn.simulate` sorts the tally into loss causes.  One pass serves G
+points that differ only in their detector (the grid of a sweep variant):
+the chain paths are worked out once and shared, the verdicts once per
+point, and the battery levels and the tally of all G points in one array
+step each.
 
 The battery level is a random walk of harvests and transmissions held in
-[0, top].  Where it touches only the floor, Lindley's recursion gives it
-as the walk plus its running deficit below empty (the lower form); where
-it touches only the cap, as the walk minus its running excess over top
-(the mirror form).  A row that meets one end and then the other switches
-forms at that contact; only the rows that go back and forth between the
-ends in one run of slots fall back to a blocked scan of clamp maps.  The
-kernel reads the chains, L and the detectors from the ``Scenario``s (the
-detectors' verdict constants once per run, as a :class:`Sensing`) and
-gives every point the same counts, bit for bit, as stepping its slots one
-at a time by the rules in
-:mod:`ehcrn.simulate`; the tests hold that per-slot loop, with constants
-of its own, as the reference.
+[0, top].  The kernel reflects the walk at the cap (the walk minus its
+running excess over top, the mirror form) and then at empty (plus that
+path's running deficit below empty, the lower form, Lindley's recursion).
+A row whose reflected path stays at or below top has its level; only the
+rows whose level overflows the cap after it has met empty do not, and
+fall back to a blocked scan of clamp maps.  The kernel reads the chains,
+L and the detectors from the ``Scenario``s (the detectors' verdict
+constants once per run, as a :class:`Sensing`) and gives every point the
+same counts, bit for bit, as stepping its slots one at a time by the
+rules in :mod:`ehcrn.simulate`; the tests hold that per-slot loop, with
+constants of its own, as the reference.
 """
 
 import math
@@ -81,20 +81,20 @@ def battery_levels(access, harvest, start, top):
     h = ``harvest[t]``: a transmission spends a unit if there is one and
     the harvest lands after it, capped at ``top``.
 
-    All forms start from one running sum, the walk P[t] = start +
-    sum_{s<t} (h[s] - a[s]), which is the level itself until the row's
-    first contact: a slot that spends a unit it lacks (P[s] < a[s]) or
-    passes the cap (P > top).  A row whose first contact is with empty
-    takes the lower form, the walk reflected at 0 by Lindley's recursion
-    (:func:`_lower_form`), exact until it first passes the cap; one whose
-    first contact is with the cap takes the mirror form, the walk
-    reflected at ``top`` (:func:`_mirror_form`), exact until it first
-    spends a unit it lacks.  Where a form fails there, the level is
-    ``top`` (or 0) and the row switches to the other form from that slot
-    on: the other reflection of the first form's path, exact if the row
-    never meets the first end again.  Only the rows that this one switch
-    does not serve, the ones that go back and forth between the ends, fall
-    back to :func:`_clamp_scan`.
+    Every row starts from one running sum, the walk P[t] = start +
+    sum_{s<t} (h[s] - a[s]).  A row whose walk passes the cap is reflected
+    at ``top`` (:func:`_mirror_form`, R = P - U with the running excess U),
+    and a row whose path then spends a unit it lacks is reflected at empty
+    by Lindley's recursion (:func:`_lower_form`, adding the running deficit
+    Lam): R = P - U + Lam, with U growing only where the mirrored path
+    P - U is at ``top`` and Lam only where R spends a unit it lacks.
+    Where U grows, R = top + Lam; so a row whose R stays at or below
+    ``top`` has Lam = 0 wherever U grows, each push grows only while R sits
+    at its own end, and R is the two-sided reflection of the walk on
+    [0, top], which is unique (Kruk, Lehoczky, Ramanan & Shreve 2007): the
+    levels.  The rows whose R passes ``top``, the ones whose per-slot path
+    overflows the cap after it has met empty, take the blocked scan of
+    clamp maps :func:`_clamp_scan` instead.
     """
     g, n = access.shape
     a = access.view(np.int8)
@@ -102,82 +102,44 @@ def battery_levels(access, harvest, start, top):
     levels[:, 0] = start
     np.subtract(harvest.view(np.int8), a, out=levels[:, 1:])
     np.cumsum(levels, axis=1, out=levels)
-    gap = levels[:, :-1] - a
-    empties = gap.min(axis=1) < 0
-    fills = levels.max(axis=1) > top
-    both = (empties & fills).nonzero()[0]
-    if len(both):
-        # the walk does both: the form of the end it meets first
-        floor_first = (gap[both] < 0).argmax(axis=1) < (levels[both, 1:] > top).argmax(axis=1)
-        empties[both] = floor_first
-        fills[both] = ~floor_first
-    fallback = []
-    for rows, lower in ((empties.nonzero()[0], True), (fills.nonzero()[0], False)):
-        if not len(rows):
-            continue
-        whole = len(rows) == g
-        y = levels if whole else levels[rows]
-        ar = a if whole else a[rows]
-        # contact[i] > 0 is where row i's form fails (its level index; the
-        # start level never fails), 0 where the form holds to the end
-        if lower:
-            bound = _lower_form(y, gap if whole else gap[rows])
-            contact = (y > top).argmax(axis=1)
-        else:
-            bound = _mirror_form(y, top)
-            contact = (y[:, :-1] < ar).argmax(axis=1)
-        switch = contact.nonzero()[0]
-        if len(switch):
-            # a form that meets its own end again after its contact with the
-            # other one needs more than one switch: the true level, which it
-            # bounds, meets that end there too
-            once = bound[switch, contact[switch] - 1] == bound[switch, -1]
-            fallback += rows[switch[~once]].tolist()
-            switch = switch[once]
-        if len(switch):
-            z = y[switch]
-            az = ar[switch]
-            if lower:
-                cut = _mirror_form(z, top)
-                # the mirror form must hold where it cuts (from the cap
-                # contact on); before that the lower form's contacts stand
-                ok = ((z[:, 1:-1] >= az[:, 1:]) | (cut[:, :-1] == 0)).all(axis=1)
-            else:
-                _lower_form(z, z[:, :-1] - az)
-                ok = z.max(axis=1) <= top
-            y[switch[ok]] = z[ok]
-            fallback += rows[switch[~ok]].tolist()
-        if not whole:
-            levels[rows] = y
-    for row in fallback:
+    _reflect(levels, levels.max(axis=1) > top, _mirror_form, top)
+    lift = levels[:, :-1] - a
+    _reflect(levels, lift.min(axis=1) < 0, _lower_form, lift)
+    for row in (levels.max(axis=1) > top).nonzero()[0]:
         levels[row] = _clamp_scan(access[row], harvest, int(start[row]), top)
     return levels
+
+
+def _reflect(levels, rows, form, arg):
+    """Apply ``form(y, arg)`` in place to the rows of ``levels`` that the
+    bool ``rows`` picks; an array ``arg`` is picked with them."""
+    picked = np.count_nonzero(rows)
+    if picked == len(rows):
+        form(levels, arg)
+    elif picked:
+        y = levels[rows]
+        form(y, arg[rows] if isinstance(arg, np.ndarray) else arg)
+        levels[rows] = y
 
 
 def _lower_form(y, lift):
     """Reflect the paths ``y`` (rows of levels) at empty, in place, by
     Lindley's recursion: y[t + 1] -= min(0, min_{s<=t} (y[s] - a[s])).
 
-    ``lift`` holds y[:, :-1] - a on entry and that running minimum, which
-    only falls where a row spends a unit it lacks, on return.
+    ``lift`` holds y[:, :-1] - a on entry and is overwritten.
     """
     np.minimum(lift[:, 0], 0, out=lift[:, 0])  # the 0 folded into the first term
     np.minimum.accumulate(lift, axis=1, out=lift)
     y[:, 1:] -= lift
-    return lift
 
 
 def _mirror_form(y, top):
     """Reflect the paths ``y`` (rows of levels, y[:, 0] <= top) at ``top``,
-    in place: y[t] -= max(0, max_{s<=t} y[s] - top) for t >= 1.
-
-    Returns that running excess, which only rises where a row passes the cap.
-    """
+    in place: y[t] -= max(0, max_{s<=t} y[s] - top) for t >= 1."""
     cut = y[:, 1:] - top
     np.maximum(cut[:, 0], 0, out=cut[:, 0])
     np.maximum.accumulate(cut, axis=1, out=cut)
     y[:, 1:] -= cut
-    return cut
 
 
 def _clamp_scan(access, harvest, level, top):

@@ -3,6 +3,7 @@
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -266,6 +267,21 @@ class TestOutage:
     def test_agrees_with_linear_solver(self, battery):
         numeric = steady_state_numeric(battery_transition_matrix(battery))
         assert abs(outage_prob(battery) - numeric[0]) <= 1e-10
+
+    @pytest.mark.parametrize("gap", [1e-1, 1e-3, 1e-6, 1e-9, 1e-12, 1e-13, 1e-15])
+    def test_exact_rationals_as_delta_tends_to_one(self, gap):
+        # pi_0 = (1 - delta) / ((1 - delta) + sum_{l=1}^{L-1} alpha^l) of the
+        # float inputs in exact rational arithmetic; alpha - 1 -> -1 here
+        # and must not cost alpha its digits
+        def exact(levels, delta, e_on):
+            delta, e_on = Fraction(delta), Fraction(e_on)
+            alpha = (1 - delta) * e_on / (delta * (1 - e_on))
+            return (1 - delta) / ((1 - delta) + sum(alpha**l for l in range(1, levels)))
+
+        for levels in (2, 5, 100):
+            for e_on in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+                pi0 = outage_prob(BatteryModel(levels, 1.0 - gap, e_on))
+                assert abs(pi0 - float(exact(levels, 1.0 - gap, e_on))) <= 8 * 2.0**-53
 
     def test_extreme_ratio_large_battery(self):
         # drift strongly up: outage underflows to zero, no overflow

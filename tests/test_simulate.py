@@ -535,8 +535,9 @@ DETECTOR_STACKS = {
                                                        det=detector(n=400)),
                                               {"threshold": 0.2}, {"threshold": 2.0},
                                               {"threshold": 1.0}), {}),
-    # thresholds about the balance point at L = 8: rows that switch forms
-    # once (either way round) next to rows that need the fallback
+    # thresholds about the balance point at L = 8: rows that meet the cap
+    # and then empty next to rows that overflow after meeting empty (the
+    # fallback)
     "one-switch-rows": (with_detectors(scenario(p_on=0.5, p_off=0.5, levels=8, det=detector(n=400)),
                                        {"threshold": 0.99}, {"threshold": 1.0},
                                        {"threshold": 1.01}, {"threshold": 1.02}), {}),
@@ -558,14 +559,20 @@ def clamp_loop(access, harvest, level, top):
 
 
 BRANCHES = {(): "walk", ("floor",): "lower", ("cap",): "mirror",
-            ("floor", "cap"): "lower-mirror", ("cap", "floor"): "mirror-lower"}
+            ("floor", "cap"): "fallback", ("cap", "floor"): "mirror-lower"}
 
 
 def battery_branch(access, harvest, level, top):
     """How :func:`ehcrn.kernel.battery_levels` must serve a row: the walk,
-    one form, one switch from the form of its first end to the other, or
-    (for a row that meets an end again after the switch) the fallback."""
+    one form, the mirror form reflected at empty, or (for a row that
+    overflows the cap after it has met empty) the fallback."""
     return BRANCHES.get(tuple(clamp_loop(access, harvest, level, top)[1]), "fallback")
+
+
+def overflows_after_empty(access, harvest, level, top):
+    """Whether a row's per-slot path meets the cap after it has met empty."""
+    ends = clamp_loop(access, harvest, level, top)[1]
+    return "floor" in ends and "cap" in ends[ends.index("floor"):]
 
 
 @st.composite
@@ -581,13 +588,14 @@ def battery_inputs(draw):
 
 # Rows of one call, on one harvest row, that take each way of the scan: the
 # walk, the lower form, the mirror form (reaching y[t] == a[t]: it spends its
-# last unit), a switch from each form to the other and the fallback.
+# last unit), floor then cap (the fallback), cap then floor (the mirror form
+# reflected at empty) and floor, cap, floor (the fallback again).
 MIXED_HARVEST = np.array([0, 1, 1, 1, 0, 0, 0, 0], bool)
 MIXED_ROWS = (np.array([[0, 0, 0, 1, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1, 1, 1],
                         [0, 0, 0, 0, 1, 1, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0],
                         [0, 0, 0, 0, 1, 1, 1, 0], [1, 0, 0, 0, 1, 1, 1, 1]], bool),
               MIXED_HARVEST, np.array([0, 0, 2, 0, 2, 0]), 2)
-MIXED_BRANCHES = ["walk", "lower", "mirror", "lower-mirror", "mirror-lower", "fallback"]
+MIXED_BRANCHES = ["walk", "lower", "mirror", "fallback", "mirror-lower", "fallback"]
 
 
 class TestBatteryLevels:
@@ -597,14 +605,14 @@ class TestBatteryLevels:
     @example((np.array([[True], [False]]), np.array([True]), np.array([0, 1]), 1))
     @example((np.array([[False], [True]]), np.array([False]), np.array([1, 0]), 1))
     @example(MIXED_ROWS)
-    # floor then cap, every row of the call (the switch on the whole batch)
+    # floor then cap, every row of the call (all of them fall back)
     @example((np.array([[1, 0, 0, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0, 1]], bool),
               MIXED_HARVEST, np.array([0, 0]), 2))
     # cap then floor, one row, and the same at a cap of 1
     @example((np.array([[0, 0, 0, 0, 1, 1, 1, 0]], bool), MIXED_HARVEST, np.array([2]), 2))
     @example((np.array([[0, 1, 0, 1, 1, 0]], bool), np.array([1, 0, 0, 0, 0, 0], bool),
               np.array([1]), 1))
-    # floor, cap, floor and cap, floor, cap, floor: alternations the switch cannot serve
+    # floor, cap, floor and cap, floor, cap, floor: alternations that fall back
     @example((np.array([[1, 0, 0, 0, 1, 1, 1, 1]], bool), MIXED_HARVEST, np.array([0]), 2))
     @example((np.array([[0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1]], bool),
               np.array([1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0], bool), np.array([2]), 2))
@@ -615,7 +623,7 @@ class TestBatteryLevels:
         for row, a, s in zip(levels, access, start):
             assert row.tolist() == clamp_loop(a.tolist(), harvest.tolist(), int(s), top)[0]
 
-    def test_only_rows_that_switch_more_than_once_fall_back(self, monkeypatch):
+    def test_only_rows_that_overflow_after_empty_fall_back(self, monkeypatch):
         access, harvest, start, top = MIXED_ROWS
         branches = [battery_branch(a, harvest, s, top) for a, s in zip(access, start)]
         assert branches == MIXED_BRANCHES
@@ -624,7 +632,23 @@ class TestBatteryLevels:
         monkeypatch.setattr(kernel, "_clamp_scan",
                             lambda a, *rest: scanned.append(a.tolist()) or clamp_scan(a, *rest))
         kernel.battery_levels(access, harvest, start, top)
-        assert scanned == [access[5].tolist()]
+        assert scanned == [access[3].tolist(), access[5].tolist()]
+
+    @given(battery_inputs())
+    def test_clamp_scan_serves_the_rows_that_overflow_after_empty(self, inputs):
+        access, harvest, start, top = inputs
+        scanned = []
+        clamp_scan = kernel._clamp_scan
+
+        def spy(a, h, level, top):
+            scanned.append((a.tolist(), level))
+            return clamp_scan(a, h, level, top)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "_clamp_scan", spy)
+            kernel.battery_levels(access, harvest, start, top)
+        assert scanned == [(a.tolist(), int(s)) for a, s in zip(access, start)
+                           if overflows_after_empty(a.tolist(), harvest.tolist(), int(s), top)]
 
 
 class TestKernelMatchesLoopOracle:
@@ -690,13 +714,13 @@ class TestKernelMatchesLoopOracle:
         ("lower-form-only", {"lower"}),
         ("mirror-form-only", {"mirror"}),
         ("mixed-battery-branches", {"lower", "mirror", "fallback"}),
-        ("one-switch-rows", {"lower", "mirror", "lower-mirror", "mirror-lower", "fallback"}),
+        ("one-switch-rows", {"lower", "mirror", "mirror-lower", "fallback"}),
     ])
     def test_battery_branches_taken(self, case, taken, monkeypatch):
         # a spy sorts every row the kernel scans by the ends its per-slot
-        # path meets, in order; only the rows that need more than one switch
-        # of form are scanned by the fallback, and each case takes the ways
-        # it is built for
+        # path meets, in order; only the rows that overflow the cap after
+        # meeting empty are scanned by the fallback, and each case takes the
+        # ways it is built for
         monkeypatch.setattr(kernel, "SUB_BLOCK", 300)
         calls, scanned = [], []
         battery_levels, clamp_scan = kernel.battery_levels, kernel._clamp_scan
