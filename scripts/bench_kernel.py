@@ -29,7 +29,10 @@ verdicts, battery levels and tally are each point's own.
 both sides of a change to the battery scan, so the ratio, taken within one
 block, reads that change against the load of the machine at the time,
 which on a shared VM moves the ms of untouched layers by more than 10 %
-between runs.
+between runs.  ``chains_per_draws`` is, in the same way, each block's
+``spectrum_chain`` + ``energy_chain`` time over its ``draws`` time, which
+reads a change to the chain scan against the RNG calls, fixed by the
+draw order.
 
 The layers are timed with the thread's CPU time, by wrapping those
 functions where the simulator looks them up; the package is not changed.
@@ -157,6 +160,8 @@ def measure(scenario, base_sim, mode, channels, grid, overrides):
         out[layer] = _quartiles([1e3 * r[layer] for r in runs], 3)
     out["battery_per_chains"] = _quartiles(
         [r["battery_levels"] / (r["spectrum_chain"] + r["energy_chain"]) for r in runs], 4)
+    out["chains_per_draws"] = _quartiles(
+        [(r["spectrum_chain"] + r["energy_chain"]) / r["draws"] for r in runs], 4)
     out["ms_per_point"] = round(out["total"]["median"] / len(scenarios), 3)
     out["mslot_per_s"] = round(BLOCK / 1e3 / out["total"]["median"], 2)
     return out
@@ -187,6 +192,7 @@ def main() -> int:
         print(f"{args.label:>10} {name:>14} " + " ".join(
             f"{layer}={row[layer]['median']:.2f}" for layer in LAYERS
         ) + f" ms  battery/chains={row['battery_per_chains']['median']:.3f}"
+            f"  chains/draws={row['chains_per_draws']['median']:.3f}"
             f"  {row['ms_per_point']:.2f} ms/point  {row['mslot_per_s']:.2f} Mslot/s", flush=True)
 
     path = Path(args.out)

@@ -251,7 +251,7 @@ def battery_steady_state(b: BatteryModel) -> np.ndarray:
         vec = np.zeros(levels)
         vec[:2] = 1.0 - e_on, e_on
         return vec
-    log_alpha = math.log1p(d)
+    log_alpha = math.log1p(d) if abs(d) < 0.5 else math.log(b.alpha)  # as in outage_prob
     logw = np.arange(levels) * log_alpha - math.log(1.0 - delta)
     logw[0] = 0.0
     w = np.exp(logw - logw.max())

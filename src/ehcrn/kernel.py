@@ -1,7 +1,7 @@
 """Array kernel of the slot simulator.
 
 A block of slots is advanced with array scans, a few thousand slots at a
-time: the chain paths with a running XOR and a running maximum, the
+time: the chain paths with a doubling scan of their step maps, the
 battery levels with one running sum and a running extreme at each end it
 meets, and a tally of what happened in each slot with one ``bincount``;
 :mod:`ehcrn.simulate` sorts the tally into loss causes.  One pass serves G
@@ -41,34 +41,32 @@ def chain_path(u, stay_a, stay_b, start):
 
     Axis 0 of ``u`` is time; ``start`` holds the states before the first
     step (0/1 or bool, broadcast against a step of ``u``).  A step keeps
-    state 0 if u < stay_a and state 1 if u < stay_b, so each step is one of
-    four maps of {0, 1}: identity, swap, constant 0 or constant 1.  The
-    state after a step is the value of the last constant map XOR the parity
-    of the swaps since (``start`` XOR the parity when no constant map came
-    yet): a running XOR gives the parity and a running maximum over keys
-    the last constant map.
-
-    The constant step at t (from 0) gets the key 2t + 2 + (its value XOR
-    the parity at t), every other step the key 0, so a running maximum
-    holds the latest constant step's key, whose low bit XOR the parity is
-    the state.  The start state (0 or 1) is folded into the first key with
-    one maximum: it stays the running maximum until the first constant
-    step, whose key of at least 2 beats it.  Keys reach 2n + 1 for n steps,
-    so they are int16 where that fits (every sub-block of :func:`advance`),
-    otherwise int32.  Returns a bool array shaped like ``u``.
+    state 0 if u < stay_a and state 1 if u < stay_b: it is the map
+    x -> (x & a) ^ b, with b = (u >= stay_a) the image of 0 and
+    a = b ^ (u < stay_b) true where the step keeps x (identity or swap),
+    false where it is constant.  Such maps compose into maps of the same
+    form, so a doubling scan gives every prefix: the round of shift s
+    composes row t with row t - s, leaving in row t the map of the 2s
+    steps ending at t (of all of them for t < 2s).  The scan stops once
+    every row t >= s holds a constant map: such a window holds a constant
+    step, which wipes out the steps before it, so its map is the prefix
+    map, and the rows t < s hold full prefixes; the state is then
+    (start & a) ^ b.  With no constant step (stay_a == stay_b, say) the
+    scan would never stop early, and the state is the running parity of
+    the swaps XOR ``start``.  Returns a bool array shaped like ``u``.
     """
-    n = len(u)
-    image_0 = u >= stay_a
-    image_1 = u < stay_b
-    parity = np.bitwise_xor.accumulate(image_0 > image_1, axis=0)
-    dtype = np.int16 if 2 * n + 1 <= np.iinfo(np.int16).max else np.int32
-    t = np.arange(2, 2 * n + 2, 2, dtype=dtype).reshape((-1,) + (1,) * (u.ndim - 1))
-    key = t + (image_0 ^ parity)
-    key *= image_0 == image_1
-    np.maximum(key[:1], np.asarray(start, dtype), out=key[:1])
-    np.maximum.accumulate(key, axis=0, out=key)
-    key &= 1
-    return key != parity
+    b = u >= stay_a
+    a = b ^ (u < stay_b)
+    start = np.asarray(start, bool)
+    if a.all():
+        return np.bitwise_xor.accumulate(b, axis=0) ^ start
+    s = 1
+    while s < len(u) and (rest := a[s:]).flat[rest.argmax()]:  # any(), stopping at a True
+        b[s:] ^= b[:-s] & rest
+        rest &= a[:-s].copy()  # cheaper than numpy's own copy for the overlap
+        s *= 2
+    b ^= a & start
+    return b
 
 
 def battery_levels(access, harvest, start, top):
@@ -156,13 +154,14 @@ def _clamp_scan(access, harvest, level, top):
     n = len(access)
     width = math.isqrt(n) // 4 + 1
     chunks = -(-n // width)
-    floor = np.zeros(chunks * width, np.int32)  # padding slots are the identity map
-    floor[:n] = harvest
-    shift = floor.copy()
-    shift[:n] -= access
-    # Row j holds slot j of every chunk, twice: once for lo, once for hi.
-    floor = np.tile(floor.reshape(chunks, width).T, 2)
-    shift = np.tile(shift.reshape(chunks, width).T, 2)
+    slots = np.zeros((2, chunks * width), np.int32)  # floor, shift; padding is the identity map
+    slots[:, :n] = harvest
+    slots[1, :n] -= access
+    # Row j of floor and shift holds slot j of every chunk, twice: for lo, then for hi.
+    maps = np.empty((2, width, 2, chunks), np.int32)
+    maps[:, :, 0] = slots.reshape(2, chunks, width).transpose(0, 2, 1)
+    maps[:, :, 1] = maps[:, :, 0]
+    floor, shift = maps.reshape(2, width, -1)
     # bounds[j] = (lo, hi) of the map composed over the first j slots of every chunk
     bounds = np.empty((width + 1, 2 * chunks), np.int32)
     bounds[0, :chunks] = 0

@@ -302,6 +302,24 @@ class TestBatterySteadyState:
         assert (battery_steady_state(BatteryModel(4, 0.5, 0.0)) == [1, 0, 0, 0]).all()
         assert (battery_steady_state(BatteryModel(4, 0.5, 1.0)) == [0, 0, 0, 1]).all()
 
+    @pytest.mark.parametrize("gap", [1e-1, 1e-3, 1e-6, 1e-9, 1e-12, 1e-13, 1e-15])
+    def test_exact_rationals_as_delta_tends_to_one(self, gap):
+        # pi_l = alpha^l pi_0 / (1 - delta) for l >= 1, normalised, of the
+        # float inputs in exact rational arithmetic; as in
+        # TestOutage.test_exact_rationals_as_delta_tends_to_one, alpha - 1
+        # -> -1 here and must not cost alpha its digits
+        def exact(levels, delta, e_on):
+            delta, e_on = Fraction(delta), Fraction(e_on)
+            alpha = (1 - delta) * e_on / (delta * (1 - e_on))
+            weights = [Fraction(1)] + [alpha**l / (1 - delta) for l in range(1, levels)]
+            total = sum(weights)
+            return [float(w / total) for w in weights]
+
+        for levels in (2, 5, 100):
+            for e_on in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+                vec = battery_steady_state(BatteryModel(levels, 1.0 - gap, e_on))
+                assert np.max(np.abs(vec - exact(levels, 1.0 - gap, e_on))) <= 16 * 2.0**-53
+
     @given(batteries)
     def test_agrees_with_linear_solver(self, battery):
         numeric = steady_state_numeric(battery_transition_matrix(battery))

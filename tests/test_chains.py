@@ -116,21 +116,22 @@ def step_path(u, stay_a, stay_b, start):
 
 
 # (stay_a, stay_b): mixed chains with either constant map (identity, swap
-# and constant 0 or 1 steps), then all identity, all swap, all constant 1
-# and all constant 0.
-STAYS = [(0.7, 0.4), (0.3, 0.6), (1.0, 1.0), (0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
+# and constant 0 or 1 steps), then all identity, all swap, all constant 1,
+# all constant 0 and a memoryless chain of identity and swap steps (no
+# constant step, the running parity).
+STAYS = [(0.7, 0.4), (0.3, 0.6), (1.0, 1.0), (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.5, 0.5)]
 
 
 @pytest.mark.parametrize("stays", STAYS, ids=["mixed-const0", "mixed-const1", "identity", "swap",
-                                          "const1", "const0"])
+                                          "const1", "const0", "memoryless"])
 @pytest.mark.parametrize("n", [1, 2, 16383, 16384])
 def test_chain_path_matches_step_reference(n, stays):
-    # 16383 steps are the longest path with int16 keys (they reach 2n + 1),
-    # 16384 the shortest with int32 ones.
+    # 16383 and 16384 steps are one short of and at 2^14, the longest path
+    # whose every row the scan's shifts 1, 2, ..., 8192 make a full prefix.
     gen = RandomStream(31, n).generator
     u = gen.random((n, 4))
-    # End on constant, swap, constant: the last key is the largest, and a
-    # wrapped one would leave the earlier constant step's (other) low bit.
+    # End on constant, swap, constant: the last state must come from the
+    # last constant step, not from the earlier one through the swap.
     u[-3:] = [[0.5], [0.9], [0.5]][-n:]
     paths = [step_path(u, *stays, start) for start in (0, 1)]
     earlier = chain_path(gen.random((5, 4)), 0.5, 0.5, np.array([1, 0, 1, 0]))
@@ -145,6 +146,63 @@ def test_chain_path_matches_step_reference(n, stays):
     for start in (0, 1, np.bool_(True), earlier[-1, 0]):
         expect = paths[1][:, 0] if start else paths[0][:, 0]
         assert (chain_path(u[:, 0], *stays, start) == expect).all(), start
+
+
+# Stays (0.7, 0.4) make u = 0.5 a constant step (to 0), u = 0.1 the
+# identity and u = 0.9 a swap.
+CONST, KEEP, SWAP = 0.5, 0.1, 0.9
+
+
+def crafted(n, lo, hi, seed):
+    """n steps, identity or swap at lo <= t < hi and constant elsewhere."""
+    u = np.full(n, CONST)
+    u[lo:hi] = np.where(np.random.default_rng(seed).random(hi - lo) < 0.5, KEEP, SWAP)
+    return u
+
+
+@pytest.mark.parametrize("n, lo, hi", [
+    (4096, 4096 - 37, 4096),  # the only window without a constant step at the end
+    (4096, 0, 37),            # ... at the start, where the rows are full prefixes
+    (4096, 1020, 1030),       # ... straddling 1024
+    (777, 300, 555),          # n not a power of two
+    (3000, 2047, 2049),       # ... straddling 2048 in a longer path
+    (1000, 0, 999),           # one constant step, the last
+    (1000, 1, 1000),          # one constant step, the first
+])
+def test_chain_path_exits_where_every_window_holds_a_constant_step(n, lo, hi):
+    u = crafted(n, lo, hi, n + lo)
+    for start in (0, 1):
+        assert (chain_path(u, 0.7, 0.4, start) == step_path(u, 0.7, 0.4, start)).all()
+    # one column per window, each with its own start
+    cols = np.stack([crafted(n, lo, hi, 1), crafted(n, 0, hi - lo, 2),
+                     crafted(n, n - (hi - lo), n, 3), np.full(n, CONST)], axis=1)
+    start = np.array([1, 0, 1, 1], bool)
+    assert (chain_path(cols, 0.7, 0.4, start) == step_path(cols, 0.7, 0.4, start)).all()
+
+
+@pytest.mark.parametrize("n, late", [(1000, 990), (1024, 1000), (3001, 2050)])
+def test_chain_path_with_one_late_constant_step(n, late):
+    # the rows before the constant step need every round, up to a shift past them
+    u = crafted(n, 0, n, late)
+    u[late] = CONST
+    for start in (0, 1):
+        assert (chain_path(u, 0.7, 0.4, start) == step_path(u, 0.7, 0.4, start)).all()
+    cols = np.stack([u, u[::-1], crafted(n, 0, n, 4)], axis=1)
+    start = np.array([0, 1, 1], bool)
+    assert (chain_path(cols, 0.7, 0.4, start) == step_path(cols, 0.7, 0.4, start)).all()
+
+
+stays_with_ends = st.sampled_from([0.0, 1.0]) | probs
+
+
+@given(st.integers(1, 3000), st.integers(1, 12), stays_with_ends, stays_with_ends,
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_chain_path_matches_step_reference_anywhere(n, k, stay_a, stay_b, seed, flat):
+    rng = np.random.default_rng(seed)
+    u = rng.random(n if flat else (n, k))
+    start = rng.random() < 0.5 if flat else rng.random(k) < 0.5
+    expect = step_path(u, stay_a, stay_b, start)
+    assert (chain_path(u, stay_a, stay_b, start) == expect).all()
 
 
 def test_stream_reproducible():
