@@ -16,15 +16,15 @@ running excess over top, the mirror form) and then at empty (plus that
 path's running deficit below empty, the lower form, Lindley's recursion).
 A row whose reflected path stays at or below top has its level; only the
 rows whose level overflows the cap after it has met empty do not, and
-fall back to a blocked scan of clamp maps.  The kernel reads the chains,
-L and the detectors from the ``Scenario``s (the detectors' verdict
-constants once per run, as a :class:`Sensing`) and gives every point the
-same counts, bit for bit, as stepping its slots one at a time by the
-rules in :mod:`ehcrn.simulate`; the tests hold that per-slot loop, with
-constants of its own, as the reference.
+they take one batched doubling scan of the slots' clamp maps, as the
+chain paths do of their step maps.  The kernel reads the chains, L and
+the detectors from the ``Scenario``s (the detectors' verdict constants
+once per run, as a :class:`Sensing`) and gives every point the same
+counts, bit for bit, as stepping its slots one at a time by the rules in
+:mod:`ehcrn.simulate`; the tests hold that per-slot loop, with constants
+of its own, as the reference.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -91,8 +91,8 @@ def battery_levels(access, harvest, start, top):
     at its own end, and R is the two-sided reflection of the walk on
     [0, top], which is unique (Kruk, Lehoczky, Ramanan & Shreve 2007): the
     levels.  The rows whose R passes ``top``, the ones whose per-slot path
-    overflows the cap after it has met empty, take the blocked scan of
-    clamp maps :func:`_clamp_scan` instead.
+    overflows the cap after it has met empty, take one doubling scan of
+    clamp maps, all of them at once, instead (:func:`_clamp_map_scan`).
     """
     g, n = access.shape
     a = access.view(np.int8)
@@ -103,20 +103,19 @@ def battery_levels(access, harvest, start, top):
     _reflect(levels, levels.max(axis=1) > top, _mirror_form, top)
     lift = levels[:, :-1] - a
     _reflect(levels, lift.min(axis=1) < 0, _lower_form, lift)
-    for row in (levels.max(axis=1) > top).nonzero()[0]:
-        levels[row] = _clamp_scan(access[row], harvest, int(start[row]), top)
+    _reflect(levels, levels.max(axis=1) > top, _clamp_map_scan, a, harvest, top)
     return levels
 
 
-def _reflect(levels, rows, form, arg):
-    """Apply ``form(y, arg)`` in place to the rows of ``levels`` that the
-    bool ``rows`` picks; an array ``arg`` is picked with them."""
+def _reflect(levels, rows, form, arg, *rest):
+    """Apply ``form(y, arg, *rest)`` in place to the rows of ``levels`` that
+    the bool ``rows`` picks; an array ``arg`` is picked with them."""
     picked = np.count_nonzero(rows)
     if picked == len(rows):
-        form(levels, arg)
+        form(levels, arg, *rest)
     elif picked:
         y = levels[rows]
-        form(y, arg[rows] if isinstance(arg, np.ndarray) else arg)
+        form(y, arg[rows] if isinstance(arg, np.ndarray) else arg, *rest)
         levels[rows] = y
 
 
@@ -140,50 +139,38 @@ def _mirror_form(y, top):
     y[:, 1:] -= cut
 
 
-def _clamp_scan(access, harvest, level, top):
-    """The levels of one point (n + 1 values) by a blocked scan of clamp maps.
+def _clamp_map_scan(y, a, harvest, top):
+    """Fill the rows ``y`` (y[:, 0] the start levels, ``a`` their int8
+    transmit attempts) with their levels by a doubling scan of clamp maps.
 
-    Maps of the form clamp(x + d, lo, hi) compose into maps of the same
-    form (the discrete two-sided Skorokhod map on [0, top]), so a blocked
-    scan gives every level: the slots are cut into chunks of about
-    sqrt(n) / 4 slots, the maps from each chunk start are composed for all
-    chunks at once (one vector step per slot of a chunk), the chunk starts
-    then follow one after another (one cheaper scalar step per chunk), and
-    each slot's level is its prefix map applied to its chunk start.
+    Slot t maps x to clamp(x + d, lo, hi) with d = h - a, lo = h and
+    hi = top, and such maps compose into maps of the same form (the
+    discrete two-sided Skorokhod map): (d1, lo1, hi1) and then
+    (d2, lo2, hi2) is (d1 + d2, clamp(lo1 + d2, lo2, hi2),
+    clamp(hi1 + d2, lo2, hi2)).  As in :func:`chain_path`, the round of
+    shift s composes row t with row t - s, and the scan stops once every
+    row t >= s holds a constant map (lo == hi), which is then the prefix
+    map; the levels are clamp(start + d, lo, hi).
     """
-    n = len(access)
-    width = math.isqrt(n) // 4 + 1
-    chunks = -(-n // width)
-    slots = np.zeros((2, chunks * width), np.int32)  # floor, shift; padding is the identity map
-    slots[:, :n] = harvest
-    slots[1, :n] -= access
-    # Row j of floor and shift holds slot j of every chunk, twice: for lo, then for hi.
-    maps = np.empty((2, width, 2, chunks), np.int32)
-    maps[:, :, 0] = slots.reshape(2, chunks, width).transpose(0, 2, 1)
-    maps[:, :, 1] = maps[:, :, 0]
-    floor, shift = maps.reshape(2, width, -1)
-    # bounds[j] = (lo, hi) of the map composed over the first j slots of every chunk
-    bounds = np.empty((width + 1, 2 * chunks), np.int32)
-    bounds[0, :chunks] = 0
-    bounds[0, chunks:] = top
-    for j in range(width):
-        row = bounds[j + 1]
-        np.add(bounds[j], shift[j], out=row)
-        np.maximum(row, floor[j], out=row)
-        np.minimum(row, top, out=row)
-    lo, hi = bounds[:, :chunks], bounds[:, chunks:]
-    offset = np.zeros((width + 1, chunks), np.int32)
-    np.cumsum(shift[:, :chunks], axis=0, out=offset[1:])
-    starts = []
-    for d, low, high in zip(offset[-1].tolist(), lo[-1].tolist(), hi[-1].tolist()):
-        starts.append(level)
-        level += d
-        level = low if level < low else high if level > high else level
-    within = np.clip(offset[:-1] + np.array(starts, np.int32), lo[:-1], hi[:-1])
-    levels = np.empty(chunks * width + 1, np.int32)
-    levels[:-1].reshape(chunks, width)[...] = within.T
-    levels[n] = level
-    return levels[: n + 1]
+    lo = np.empty(a.shape, y.dtype)  # C order (astype of a broadcast is F order, slower)
+    lo[...] = harvest
+    d = lo - a
+    hi = np.full_like(lo, top)
+    s = 1
+    while s < len(harvest) and (wide := lo[:, s:] != hi[:, s:]).flat[wide.argmax()]:
+        late_lo, late_hi, late_d = lo[:, s:], hi[:, s:], d[:, s:]
+        lo_in = lo[:, :-s] + late_d
+        np.maximum(lo_in, late_lo, out=lo_in)
+        np.minimum(hi[:, :-s] + late_d, late_hi, out=late_hi)
+        np.maximum(late_hi, late_lo, out=late_hi)
+        # max(lo1 + d2, lo2) <= max(hi1 + d2, lo2), so capping it at the new
+        # hi caps it at hi2
+        np.minimum(lo_in, late_hi, out=late_lo)
+        late_d += d[:, :-s].copy()  # cheaper than numpy's own copy for the overlap
+        s *= 2
+    np.add(y[:, :1], d, out=y[:, 1:])
+    np.maximum(y[:, 1:], lo, out=y[:, 1:])
+    np.minimum(y[:, 1:], hi, out=y[:, 1:])
 
 
 class Sensing(NamedTuple):

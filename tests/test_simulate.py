@@ -578,7 +578,7 @@ def overflows_after_empty(access, harvest, level, top):
 @st.composite
 def battery_inputs(draw):
     top = draw(st.integers(1, 6) | st.sampled_from([29, 1 << 15]))
-    n = draw(st.integers(1, 48))
+    n = draw(st.integers(1, 300))
     g = draw(st.integers(1, 4))
     row = st.lists(st.booleans(), min_size=n, max_size=n)
     access = draw(st.lists(row, min_size=g, max_size=g))
@@ -596,6 +596,20 @@ MIXED_ROWS = (np.array([[0, 0, 0, 1, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1, 1, 1],
                         [0, 0, 0, 0, 1, 1, 1, 0], [1, 0, 0, 0, 1, 1, 1, 1]], bool),
               MIXED_HARVEST, np.array([0, 0, 2, 0, 2, 0]), 2)
 MIXED_BRANCHES = ["walk", "lower", "mirror", "fallback", "mirror-lower", "fallback"]
+
+
+def spy_on_clamp_map_scan(patch):
+    """Record each call of the kernel's batched fallback scan as the list of
+    the rows it serves, (access row, start level) each, in row order."""
+    calls = []
+    scan = kernel._clamp_map_scan
+
+    def spy(y, a, harvest, top):
+        calls.append([(row.astype(bool).tolist(), int(first)) for row, first in zip(a, y[:, 0])])
+        return scan(y, a, harvest, top)
+
+    patch.setattr(kernel, "_clamp_map_scan", spy)
+    return calls
 
 
 class TestBatteryLevels:
@@ -623,32 +637,49 @@ class TestBatteryLevels:
         for row, a, s in zip(levels, access, start):
             assert row.tolist() == clamp_loop(a.tolist(), harvest.tolist(), int(s), top)[0]
 
+    @given(battery_inputs())
+    # a row that meets neither end: no window map is constant, so the scan
+    # runs all its rounds, s = 1 ... 256
+    @example((np.ones((1, 300), bool), np.ones(300, bool), np.array([15]), 29))
+    # one slot: no round at all
+    @example((np.array([[True], [False]]), np.array([False]), np.array([0, 1]), 1))
+    # a cap of 2^15, where the levels are int32
+    @example((np.array([[1, 1, 0, 1, 0], [0, 0, 0, 1, 1]], bool),
+              np.array([1, 0, 1, 1, 0], bool), np.array([1 << 15, 0]), 1 << 15))
+    @example(MIXED_ROWS)
+    def test_clamp_map_scan_equals_the_clamp_loop(self, inputs):
+        # the fallback scan alone, on every row and not only the rows that
+        # need it, in the dtype that battery_levels picks for them
+        access, harvest, start, top = inputs
+        levels = np.empty_like(kernel.battery_levels(access, harvest, start, top))
+        levels[:, 0] = start
+        kernel._clamp_map_scan(levels, access.view(np.int8), harvest, top)
+        for row, a, s in zip(levels, access, start):
+            assert row.tolist() == clamp_loop(a.tolist(), harvest.tolist(), int(s), top)[0]
+
     def test_only_rows_that_overflow_after_empty_fall_back(self, monkeypatch):
         access, harvest, start, top = MIXED_ROWS
         branches = [battery_branch(a, harvest, s, top) for a, s in zip(access, start)]
         assert branches == MIXED_BRANCHES
-        scanned = []
-        clamp_scan = kernel._clamp_scan
-        monkeypatch.setattr(kernel, "_clamp_scan",
-                            lambda a, *rest: scanned.append(a.tolist()) or clamp_scan(a, *rest))
+        scanned = spy_on_clamp_map_scan(monkeypatch)
         kernel.battery_levels(access, harvest, start, top)
-        assert scanned == [access[3].tolist(), access[5].tolist()]
+        # one call, for rows 3 and 5 only, with their start levels
+        assert scanned == [[(access[3].tolist(), 0), (access[5].tolist(), 0)]]
+        served = [0, 1, 2, 4]
+        kernel.battery_levels(access[served], harvest, start[served], top)
+        assert len(scanned) == 1  # no call when no row falls back
 
     @given(battery_inputs())
     def test_clamp_scan_serves_the_rows_that_overflow_after_empty(self, inputs):
+        # one call with exactly those rows, in row order with their start
+        # levels, or no call when there are none
         access, harvest, start, top = inputs
-        scanned = []
-        clamp_scan = kernel._clamp_scan
-
-        def spy(a, h, level, top):
-            scanned.append((a.tolist(), level))
-            return clamp_scan(a, h, level, top)
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kernel, "_clamp_scan", spy)
+            scanned = spy_on_clamp_map_scan(patch)
             kernel.battery_levels(access, harvest, start, top)
-        assert scanned == [(a.tolist(), int(s)) for a, s in zip(access, start)
-                           if overflows_after_empty(a.tolist(), harvest.tolist(), int(s), top)]
+        rows = [(a.tolist(), int(s)) for a, s in zip(access, start)
+                if overflows_after_empty(a.tolist(), harvest.tolist(), int(s), top)]
+        assert scanned == ([rows] if rows else [])
 
 
 class TestKernelMatchesLoopOracle:
@@ -718,27 +749,33 @@ class TestKernelMatchesLoopOracle:
     ])
     def test_battery_branches_taken(self, case, taken, monkeypatch):
         # a spy sorts every row the kernel scans by the ends its per-slot
-        # path meets, in order; only the rows that overflow the cap after
-        # meeting empty are scanned by the fallback, and each case takes the
-        # ways it is built for
+        # path meets, in order; each battery_levels call makes one fallback
+        # scan of exactly its rows that overflow the cap after meeting empty
+        # (in row order, with their start levels), or none when it has none,
+        # and each case takes the ways it is built for
         monkeypatch.setattr(kernel, "SUB_BLOCK", 300)
-        calls, scanned = [], []
-        battery_levels, clamp_scan = kernel.battery_levels, kernel._clamp_scan
+        calls = []
+        battery_levels = kernel.battery_levels
+        scanned = spy_on_clamp_map_scan(monkeypatch)
 
         def spy(access, harvest, start, top):
-            calls.append([battery_branch(a, harvest, int(s), top) for a, s in zip(access, start)])
-            return battery_levels(access, harvest, start, top)
+            ways = [battery_branch(a, harvest, int(s), top) for a, s in zip(access, start)]
+            rows = [(a.tolist(), int(s)) for a, s, way in zip(access, start, ways)
+                    if way == "fallback"]
+            done = len(scanned)
+            levels = battery_levels(access, harvest, start, top)
+            calls.append(ways)
+            assert scanned[done:] == ([rows] if rows else [])
+            return levels
 
         monkeypatch.setattr(kernel, "battery_levels", spy)
-        monkeypatch.setattr(kernel, "_clamp_scan",
-                            lambda *args: scanned.append(1) or clamp_scan(*args))
         scenarios, kwargs = DETECTOR_STACKS[case] if case in DETECTOR_STACKS else (
             [KERNEL_CASES[case][0]], KERNEL_CASES[case][1])
         cfg = SimConfig(slots=1, replications=1, seed=65, **kwargs)
         self.run_both(scenarios, cfg, blocks=(1, 299, 301, 1000, 7), seed=65)
         rows = [branch for call in calls for branch in call]
         assert set(rows) - {"walk"} == taken
-        assert len(scanned) == rows.count("fallback")
+        assert len(scanned) == sum("fallback" in call for call in calls)
         if len(scenarios) > 1:
             # one call serves rows of three ways at once (of every way, when
             # the case is built for fewer)
