@@ -10,9 +10,12 @@ scenario's case-1 SNR grid in a fifth (event sensing, 1 channel), one
 2^20-slot block per repeat, and times in each block:
 
 * ``draws``: the RNG calls (spectrum and energy uniforms, channel choice,
-  sensing draws);
-* ``spectrum_chain``: ``kernel.chain_path`` on the channel uniforms;
-* ``energy_chain``: ``kernel.chain_path`` on the energy uniforms;
+  sensing uniforms);
+* ``spectrum_chain``: ``kernel.sensed_channel``, the sensed channel's
+  path (one ``chain_path`` call on one channel; on several the sort by
+  channel, the P^k stays and one ``chain_path`` call over the runs);
+* ``energy_chain``: ``kernel.chain_path`` on the energy uniforms (the
+  calls outside ``sensed_channel``);
 * ``battery_levels``: every ``kernel.battery_levels`` call, the battery
   scan (older trees call it once per point, newer ones once for all the
   points of a sub-block);
@@ -36,6 +39,8 @@ draw order.
 
 The layers are timed with the thread's CPU time, by wrapping those
 functions where the simulator looks them up; the package is not changed.
+A wrapped layer called inside another one (``chain_path`` inside
+``sensed_channel``) counts towards the outer one only.
 One short warm-up run precedes the REPEATS blocks of each mode. The
 median and quartiles over the blocks are recorded in ms, with Mslot/s
 from the median total.
@@ -75,22 +80,32 @@ MODES = {"event-1ch": ("event", 1, None, {}), "signal-1ch": ("signal", 1, None, 
          "event-1ch-13pt": ("event", 1, CASE_ONE_GRID_DB, {}),
          "event-1ch-L2": ("event", 1, None, {"levels": 2})}
 LAYERS = ("draws", "spectrum_chain", "energy_chain", "battery_levels", "advance_rest", "total")
-DRAWS = ("random", "integers", "gamma")
+DRAWS = ("random", "integers")
 
 
 class _Clock:
-    """Sums the thread CPU time spent in wrapped calls, by layer name."""
+    """Sums the thread CPU time spent in wrapped calls, by layer name.
+
+    ``advance`` encloses the kernel's layers; any other layer called while
+    one of them runs is left to the outer one.
+    """
 
     def __init__(self):
         self.spent = dict.fromkeys(LAYERS[:-1] + ("advance",), 0.0)
+        self.inside = None
 
-    def wrap(self, name_of, fn):
+    def wrap(self, name, fn):
         def timed(*args, **kwargs):
+            if self.inside is not None:
+                return fn(*args, **kwargs)
             start = time.thread_time()
+            if name != "advance":
+                self.inside = name
             try:
                 return fn(*args, **kwargs)
             finally:
-                self.spent[name_of(*args)] += time.thread_time() - start
+                self.inside = None
+                self.spent[name] += time.thread_time() - start
         return timed
 
 
@@ -101,7 +116,7 @@ class _TimedGenerator:
 
     def __getattr__(self, attr):
         method = getattr(self._gen, attr)
-        return self._clock.wrap(lambda *a: "draws", method) if attr in DRAWS else method
+        return self._clock.wrap("draws", method) if attr in DRAWS else method
 
 
 def _instrument(clock):
@@ -113,11 +128,11 @@ def _instrument(clock):
         def generator(self):
             return _TimedGenerator(base.generator.fget(self), clock)
 
-    chain = lambda u, *a: "spectrum_chain" if np.ndim(u) == 2 else "energy_chain"  # noqa: E731
     patches = [
-        (kernel, "chain_path", clock.wrap(chain, kernel.chain_path)),
-        (kernel, "battery_levels", clock.wrap(lambda *a: "battery_levels", kernel.battery_levels)),
-        (kernel, "advance", clock.wrap(lambda *a: "advance", kernel.advance)),
+        (kernel, "sensed_channel", clock.wrap("spectrum_chain", kernel.sensed_channel)),
+        (kernel, "chain_path", clock.wrap("energy_chain", kernel.chain_path)),
+        (kernel, "battery_levels", clock.wrap("battery_levels", kernel.battery_levels)),
+        (kernel, "advance", clock.wrap("advance", kernel.advance)),
         (simulate, "RandomStream", TimedRandomStream),
     ]
     undo = [(mod, name, getattr(mod, name)) for mod, name, _ in patches]

@@ -44,6 +44,7 @@ __all__ = [
     "birth_death_steady_state",
     "detection_prob",
     "false_alarm_prob",
+    "gamma_tail",
     "operating_point",
     "outage_prob",
     "steady_state_numeric",
@@ -104,6 +105,78 @@ def detection_prob(det: DetectorConfig) -> float:
     """Probability of declaring the channel busy when it is occupied."""
     scaled = det.threshold / ((det.primary_snr + 1.0) * det.noise_power)
     return q_tail((scaled - 1.0) * math.sqrt(det.sample_count))
+
+
+_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+# Stirling series of log Gamma(a) - (a - 1/2) log a + a - log(2 pi) / 2, in
+# powers of 1 / a^2 after the leading 1 / a: good to 1e-16 from a = 15 on.
+_STIRLING = (1.0 / 12, -1.0 / 360, 1.0 / 1260, -1.0 / 1680, 1.0 / 1188)
+_TINY = 1e-300  # Lentz's guard against a zero denominator
+
+
+def gamma_tail(n: float, x: float) -> float:
+    """Regularized upper incomplete gamma function Q(n, x) = Gamma(n, x) / Gamma(n).
+
+    The exact law of the energy detector: the average power of N complex
+    Gaussian samples of variance v is v / N times a Gamma(N, 1) variable,
+    so it exceeds eps with probability Q(N, eps N / v).  Evaluated as in
+    Numerical Recipes (section 6.2): the series of P = 1 - Q for x < n + 1
+    and Lentz's continued fraction of Q otherwise.  Both carry the factor
+    x^n e^-x / Gamma(n), taken in log space with Gamma(n) split into
+    Stirling's form and its small remainder (as DiDonato & Morris 1986 do
+    for the tails), so that n log(x / n) + n - x, which cancels for large n
+    near x = n, is formed as -n (mu - log1p(mu)) with mu = x / n - 1.
+
+    Raises ValueError unless n > 0 and x >= 0.
+    """
+    if not (n > 0 and x >= 0):
+        raise ValueError(f"gamma_tail needs n > 0 and x >= 0, got n={n!r}, x={x!r}")
+    a = float(n)
+    if x == 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    if a == 1.0:
+        return math.exp(-x)
+    mu = (x - a) / a
+    if abs(mu) < 0.5:
+        log_front = -a * (mu - math.log1p(mu))
+    else:
+        log_front = a * (math.log(x) - math.log(a)) - (x - a)
+    if a < 15.0:
+        stirling = math.lgamma(a) - (a - 0.5) * math.log(a) + a - _HALF_LOG_TWO_PI
+    else:
+        stirling = 0.0
+        for c in reversed(_STIRLING):
+            stirling = stirling / (a * a) + c
+        stirling /= a
+    log_front += 0.5 * math.log(a) - _HALF_LOG_TWO_PI - stirling
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        denominator = a
+        while term > total * 2.0**-53:
+            denominator += 1.0
+            term *= x / denominator
+            total += term
+        return 1.0 - math.exp(log_front + math.log(total))
+    b = x + 1.0 - a
+    c = 1.0 / _TINY
+    d = 1.0 / b
+    fraction = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        step = d * c
+        fraction *= step
+        if abs(step - 1.0) <= 2.0**-52:
+            return math.exp(log_front + math.log(fraction))
 
 
 def threshold_for_target_pf(target: float, det: DetectorConfig) -> float:

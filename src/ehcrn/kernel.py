@@ -1,7 +1,8 @@
 """Array kernel of the slot simulator.
 
 A block of slots is advanced with array scans, a few thousand slots at a
-time: the chain paths with a doubling scan of their step maps, the
+time: the chain paths with a doubling scan of their step maps (of the
+licensed channels, only the path of the channel sensed in each slot), the
 battery levels with one running sum and a running extreme at each end it
 meets, and a tally of what happened in each slot with one ``bincount``;
 :mod:`ehcrn.simulate` sorts the tally into loss causes.  One pass serves G
@@ -18,7 +19,7 @@ A row whose reflected path stays at or below top has its level; only the
 rows whose level overflows the cap after it has met empty do not, and
 they take one batched doubling scan of the slots' clamp maps, as the
 chain paths do of their step maps.  The kernel reads the chains, L and
-the detectors from the ``Scenario``s (the detectors' verdict constants
+the detectors from the ``Scenario``s (the detectors' busy probabilities
 once per run, as a :class:`Sensing`) and gives every point the same
 counts, bit for bit, as stepping its slots one at a time by the rules in
 :mod:`ehcrn.simulate`; the tests hold that per-slot loop, with constants
@@ -29,35 +30,46 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ehcrn.analytic import detection_prob, false_alarm_prob
+from ehcrn.analytic import detection_prob, false_alarm_prob, gamma_tail
+from ehcrn.chains import steady_state
 
 # Slots the kernel works on at once; bounds its temporaries, which would
 # otherwise grow with the block (and with the channel count and the points).
 SUB_BLOCK = 1 << 13
 
 
-def chain_path(u, stay_a, stay_b, start):
+def chain_path(u, stay_a, stay_b, start, runs=None):
     """States of two-state chains after each step driven by the uniforms ``u``.
 
     Axis 0 of ``u`` is time; ``start`` holds the states before the first
     step (0/1 or bool, broadcast against a step of ``u``).  A step keeps
-    state 0 if u < stay_a and state 1 if u < stay_b: it is the map
-    x -> (x & a) ^ b, with b = (u >= stay_a) the image of 0 and
-    a = b ^ (u < stay_b) true where the step keeps x (identity or swap),
-    false where it is constant.  Such maps compose into maps of the same
-    form, so a doubling scan gives every prefix: the round of shift s
-    composes row t with row t - s, leaving in row t the map of the 2s
-    steps ending at t (of all of them for t < 2s).  The scan stops once
-    every row t >= s holds a constant map: such a window holds a constant
-    step, which wipes out the steps before it, so its map is the prefix
-    map, and the rows t < s hold full prefixes; the state is then
+    state 0 if u < stay_a and state 1 if u < stay_b (scalars, or one pair
+    per step): it is the map x -> (x & a) ^ b, with b = (u >= stay_a) the
+    image of 0 and a = b ^ (u < stay_b) true where the step keeps x
+    (identity or swap), false where it is constant.  Such maps compose into
+    maps of the same form, so a doubling scan gives every prefix: the round
+    of shift s composes row t with row t - s, leaving in row t the map of
+    the 2s steps ending at t (of all of them for t < 2s).  The scan stops
+    once every row t >= s holds a constant map: such a window holds a
+    constant step, which wipes out the steps before it, so its map is the
+    prefix map, and the rows t < s hold full prefixes; the state is then
     (start & a) ^ b.  With no constant step (stay_a == stay_b, say) the
     scan would never stop early, and the state is the running parity of
-    the swaps XOR ``start``.  Returns a bool array shaped like ``u``.
+    the swaps XOR ``start``.
+
+    ``runs``, if given, holds the (increasing) indices of the steps of a
+    1-d ``u`` that start a chain of their own, 0 among them, and ``start``
+    one state per run: each such step becomes the constant map to its image
+    of that start, which wipes out the run before it, so one scan serves
+    every run.  Returns a bool array shaped like ``u``.
     """
     b = u >= stay_a
     a = b ^ (u < stay_b)
     start = np.asarray(start, bool)
+    if runs is not None:
+        b[runs] ^= a[runs] & start
+        a[runs] = False
+        start = False
     if a.all():
         return np.bitwise_xor.accumulate(b, axis=0) ^ start
     s = 1
@@ -67,6 +79,57 @@ def chain_path(u, stay_a, stay_b, start):
         s *= 2
     b ^= a & start
     return b
+
+
+def sensed_channel(u, chan_sel, chain, carry):
+    """Whether the sensed channel is occupied in each slot, and the carry after.
+
+    ``carry`` is (state, age) of each of C channels: the state in which it
+    was last seen (sensed, or drawn at the start) and the steps it has taken
+    since.  ``chan_sel`` holds the channel sensed in each slot, None for a
+    single channel, and ``u`` one uniform per slot.  Every channel takes a
+    step of the two-state ``chain`` each slot, but only the sensed one is
+    read, and the channels are i.i.d. and independent of the rest of the
+    link; so a channel is stepped only when it is read, by the k steps since
+    it was last seen at once (:func:`_k_step_stays`).  Sorted by channel, stably so that each channel's slots stay in time
+    order, the slots form one run per sensed channel: a two-state chain
+    with per-step stays whose first step maps from the channel's carried
+    state, and one :func:`chain_path` call serves all the runs.  A single
+    channel is read every slot and steps by the chain itself, its age
+    staying 0.
+    """
+    states, ages = carry
+    if chan_sel is None:
+        path = chain_path(u, chain.stay_a, chain.stay_b, states)
+        return path, (path[-1:], ages)
+    n = len(u)
+    order = np.argsort(chan_sel, kind="stable")
+    counts = np.bincount(chan_sel, minlength=len(states))
+    seen = np.flatnonzero(counts)
+    ends = np.cumsum(counts[seen])
+    runs = ends - counts[seen]
+    gaps = np.empty(n, np.intp)  # steps since the slot's channel was last read
+    np.subtract(order[1:], order[:-1], out=gaps[1:])
+    gaps[runs] = 0
+    stay_a, stay_b = (table[gaps] for table in _k_step_stays(chain, np.arange(gaps.max() + 1)))
+    stay_a[runs], stay_b[runs] = _k_step_stays(chain, ages[seen] + order[runs] + 1)
+    path = chain_path(u[order], stay_a, stay_b, states[seen], runs)
+    occupied = np.empty(n, bool)
+    occupied[order] = path
+    states, ages = states.copy(), ages + n
+    last = order[ends - 1]
+    states[seen] = path[ends - 1]
+    ages[seen] = n - 1 - last
+    return occupied, (states, ages)
+
+
+def _k_step_stays(chain, k):
+    """The stays of ``chain`` over k steps (an array): P^k keeps idle with
+    probability pi_0 + pi_1 lam^k and occupied with pi_1 + pi_0 lam^k, with
+    lam = stay_a + stay_b - 1 and (pi_0, pi_1) the stationary law."""
+    pi_0, pi_1 = steady_state(chain)
+    power = np.power(chain.stay_a + chain.stay_b - 1.0, k)
+    return pi_0 + pi_1 * power, pi_1 + pi_0 * power
 
 
 def battery_levels(access, harvest, start, top):
@@ -174,30 +237,31 @@ def _clamp_map_scan(y, a, harvest, top):
 
 
 class Sensing(NamedTuple):
-    """The constants of each of G points' sensing verdicts, as (G, 1)
-    columns: in event mode the probabilities P_f and P_d of a busy verdict
-    on an idle and on an occupied channel, and no ``limit``; in signal mode
-    the signal variances v_idle = N0 and v_occ = (SNR + 1) N0 and the
-    limit eps * N."""
+    """The probabilities P_f and P_d of a busy verdict on an idle and on an
+    occupied channel, of each of G points, as (G, 1) columns."""
 
     idle: np.ndarray
     occupied: np.ndarray
-    limit: np.ndarray | None
 
 
 def sensing(scenarios, signal):
     """The :class:`Sensing` of ``scenarios`` in signal (or event) mode.
 
-    The detectors do not change within a run, so a run works these out
-    once and hands them to every :func:`advance`.
+    Event mode takes the closed forms' Gaussian tails, signal mode the
+    exact finite-N law of the energy statistic (v / N times a Gamma(N, 1)
+    variable, busy above eps): P = Q(N, eps N / v), with v = N0 on an idle
+    and (SNR + 1) N0 on an occupied channel.  The detectors do not change
+    within a run, so a run works these out once and hands them to every
+    :func:`advance`.
     """
     dets = [s.detector for s in scenarios]
     if signal:
-        return Sensing(np.array([[d.noise_power] for d in dets]),
-                       np.array([[(d.primary_snr + 1.0) * d.noise_power] for d in dets]),
-                       np.array([[d.threshold * d.sample_count] for d in dets]))
-    return Sensing(np.array([[false_alarm_prob(d)] for d in dets]),
-                   np.array([[detection_prob(d)] for d in dets]), None)
+        rates = [[gamma_tail(d.sample_count, d.threshold * d.sample_count / v)
+                  for v in (d.noise_power, (d.primary_snr + 1.0) * d.noise_power)] for d in dets]
+    else:
+        rates = [[false_alarm_prob(d), detection_prob(d)] for d in dets]
+    idle, occupied = np.array(rates).T[:, :, None]
+    return Sensing(idle, occupied)
 
 
 def advance(scenarios, rule, state, u_spec, u_energy, chan_sel, sense_draw, tally):
@@ -207,30 +271,24 @@ def advance(scenarios, rule, state, u_spec, u_energy, chan_sel, sense_draw, tall
     The points are ``scenarios``, which differ only in their detector, and
     ``rule`` is their :class:`Sensing`: the chain paths (from the first
     point) and the sensed channel are shared, while each point has its own
-    verdicts and battery.  ``state`` is (channel states, energy state,
-    battery level of each point, shape (G,)) with 1 / True meaning occupied
-    and not harvesting.  ``chan_sel`` is None for a single channel.  The
-    sensed channel reads busy, in event mode, when its uniform draw is
-    below P_d (occupied) or P_f (idle); in signal mode when v * g > eps * N
-    for its Gamma(N, 1) draw g and its state's signal variance v.  Counts
-    each slot of point g in the (G, 2, 2, L, 3) int64 ``tally`` at [g,
-    sensed channel occupied, verdict busy, battery level at slot start,
-    move k = after - start + 1 (0 down, 1 stay, 2 up)].
+    verdicts and battery.  ``state`` is (channel carry of
+    :func:`sensed_channel`, energy state, battery level of each point,
+    shape (G,)) with 1 / True meaning occupied and not harvesting.  Each
+    slot draws one spectrum uniform ``u_spec``, one energy uniform, the
+    sensed channel ``chan_sel`` (None for a single channel) and one
+    uniform ``sense_draw``, which reads busy when it is below the point's
+    P_d (occupied) or P_f (idle).  Counts each slot of point g in the
+    (G, 2, 2, L, 3) int64 ``tally`` at [g, sensed channel occupied, verdict
+    busy, battery level at slot start, move k = after - start + 1 (0 down,
+    1 stay, 2 up)].
     """
     spec, energy, carry = state
-    n, c = u_spec.shape
     first = scenarios[0]
     size = first.battery_levels
-    spec_path = chain_path(u_spec, first.spectrum.stay_a, first.spectrum.stay_b, spec)
+    occupied, spec = sensed_channel(u_spec, chan_sel, first.spectrum, spec)
     off_path = chain_path(u_energy, first.energy.stay_a, first.energy.stay_b, energy)
-    flat = spec_path.ravel()  # row t of the (n, c) path starts at t * c
-    occupied = flat if chan_sel is None else flat[np.arange(0, c * n, c) + chan_sel]
     per_state = np.where(occupied, rule.occupied, rule.idle)
-    if rule.limit is None:
-        busy = sense_draw < per_state
-    else:
-        with np.errstate(over="ignore"):  # a huge finite SNR gives v * g = inf: busy
-            busy = per_state * sense_draw > rule.limit
+    busy = sense_draw < per_state
     # the flat bin of (g, occupied, busy, start, k); int32 scalars keep it int32.
     # Row g of the (G, n) verdicts gives point g's levels on the shared harvests.
     levels = battery_levels(~busy, ~off_path, carry, size - 1)
@@ -240,7 +298,7 @@ def advance(scenarios, rule, state, u_spec, u_energy, chan_sel, sense_draw, tall
     code += occupied * np.int32(6 * size)
     code += busy * np.int32(3 * size)
     tally += np.bincount(code.ravel(), minlength=tally.size).reshape(tally.shape)
-    return spec_path[-1], off_path[-1], levels[:, -1].copy()
+    return spec, off_path[-1], levels[:, -1].copy()
 
 
 def advance_block(scenarios, rule, state, u_spec, u_energy, chan_sel, sense_draw, tally):

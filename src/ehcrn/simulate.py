@@ -16,19 +16,33 @@ Bernoulli trial with the closed-form false-alarm / detection probability
 of the current channel state; it matches the analytic chain exactly.
 ``signal`` thresholds an energy statistic with the *exact* finite-N
 distribution: the average power of N circularly-symmetric complex
-Gaussian samples of variance v is v/N times a Gamma(N, 1) variable, so
-the kernel consumes one Gamma draw per slot instead of 2N normal draws.
-The statistic's law is identical to drawing the samples; the mode exists
-to expose the Gaussian-approximation error of the closed forms at small N.
+Gaussian samples of variance v is v/N times a Gamma(N, 1) variable, which
+exceeds the threshold eps with probability Q(N, eps N / v), the
+regularized upper incomplete gamma function
+(:func:`ehcrn.analytic.gamma_tail`).  So both modes draw one uniform u
+per slot and read busy iff u < P, with P the Gaussian tail in event mode
+and the Gamma tail in signal mode; in signal mode that is exactly the law
+of thresholding a Gamma draw, or the 2N samples themselves.  The mode
+exists to expose the Gaussian-approximation error of the closed forms at
+small N.
+
+Channels.  With several licensed channels only the sensed one is read,
+and the channels are i.i.d. and independent of the rest of the link, so
+the kernel steps a channel only when it is sensed: by the k steps of its
+chain since it was last seen, at once (:func:`ehcrn.kernel.sensed_channel`).
+That is the law of stepping every channel every slot.
 
 Reproducibility.  All randomness comes from a ``RandomStream`` keyed by
 (seed, replication index); draws are consumed in a fixed documented order
-(initial states, then per block: spectrum, energy, channel choice, sensing),
-so results are bit-identical for a given seed regardless of how
-replications are scheduled.  No draw depends on the detector's threshold
-or SNR, so ``run_points`` runs points that differ only there on common
-random numbers: one set of draws and chain paths for all of them, and for
-each point the counts ``run_simulation`` gives it alone on the same seed.
+(initial states, then per block of b slots: b spectrum uniforms, b energy
+uniforms, b channel choices when there are several channels, b sensing
+uniforms), so results are bit-identical for a given seed regardless of
+how replications are scheduled.  No draw depends on the detector, so
+``run_points`` runs points that differ only there on common random
+numbers: one set of draws and chain paths for all of them, and for each
+point the counts ``run_simulation`` gives it alone on the same seed.  A
+shared uniform keeps the points' verdicts comonotone: a point with a
+higher busy probability reads busy in every slot another one does.
 
 The slots themselves are advanced by the array kernel in
 :mod:`ehcrn.kernel`, which reads the chains, L and the detectors from the
@@ -204,32 +218,29 @@ def _replication_counts(scenarios, rule, cfg: SimConfig, stream_id: int):
     first = scenarios[0]
     rng = RandomStream(cfg.seed, stream_id)
     gen = rng.generator
-    signal = cfg.sensing_mode == "signal"
     channels = cfg.num_pu_channels
-    n_samples = first.detector.sample_count
 
     spec, energy, level = _initial_states(first, cfg, rng)
-    state = (spec, energy, np.full(len(scenarios), level))
+    state = ((spec, np.zeros(channels, np.int64)), energy, np.full(len(scenarios), level))
     tally = np.zeros((len(scenarios), 2, 2, first.battery_levels, 3), np.int64)
 
     done = 0
     while done < cfg.slots:
         b = min(_BLOCK, cfg.slots - done)
-        u_spec = gen.random((b, channels))
+        u_spec = gen.random(b)
         u_energy = gen.random(b)
-        chan_sel = gen.integers(0, channels, b) if channels > 1 else None
-        sense_draw = gen.gamma(n_samples, 1.0, b) if signal else gen.random(b)
+        # int8 up to 128 channels (the smallest signed type that holds them)
+        chan_sel = (gen.integers(0, channels, b, np.min_scalar_type(-channels))
+                    if channels > 1 else None)
+        sense_draw = gen.random(b)
         state = advance_block(scenarios, rule, state, u_spec, u_energy, chan_sel, sense_draw, tally)
         done += b
     return tally
 
 
 def _shared(scenario: Scenario):
-    """What the points of one run must agree in: every field but the
-    detector, and the detector's sample count N, which the signal-mode
-    Gamma(N, 1) draws depend on."""
-    others = tuple(getattr(scenario, f.name) for f in fields(Scenario) if f.name != "detector")
-    return others + (scenario.detector.sample_count,)
+    """What the points of one run must agree in: every field but the detector."""
+    return tuple(getattr(scenario, f.name) for f in fields(Scenario) if f.name != "detector")
 
 
 def run_points(scenarios, cfg: SimConfig) -> list[SimReport]:
@@ -238,7 +249,7 @@ def run_points(scenarios, cfg: SimConfig) -> list[SimReport]:
     on ``cfg``, from one pass over the shared draws and chain paths.
 
     Raises ValueError if there are no points, or if two differ anywhere
-    but in the detector (or in its sample count).
+    but in the detector.
     """
     scenarios = list(scenarios)
     if not scenarios:
@@ -247,8 +258,8 @@ def run_points(scenarios, cfg: SimConfig) -> list[SimReport]:
     for i, scenario in enumerate(scenarios[1:], 1):
         if _shared(scenario) != shared:
             raise ValueError(
-                f"scenario {i} differs from scenario 0 outside its detector or in its "
-                "sample count; the points of one run share their chains, battery and draws"
+                f"scenario {i} differs from scenario 0 outside its detector; "
+                "the points of one run share their chains, battery and draws"
             )
     rule = sensing(scenarios, cfg.sensing_mode == "signal")
     tallies = np.stack([_replication_counts(scenarios, rule, cfg, rep)

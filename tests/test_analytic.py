@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaincc
 
 from ehcrn.analytic import (
     BatteryModel,
@@ -20,6 +21,7 @@ from ehcrn.analytic import (
     birth_death_steady_state,
     detection_prob,
     false_alarm_prob,
+    gamma_tail,
     operating_point,
     outage_prob,
     steady_state_numeric,
@@ -153,6 +155,52 @@ class TestDetection:
     def test_dominates_false_alarm(self, eps):
         det = detector(threshold=eps)
         assert detection_prob(det) >= false_alarm_prob(det)
+
+
+class TestGammaTail:
+    """Q(n, x), the exact law of the energy detector, against scipy."""
+
+    # N = 1 ... 20000 on a log grid (every N up to 30), x / N on [0.01, 3]
+    NS = sorted(set(range(1, 31)) | {int(v) for v in np.geomspace(30, 20000, 120)})
+    RATIOS = np.concatenate([np.linspace(0.01, 3.0, 300), 1.0 + np.linspace(-0.05, 0.05, 41)])
+
+    def test_matches_scipy(self):
+        worst = 0.0
+        for n in self.NS:
+            for ratio in self.RATIOS:
+                x = float(n * ratio)
+                want = float(gammaincc(n, x))
+                if want >= 1e-300:
+                    worst = max(worst, abs(gamma_tail(n, x) - want) / want)
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 2000, 20000])
+    def test_ends(self, n):
+        assert gamma_tail(n, 0.0) == 1.0
+        assert gamma_tail(n, math.inf) == 0.0
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-9, 0.3, 1.0, 2.0, 17.5, 700.0, 800.0])
+    def test_one_sample_is_the_exponential_tail(self, x):
+        assert gamma_tail(1, x) == math.exp(-x)
+
+    def test_falls_in_x_and_rises_in_n(self):
+        assert gamma_tail(2000, 1990.0) > gamma_tail(2000, 2000.0) > gamma_tail(2000, 2010.0)
+        assert gamma_tail(1999, 2000.0) < gamma_tail(2000, 2000.0) < gamma_tail(2001, 2000.0)
+
+    def test_stock_detector_rates(self):
+        # N = 2000, target P_f 0.01, -13 dB: the exact law next to the
+        # Gaussian approximation (0.01 and 0.467755)
+        det = detector(snr=10.0 ** -1.3)
+        det = replace(det, threshold=threshold_for_target_pf(0.01, det))
+        limit = det.threshold * det.sample_count
+        assert gamma_tail(2000, limit) == pytest.approx(0.010878, abs=5e-7)
+        assert gamma_tail(2000, limit / (1.0 + det.primary_snr)) == pytest.approx(0.464812, abs=5e-7)
+
+    @pytest.mark.parametrize("n, x", [(0, 1.0), (-1, 1.0), (5, -1.0), (5, math.nan),
+                                      (math.nan, 1.0)])
+    def test_rejects(self, n, x):
+        with pytest.raises(ValueError, match="gamma_tail"):
+            gamma_tail(n, x)
 
 
 class TestThresholdFromTarget:

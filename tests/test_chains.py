@@ -1,7 +1,7 @@
 """Two-state chain construction, stationary law, stepping and streams.
 
-Stepping is checked on :func:`ehcrn.kernel.chain_path`, the code the
-simulator runs.
+Stepping is checked on :func:`ehcrn.kernel.chain_path` and
+:func:`ehcrn.kernel.sensed_channel`, the code the simulator runs.
 """
 
 import math
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ehcrn.chains import RandomStream, TwoStateChain, steady_state
-from ehcrn.kernel import chain_path
+from ehcrn.kernel import SUB_BLOCK, chain_path, sensed_channel
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -203,6 +203,124 @@ def test_chain_path_matches_step_reference_anywhere(n, k, stay_a, stay_b, seed, 
     start = rng.random() < 0.5 if flat else rng.random(k) < 0.5
     expect = step_path(u, stay_a, stay_b, start)
     assert (chain_path(u, stay_a, stay_b, start) == expect).all()
+
+
+def run_step_path(u, stay_a, stay_b, runs, starts):
+    """chain_path over runs, one step at a time: at each index in ``runs``
+    the state restarts from that run's entry of ``starts``."""
+    stay_a, stay_b = np.broadcast_to(stay_a, u.shape), np.broadcast_to(stay_b, u.shape)
+    restart = dict(zip(runs.tolist(), np.asarray(starts, bool).tolist()))
+    path = np.empty(u.shape, bool)
+    state = False
+    for t in range(len(u)):
+        state = restart.get(t, state)
+        state = u[t] < stay_b[t] if state else u[t] >= stay_a[t]
+        path[t] = state
+    return path
+
+
+@st.composite
+def run_inputs(draw):
+    n = draw(st.integers(1, 600))
+    runs = sorted({0} | set(draw(st.lists(st.integers(0, n - 1), max_size=20))))
+    per_step = st.lists(stays_with_ends, min_size=n, max_size=n).map(np.array)
+    stay_a = draw(stays_with_ends | per_step)
+    stay_b = draw(stays_with_ends | per_step)
+    starts = draw(st.lists(st.booleans(), min_size=len(runs), max_size=len(runs)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random(n), stay_a, stay_b, np.array(runs), starts
+
+
+@given(run_inputs())
+def test_chain_path_over_runs_matches_step_reference(inputs):
+    # per-step stays, and each run's first step mapping from its own start
+    u, stay_a, stay_b, runs, starts = inputs
+    expect = run_step_path(u, stay_a, stay_b, runs, starts)
+    assert (chain_path(u, stay_a, stay_b, np.array(starts), runs) == expect).all()
+
+
+def sensed_paths(chain, channels, slots, seed, states):
+    """Run :func:`sensed_channel` over ``slots`` slots, a sub-block at a
+    time as the kernel does, from the channel states ``states`` (age 0);
+    returns the channel read and whether it was occupied, in each slot."""
+    gen = np.random.default_rng(seed)
+    carry = (np.asarray(states, np.int64), np.zeros(channels, np.int64))
+    chans, occupied = [], []
+    for _ in range(0, slots, SUB_BLOCK):
+        u = gen.random(SUB_BLOCK)
+        sel = gen.integers(0, channels, SUB_BLOCK, np.int8)
+        occ, carry = sensed_channel(u, sel, chain, carry)
+        chans.append(sel)
+        occupied.append(occ)
+    return np.concatenate(chans), np.concatenate(occupied)
+
+
+class TestSensedChannel:
+    """Of C i.i.d. channels only the sensed one is stepped, by P^k since it
+    was last seen; the reads must follow the law of stepping them all."""
+
+    CHAIN = TwoStateChain(0.5, 0.7)  # pi = (0.375, 0.625), lam = 0.2
+    CHANNELS = 10
+    SLOTS = 1 << 21
+
+    @pytest.fixture(scope="class")
+    def reads(self):
+        pi_idle = steady_state(self.CHAIN)[0]
+        states = np.random.default_rng(7).random(self.CHANNELS) >= pi_idle  # drawn stationary
+        return sensed_paths(self.CHAIN, self.CHANNELS, self.SLOTS, 8, states)
+
+    def test_sensed_occupancy(self, reads):
+        # reads of one channel d slots apart have covariance pi_0 pi_1 lam^d,
+        # of two channels none, and a slot reads the same channel as one d
+        # slots before it with probability 1 / C: the mean's variance is
+        # pi_0 pi_1 (1 + 2 lam / (C (1 - lam))) / T
+        _, occupied = reads
+        pi_idle, pi_occ = steady_state(self.CHAIN)
+        lam = self.CHAIN.stay_a + self.CHAIN.stay_b - 1.0
+        inflation = 1.0 + 2.0 * lam / (self.CHANNELS * (1.0 - lam))
+        sigma = math.sqrt(pi_idle * pi_occ * inflation / self.SLOTS)
+        assert abs(occupied.mean() - pi_occ) <= 4.0 * sigma
+
+    @pytest.mark.parametrize("gap", [1, 2, 3, 8])
+    def test_same_channel_stays(self, reads, gap):
+        # from one read of a channel to its next, k slots later: P^k keeps
+        # idle with pi_0 + pi_1 lam^k and occupied with pi_1 + pi_0 lam^k,
+        # a binomial trial given the state it starts from (Markov property)
+        chans, occupied = reads
+        order = np.argsort(chans, kind="stable")
+        same = chans[order][1:] == chans[order][:-1]
+        pairs = same & (np.diff(order) == gap)
+        before, after = occupied[order][:-1][pairs], occupied[order][1:][pairs]
+        pi_idle, pi_occ = steady_state(self.CHAIN)
+        power = (self.CHAIN.stay_a + self.CHAIN.stay_b - 1.0) ** gap
+        for state, exact in ((False, pi_idle + pi_occ * power), (True, pi_occ + pi_idle * power)):
+            trials = int(np.count_nonzero(before == state))
+            stays = int(np.count_nonzero((before == state) & (after == state)))
+            assert trials > 1000
+            assert abs(stays / trials - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / trials)
+
+    def test_flipping_chain_follows_the_parity_of_the_slot(self):
+        # stay_a = stay_b = 0: lam = -1, every channel flips every slot, so
+        # the read at slot t (after t + 1 steps) is the start state flipped
+        # t + 1 times, whatever the age since the channel was last read
+        states = np.arange(self.CHANNELS) % 2 == 1
+        chans, occupied = sensed_paths(TwoStateChain(0.0, 0.0), self.CHANNELS, 4 * SUB_BLOCK, 9,
+                                       states)
+        t = np.arange(len(chans))
+        assert (occupied == states[chans] ^ (t % 2 == 0)).all()
+
+    @pytest.mark.parametrize("stay_b", [0.0, 0.97])
+    def test_absorbing_idle_state(self, stay_b):
+        # stay_a = 1: a channel that starts idle reads idle forever, and one
+        # read idle once reads idle from then on
+        states = np.arange(self.CHANNELS) % 3 == 0
+        chans, occupied = sensed_paths(TwoStateChain(1.0, stay_b), self.CHANNELS, 4 * SUB_BLOCK,
+                                       10, states)
+        assert not occupied[~states[chans]].any()
+        for c in range(self.CHANNELS):
+            reads = occupied[chans == c]
+            assert not reads[np.argmin(reads):].any() or reads.all()
+        assert occupied.any() == (stay_b > 0.0)
 
 
 def test_stream_reproducible():

@@ -160,9 +160,9 @@ class TestGoldenOutput:
 
     SIMULATE = {
         ("1", "event"): "8159860b9fa69f79e19ee65569c684e8f1f479cacdef8cd5a241bd3b1c8f3cf2",
-        ("1", "signal"): "3dbcc0c3d975f5da0c0fa720f2a50be0c20b49e44a7e8c51ca9d47188ea1bd3c",
+        ("1", "signal"): "9d496eed481bdf7136f50041d789349e5cef17deb7129e88020269ba845dc577",
         ("2", "event"): "87afff29442bae7c951c24981ba194fc3f7efdd7feef3d02637f31366128d432",
-        ("2", "signal"): "76a9b75bb2f521467ebdf75ea32299abd77717b2b6cb42a4e14cfdaa05cf9c22",
+        ("2", "signal"): "c98e5b9348e7890f299e8024dd28de7cc6fb8529d395ba42dcbdebced3296af3",
     }
 
     @pytest.mark.parametrize("case, sensing", sorted(SIMULATE))
@@ -292,7 +292,7 @@ class TestSubprocessEntryPoints:
         assert proc.stdout.startswith(ANALYZE_HEADER)
 
     def test_huge_snr_signal_mode_is_quiet(self, tmp_path):
-        # v * g overflows to inf at 3080 dB; inf > threshold is the verdict, with no warning
+        # at 3080 dB the occupied variance is 1e308 N0: P_d = Q(N, eps N / v) = 1, with no warning
         text = Path(CASE1).read_text(encoding="utf-8")
         assert "primary_snr_db = -15.0" in text
         config = tmp_path / "huge_snr.cfg"

@@ -370,6 +370,14 @@ class TestMultiChannel:
                                               num_pu_channels=4))
         assert abs(base.empirical_packet_loss - multi.empirical_packet_loss) < 0.01
 
+    def test_more_channels_than_int8_holds(self):
+        # the channel choices are drawn as int8 up to 128 channels and in a
+        # wider type beyond
+        scn = scenario()
+        r = run_simulation(scn, SimConfig(slots=50_000, replications=1, seed=53,
+                                          num_pu_channels=300))
+        assert r.empirical_pi_idle == pytest.approx(0.375, abs=0.01)
+
 
 class TestSimConfigValidation:
     @pytest.mark.parametrize("kwargs", [
@@ -408,49 +416,58 @@ def report_counters(report):
 def oracle_constants(scn, signal):
     """The oracle's slot constants, derived here from the scenario and its
     detector rather than taken from the kernel, so that a wrong constant
-    in either one shows as a mismatch."""
+    in either one shows as a mismatch: the signal-mode rates from scipy's
+    incomplete gamma, the P^k stays from the stationary law written out."""
     det = scn.detector
+    stay_idle, stay_occ = scn.spectrum.stay_a, scn.spectrum.stay_b
+    pi_idle = (1.0 - stay_occ) / ((1.0 - stay_idle) + (1.0 - stay_occ))
     return SimpleNamespace(
-        stay_idle=scn.spectrum.stay_a, stay_occ=scn.spectrum.stay_b,
+        stay_idle=stay_idle, stay_occ=stay_occ,
+        pi_idle=pi_idle, pi_occ=1.0 - pi_idle, lam=stay_idle + stay_occ - 1.0,
         stay_on=scn.energy.stay_a, stay_off=scn.energy.stay_b,
-        pf=false_alarm_prob(det), pd=detection_prob(det),
-        signal=signal,
-        eps_times_n=det.threshold * det.sample_count,
-        var_idle=det.noise_power, var_occ=(det.primary_snr + 1.0) * det.noise_power,
+        pf=exact_busy_rate(det, 0) if signal else false_alarm_prob(det),
+        pd=exact_busy_rate(det, 1) if signal else detection_prob(det),
         levels=scn.battery_levels,
     )
 
 
-def slot_loop_oracle(rule, spec_states, carry, u_spec, u_energy, chan_sel, sense_draw,
+def slot_loop_oracle(rule, spec_states, spec_ages, carry, u_spec, u_energy, chan_sel, sense_draw,
                      counters, level_counts, level_moves):
     """Per-slot reference for the vectorised slot kernel.
 
-    Advances ``spec_states`` (0/1 per channel) and ``carry`` = [energy
-    state, battery level] in place, one slot at a time, and adds to the
-    counters and tallies exactly as the kernel must.  ``chan_sel`` is None
-    for a single channel.
+    Advances ``spec_states`` and ``spec_ages`` (per channel: the 0/1 state
+    it was last seen in, and the steps it has taken since) and ``carry`` =
+    [energy state, battery level] in place, one slot at a time, and adds to
+    the counters and tallies exactly as the kernel must.  ``chan_sel`` is
+    None for a single channel, which steps by the chain itself every slot.
+    Of several channels only the sensed one is stepped, by the k steps it
+    has taken since it was last seen: P^k stays idle with probability
+    pi_idle + pi_occ lam^k and occupied with pi_occ + pi_idle lam^k.
     """
     n = u_energy.shape[0]
-    channels = spec_states.shape[0]
     e_state = carry[0]
     level = carry[1]
     for t in range(n):
-        for c in range(channels):
-            if spec_states[c] == 0:
-                spec_states[c] = 0 if u_spec[t, c] < rule.stay_idle else 1
-            else:
-                spec_states[c] = 1 if u_spec[t, c] < rule.stay_occ else 0
+        spec_ages += 1
+        c = 0 if chan_sel is None else chan_sel[t]
+        if chan_sel is None:
+            stay_idle, stay_occ = rule.stay_idle, rule.stay_occ
+        else:
+            power = rule.lam ** int(spec_ages[c])
+            stay_idle = rule.pi_idle + rule.pi_occ * power
+            stay_occ = rule.pi_occ + rule.pi_idle * power
+        if spec_states[c] == 0:
+            spec_states[c] = 0 if u_spec[t] < stay_idle else 1
+        else:
+            spec_states[c] = 1 if u_spec[t] < stay_occ else 0
+        spec_ages[c] = 0
         if e_state == 0:
             e_state = 0 if u_energy[t] < rule.stay_on else 1
         else:
             e_state = 1 if u_energy[t] < rule.stay_off else 0
-        s = spec_states[0 if chan_sel is None else chan_sel[t]]
-        if rule.signal:
-            v = rule.var_occ if s == 1 else rule.var_idle
-            theta = 1 if v * sense_draw[t] > rule.eps_times_n else 0
-        else:
-            p = rule.pd if s == 1 else rule.pf
-            theta = 1 if sense_draw[t] < p else 0
+        s = spec_states[c]
+        p = rule.pd if s == 1 else rule.pf
+        theta = 1 if sense_draw[t] < p else 0
         level_counts[level] += 1
         if s == 0:
             counters[IDLE] += 1
@@ -478,12 +495,12 @@ def slot_loop_oracle(rule, spec_states, carry, u_spec, u_energy, chan_sel, sense
     carry[1] = level
 
 
-def draw_block(gen, b, channels, rule, n_samples):
+def draw_block(gen, b, channels):
     """One block of draws, in the simulator's order."""
-    u_spec = gen.random((b, channels))
+    u_spec = gen.random(b)
     u_energy = gen.random(b)
-    chan_sel = gen.integers(0, channels, b) if channels > 1 else None
-    sense_draw = gen.gamma(n_samples, 1.0, b) if rule.signal else gen.random(b)
+    chan_sel = gen.integers(0, channels, b, np.int8) if channels > 1 else None
+    sense_draw = gen.random(b)
     return u_spec, u_energy, chan_sel, sense_draw
 
 
@@ -692,10 +709,11 @@ class TestKernelMatchesLoopOracle:
         first = scenarios[0]
         rules = [oracle_constants(scn, signal) for scn in scenarios]
         spec, energy, level = simulate._initial_states(first, cfg, RandomStream(seed, 1))
-        state = (spec, energy, np.full(len(scenarios), level))
+        ages = np.zeros(len(spec), np.int64)
+        state = ((spec, ages), energy, np.full(len(scenarios), level))
         tally = np.zeros((len(scenarios), 2, 2, first.battery_levels, 3), np.int64)
         oracles = [SimpleNamespace(
-            spec=spec.astype(np.int64), carry=np.array([energy, level], np.int64),
+            spec=spec.astype(np.int64), ages=ages.copy(), carry=np.array([energy, level], np.int64),
             counters=np.zeros(len(COUNTER_FIELDS), np.int64),
             counts=np.zeros(first.battery_levels, np.int64),
             moves=np.zeros((first.battery_levels, 3), np.int64),
@@ -703,11 +721,12 @@ class TestKernelMatchesLoopOracle:
         gen = np.random.default_rng(seed)
         sensing = kernel.sensing(scenarios, signal)
         for b in blocks:
-            draws = draw_block(gen, b, cfg.num_pu_channels, rules[0], first.detector.sample_count)
+            draws = draw_block(gen, b, cfg.num_pu_channels)
             state = kernel.advance_block(scenarios, sensing, state, *draws, tally)
             for g, (rule, o) in enumerate(zip(rules, oracles)):
-                slot_loop_oracle(rule, o.spec, o.carry, *draws, o.counters, o.counts, o.moves)
-                assert (np.asarray(state[0]) == o.spec).all()
+                slot_loop_oracle(rule, o.spec, o.ages, o.carry, *draws, o.counters, o.counts,
+                                 o.moves)
+                assert (state[0][0] == o.spec).all() and (state[0][1] == o.ages).all()
                 assert (int(state[1]), int(state[2][g])) == (o.carry[0], o.carry[1])
         for o, report in zip(oracles, simulate._reports(sum(blocks), tally[None])):
             counters = np.array(report_counters(report))
@@ -792,14 +811,14 @@ class TestKernelMatchesLoopOracle:
         rule = oracle_constants(scn, cfg.sensing_mode == "signal")
         spec, energy, level = simulate._initial_states(scn, cfg, rng)
         spec = spec.astype(np.int64)
+        ages = np.zeros(len(spec), np.int64)
         carry = np.array([energy, level], np.int64)
         counters = np.zeros(len(COUNTER_FIELDS), np.int64)
         counts = np.zeros(scn.battery_levels, np.int64)
         moves = np.zeros((scn.battery_levels, 3), np.int64)
         for b in (1000, 1000, 500):
-            draws = draw_block(rng.generator, b, cfg.num_pu_channels, rule,
-                               scn.detector.sample_count)
-            slot_loop_oracle(rule, spec, carry, *draws, counters, counts, moves)
+            draws = draw_block(rng.generator, b, cfg.num_pu_channels)
+            slot_loop_oracle(rule, spec, ages, carry, *draws, counters, counts, moves)
 
         assert report_counters(report) == counters.tolist()
         assert (report.battery_level_counts == counts).all()
@@ -865,6 +884,16 @@ class TestRunPoints:
         simulate.run_points(points, SimConfig(slots=300, replications=2))
         assert calls.count("false_alarm_prob") == calls.count("detection_prob") == len(points)
 
+    def test_signal_rates_worked_out_once_per_run(self, monkeypatch):
+        # the same in signal mode: two Gamma tails per point and run
+        monkeypatch.setattr(kernel, "SUB_BLOCK", 100)
+        points = DETECTOR_STACKS["event-snr"][0]
+        calls = []
+        gamma_tail = kernel.gamma_tail
+        monkeypatch.setattr(kernel, "gamma_tail", lambda n, x: calls.append(n) or gamma_tail(n, x))
+        simulate.run_points(points, SimConfig(slots=300, replications=2, sensing_mode="signal"))
+        assert len(calls) == 2 * len(points)
+
     @pytest.mark.parametrize("change", [
         {"spectrum": TwoStateChain(0.5, 0.6)},
         {"energy": TwoStateChain(0.3, 0.5)},
@@ -876,12 +905,21 @@ class TestRunPoints:
         with pytest.raises(ValueError, match="outside its detector"):
             simulate.run_points([scn, replace(scn, **change)], SimConfig(slots=10, replications=1))
 
-    def test_rejects_a_different_sample_count(self):
-        # the signal-mode draws are Gamma(N, 1), so N must be shared
-        scn = scenario()
-        other = replace(scn, detector=replace(scn.detector, sensing_duration=0.001))
-        with pytest.raises(ValueError, match="sample count"):
-            simulate.run_points([scn, other], SimConfig(slots=10, replications=1))
+    @pytest.mark.parametrize("sensing_mode", ["event", "signal"])
+    def test_points_differing_in_sample_count_share_a_run(self, sensing_mode):
+        # every verdict is one uniform against the point's rate, so the
+        # points' sample counts N need not agree; thresholds about each
+        # N's noise level keep both verdicts in play
+        points = [scenario(p_on=0.3, levels=4,
+                           det=detector(threshold=1.0 + 2.0 / math.sqrt(n), n=n))
+                  for n in (50, 400, 2000)]
+        assert [p.detector.sample_count for p in points] == [50, 400, 2000]
+        cfg = SimConfig(slots=5000, replications=2, seed=66, sensing_mode=sensing_mode)
+        for scn, report in zip(points, simulate.run_points(points, cfg)):
+            alone = run_simulation(scn, cfg)
+            assert report_counters(report) == report_counters(alone)
+            assert (report.battery_transition_counts == alone.battery_transition_counts).all()
+            assert report.replication_loss_rates == alone.replication_loss_rates
 
     def test_rejects_no_points(self):
         with pytest.raises(ValueError, match="at least one"):
