@@ -157,9 +157,7 @@ def apply_overrides(scenario: Scenario, target_pf, overrides: dict):
         if key not in OVERRIDE_FIELDS:
             raise ValueError(f"unknown override key {key!r}")
         part, name = OVERRIDE_FIELDS[key]
-        if key == "levels":
-            value = int(value)
-        elif key == "primary_snr_db":
+        if key == "primary_snr_db":
             value = snr_db_to_linear(value)
         elif key == "normalized_threshold":
             value *= scenario.detector.noise_power

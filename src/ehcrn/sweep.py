@@ -9,6 +9,7 @@ variable moves only the detector, so the points share their draws and
 chain paths (common random numbers), which makes the simulated curve
 smooth along the grid.  Each point's counts are those it gets alone on
 that seed, so any row can be reproduced alone from its ``seed`` column.
+``SweepSpec`` builds, and so checks, every point and seed once (``runs``).
 
 ``CASES`` holds the two stock campaigns, which mirror the headline
 experiments; ``campaign`` builds one of them, or a config's [sweep]:
@@ -24,7 +25,7 @@ both data emitters walk them.
 
 import csv
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from ehcrn.analytic import Scenario, operating_point
@@ -98,7 +99,9 @@ CSV_HEADER = ",".join(f.name for f in _FIELDS)
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A sweep campaign: grid, labelled variants, base scenario, controls."""
+    """A sweep campaign: grid, labelled variants, base scenario, controls.
+    ``runs``, built and so checked at construction, holds per variant its label,
+    its scenario at each grid value and ``sim`` on ``derive_seed(sim.seed, vi)``."""
 
     variable: str
     grid: tuple
@@ -106,20 +109,21 @@ class SweepSpec:
     variants: tuple
     sim: SimConfig
     target_pf: float | None = None
+    runs: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_sweep(self.variable, self.grid, self.variants)
-        # Every variant must give a valid scenario at every grid end,
-        # with room for the configured start level.  Grid values keep the
-        # variant's threshold: no override key moves what a target derives it from.
-        for label, overrides in self.variants:
+        runs = []
+        for vi, (label, overrides) in enumerate(self.variants):
+            # Grid values keep the variant's threshold: no key moves what a target derives it from.
             scn, _ = apply_overrides(self.base, self.target_pf, overrides)
-            for value in (self.grid[0], self.grid[-1]):
-                apply_overrides(scn, None, {self.variable: value})
+            points = tuple(apply_overrides(scn, None, {self.variable: value})[0] for value in self.grid)
             try:
                 initial_level(scn, self.sim)
             except ValueError as exc:
                 raise ValueError(f"variant {label!r}: {exc}") from None
+            runs.append((label, points, replace(self.sim, seed=RandomStream.derive_seed(self.sim.seed, vi))))
+        object.__setattr__(self, "runs", tuple(runs))
 
 
 def campaign(bundle: LoadedConfig, case: str) -> SweepSpec:
@@ -161,12 +165,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepResultRow]:
     A variant's grid points differ only in the detector, so they run as one
     simulation on common random numbers, on the variant's seed."""
     rows = []
-    for vi, (label, overrides) in enumerate(spec.variants):
-        variant, _ = apply_overrides(spec.base, spec.target_pf, overrides)
-        points = [apply_overrides(variant, None, {spec.variable: value})[0] for value in spec.grid]
-        seed = RandomStream.derive_seed(spec.sim.seed, vi)
-        reports = run_points(points, replace(spec.sim, seed=seed))
-        for value, scenario, report in zip(spec.grid, points, reports):
+    for label, points, sim in spec.runs:
+        for value, scenario, report in zip(spec.grid, points, run_points(points, sim)):
             op = operating_point(scenario)
             rows.append(SweepResultRow(
                 variant=label,
@@ -181,7 +181,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepResultRow]:
                 delta=op.delta,
                 pi_idle=op.pi_idle,
                 slots=report.slots,
-                seed=seed,
+                seed=sim.seed,
             ))
     return rows
 

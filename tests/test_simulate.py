@@ -21,7 +21,7 @@ from ehcrn.analytic import (
 from ehcrn import kernel, simulate
 from ehcrn.chains import RandomStream, TwoStateChain
 from ehcrn.gaussian import student_t_quantile
-from ehcrn.configio import apply_overrides, load_config
+from ehcrn.configio import load_config
 from ehcrn.simulate import SimConfig, measure_signal_rate, run_replication, run_simulation
 from ehcrn.sweep import campaign
 
@@ -836,10 +836,8 @@ class TestRunPoints:
         spec = campaign(replace(bundle, sim=replace(
             bundle.sim, slots=1500, replications=2, sensing_mode=sensing_mode,
             num_pu_channels=channels)), case)
-        for vi, (_, overrides) in enumerate(spec.variants):
-            variant, _ = apply_overrides(spec.base, spec.target_pf, overrides)
-            points = [apply_overrides(variant, None, {spec.variable: v})[0] for v in spec.grid]
-            yield points, replace(spec.sim, seed=RandomStream.derive_seed(spec.sim.seed, vi))
+        for _, points, sim in spec.runs:
+            yield points, sim
 
     @pytest.mark.parametrize("case", ["1", "2"])
     @pytest.mark.parametrize("sensing_mode, channels", [("event", 1), ("signal", 1), ("event", 3)])

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,9 @@ from ehcrn.analytic import (
     outage_prob,
     threshold_for_target_pf,
 )
-from ehcrn.configio import OVERRIDE_FIELDS, SWEEP_VARIABLES, load_config, snr_db_to_linear
+from ehcrn import sweep
+from ehcrn.chains import RandomStream
+from ehcrn.configio import OVERRIDE_FIELDS, SWEEP_VARIABLES, SweepDef, load_config, snr_db_to_linear
 from ehcrn.errors import ConfigError
 from ehcrn.simulate import run_simulation
 from ehcrn.sweep import (
@@ -110,6 +113,50 @@ class TestSweepSpec:
                       variants=((label, {"p_on": 0.5}),), sim=spec.sim,
                       target_pf=spec.target_pf)
 
+    @pytest.mark.parametrize("case", ["1", "2"])
+    def test_runs_hold_every_point_and_seed(self, case):
+        # each variant's entry is the per-point build at every grid value,
+        # on the variant's derived seed
+        repo = Path(__file__).resolve().parents[1]
+        spec = campaign(load_config(str(repo / "configs" / f"case{case}.cfg")), case)
+        assert len(spec.runs) == len(spec.variants)
+        for vi, ((label, overrides), run) in enumerate(zip(spec.variants, spec.runs)):
+            variant, _ = apply_overrides(spec.base, spec.target_pf, overrides)
+            points = tuple(apply_overrides(variant, None, {spec.variable: v})[0] for v in spec.grid)
+            sim = replace(spec.sim, seed=RandomStream.derive_seed(spec.sim.seed, vi))
+            assert run == (label, points, sim)
+
+    def test_replace_rebuilds_runs(self, tiny_bundle):
+        spec = campaign(tiny_bundle, "custom")
+        moved = replace(spec, sim=replace(spec.sim, seed=spec.sim.seed + 1))
+        assert [sim.seed for _, _, sim in moved.runs] == [
+            RandomStream.derive_seed(spec.sim.seed + 1, vi) for vi in range(len(spec.variants))]
+        assert "runs" not in repr(spec)
+
+    @pytest.mark.parametrize("variable, grid", [
+        ("primary_snr_db", (-18.0, math.nan, -10.0)),
+        ("normalized_threshold", (0.99, math.nan, 1.05)),
+    ], ids=["snr", "threshold"])
+    def test_nan_inside_the_grid_rejected_when_built(self, tiny_bundle, variable, grid):
+        # strictly increasing holds vacuously around a NaN; the point itself is invalid
+        spec = campaign(tiny_bundle, "custom")
+        with pytest.raises(ValueError, match="nan"):
+            SweepSpec(variable=variable, grid=grid, base=spec.base,
+                      variants=spec.variants, sim=spec.sim, target_pf=spec.target_pf)
+        bundle = replace(tiny_bundle, sweep=SweepDef(variable, grid, tiny_bundle.sweep.variants))
+        with pytest.raises(ConfigError, match="nan"):
+            campaign(bundle, "custom")
+
+    def test_fractional_levels_rejected(self, tiny_bundle):
+        spec = campaign(tiny_bundle, "custom")
+        message = "battery_levels must be an integer >= 2, got 7.9"
+        with pytest.raises(ValueError, match=message):
+            apply_overrides(spec.base, spec.target_pf, {"levels": 7.9})
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(variable=spec.variable, grid=spec.grid, base=spec.base,
+                      variants=(("fractional", {"levels": 7.9}),), sim=spec.sim,
+                      target_pf=spec.target_pf)
+
 
 class TestApplyOverrides:
     CASE1 = str(Path(__file__).resolve().parents[1] / "configs" / "case1.cfg")
@@ -163,6 +210,14 @@ class TestRunSweep:
         pfs = {round(r.pf, 12) for r in tiny_rows}
         assert len(pfs) == 1
         assert len({round(r.pd, 12) for r in tiny_rows}) == 3
+
+    def test_builds_no_scenario(self, tiny_bundle, monkeypatch):
+        # every point is built with the spec; running it builds none
+        spec = campaign(tiny_bundle, "custom")
+        calls, build = [], sweep.apply_overrides
+        monkeypatch.setattr(sweep, "apply_overrides", lambda *args: calls.append(args) or build(*args))
+        assert len(run_sweep(spec)) == 6
+        assert calls == []
 
     def test_deterministic_rerun(self, tiny_bundle):
         a = run_sweep(campaign(tiny_bundle, "custom"))
