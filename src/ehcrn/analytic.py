@@ -241,7 +241,14 @@ class BatteryModel:
         )
 
 
-def battery_diagonals(b: BatteryModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _battery_batch(b):
+    """(models, was b one model, tops L - 1 as a (B, 1) column, columns 0 .. W - 1 for W = max L)."""
+    models = [b] if isinstance(b, BatteryModel) else list(b)
+    top = np.array([m.levels - 1 for m in models], dtype=int).reshape(-1, 1)
+    return models, isinstance(b, BatteryModel), top, np.arange(int(top.max(initial=1)) + 1)
+
+
+def battery_diagonals(b: BatteryModel | list[BatteryModel]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (down, stay, up) diagonals of the battery level's transition matrix.
 
     ``down[l - 1]`` is P[l, l - 1], ``stay[l]`` is P[l, l] and ``up[l]`` is
@@ -252,16 +259,22 @@ def battery_diagonals(b: BatteryModel) -> tuple[np.ndarray, np.ndarray, np.ndarr
     complement of the off-diagonal mass (computed with error-free
     summation), so each row sums to 1.0 exactly under math.fsum and to
     within one ulp under naive summation.
+
+    One model gives 1-D arrays; a list of B gives (B, W - 1), (B, W) and
+    (B, W - 1) arrays, W the largest L (2 if empty), padded past each top
+    with down = 1, stay = 0, up = 0 as :func:`birth_death_steady_state` expects.
     """
-    levels, delta, e_on = b.levels, b.access_prob, b.harvest_prob
-    down = delta * (1.0 - e_on)
-    up = (1.0 - delta) * e_on
-    stay = np.full(levels, math.fsum((1.0, -down, -up)))
-    stay[0] = 1.0 - e_on
-    stay[-1] = 1.0 - down
-    ups = np.full(levels - 1, up)
-    ups[0] = e_on
-    return np.full(levels - 1, down), stay, ups
+    models, single, top, col = _battery_batch(b)
+    delta = np.array([m.access_prob for m in models]).reshape(-1, 1)
+    e_on = np.array([m.harvest_prob for m in models]).reshape(-1, 1)
+    down, up = delta * (1.0 - e_on), (1.0 - delta) * e_on
+    mid = np.array([math.fsum((1.0, -d, -u)) for d, u in zip(down.flat, up.flat)]).reshape(-1, 1)
+    inner = col[:-1] < top
+    downs, ups = np.where(inner, down, 1.0), np.where(inner, up, 0.0)
+    ups[:, 0] = e_on[:, 0]
+    stay = np.where(col < top, mid, np.where(col == top, 1.0 - down, 0.0))
+    stay[:, 0] = 1.0 - e_on[:, 0]
+    return (downs[0], stay[0], ups[0]) if single else (downs, stay, ups)
 
 
 def battery_transition_matrix(b: BatteryModel) -> np.ndarray:
@@ -307,28 +320,38 @@ def outage_prob(b: BatteryModel) -> float:
     return (1.0 - delta) / ((1.0 - delta) + alpha * math.expm1((b.levels - 1) * lg) / d) + 0.0
 
 
-def battery_steady_state(b: BatteryModel) -> np.ndarray:
+def battery_steady_state(b: BatteryModel | list[BatteryModel]) -> np.ndarray:
     """Full stationary vector [pi_0, ..., pi_{L-1}] of the battery chain.
 
     pi_l = alpha^l * pi_0 / (1 - delta) for l >= 1.  The vector is
     assembled from log-weights and normalised, which keeps the entries
     finite for any alpha and makes the sum exactly 1 up to rounding.
+
+    A list of B models gives a (B, W) array, W the largest L, with 0
+    past each L; its rows are normalised over W, so they may differ from
+    the one-model vectors in the last bit.
     """
-    levels, delta, e_on = b.levels, b.access_prob, b.harvest_prob
-    if e_on in (0.0, 1.0) or delta == 0.0:
-        vec = np.zeros(levels)
-        vec[0 if e_on == 0.0 else -1] = 1.0
-        return vec
-    d = b._alpha_minus_one()
-    if d <= -1.0:  # as in outage_prob
-        vec = np.zeros(levels)
-        vec[:2] = 1.0 - e_on, e_on
-        return vec
-    log_alpha = math.log1p(d) if abs(d) < 0.5 else math.log(b.alpha)  # as in outage_prob
-    logw = np.arange(levels) * log_alpha - math.log(1.0 - delta)
-    logw[0] = 0.0
-    w = np.exp(logw - logw.max())
-    return w / w.sum()
+    models, single, top, col = _battery_batch(b)
+    slope, shift, fixed = np.zeros(len(models)), np.zeros(len(models)), []
+    for k, m in enumerate(models):
+        delta, e_on = m.access_prob, m.harvest_prob
+        if e_on in (0.0, 1.0) or delta == 0.0:
+            fixed.append((k, 0 if e_on == 0.0 else m.levels - 1, 1.0))
+        elif (d := m._alpha_minus_one()) <= -1.0:  # as in outage_prob
+            fixed += [(k, 0, 1.0 - e_on), (k, 1, e_on)]
+        else:  # log alpha as in outage_prob
+            slope[k] = math.log1p(d) if abs(d) < 0.5 else math.log(m.alpha)
+            shift[k] = math.log(1.0 - delta)
+    logw = col * slope[:, None] - shift[:, None]
+    logw[:, 0] = 0.0
+    logw[col > top] = -np.inf
+    w = np.exp(logw - logw.max(axis=-1, keepdims=True))
+    vec = w / w.sum(axis=-1, keepdims=True)
+    if fixed:
+        rows, cols, values = zip(*fixed)
+        vec[list(rows)] = 0.0
+        vec[rows, cols] = values
+    return vec[0] if single else vec
 
 
 def steady_state_numeric(matrix: np.ndarray) -> np.ndarray:

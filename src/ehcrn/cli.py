@@ -19,6 +19,7 @@ each variant's grid points as one simulation on the variant's seed.
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -45,6 +46,7 @@ _SIMULATE_FLAGS = (("slots", "slots"), ("seed", "seed"), ("sensing", "sensing_mo
                    ("replications", "replications"))
 
 
+@functools.cache  # built on the first main call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ehcrn",

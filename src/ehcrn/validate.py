@@ -26,7 +26,7 @@ from ehcrn.chains import steady_state
 from ehcrn.configio import LoadedConfig
 from ehcrn.gaussian import q_tail, q_tail_inverse
 
-__all__ = ["CheckResult", "closed_form_vs_numeric", "run_validation"]
+__all__ = ["CheckResult", "closed_form_vs_numeric", "random_batteries", "run_validation"]
 
 
 @dataclass(frozen=True)
@@ -36,36 +36,33 @@ class CheckResult:
     detail: str
 
 
-def closed_form_vs_numeric(instances: int = 200, seed: int = 20240101, max_levels: int = 200):
-    """Worst disagreement between the battery closed form and the solver.
-
-    Draws random (L, delta, e_on) instances spanning drift-down, drift-up
-    and the balanced ratio (delta == e_on gives the ratio exactly 1),
-    solves all their chains in one batched O(L) call of
-    :func:`birth_death_steady_state` (diagonals padded to the largest L),
-    and returns the worst absolute difference of the outage probability
-    and of the full stationary vector from each row's first L entries.
-    """
+def random_batteries(instances: int = 200, seed: int = 20240101, max_levels: int = 200):
+    """The random batteries of :func:`closed_form_vs_numeric`: drift down, drift
+    up and, every tenth, the balanced ratio (delta == e_on gives exactly 1)."""
     rng = np.random.default_rng(seed)
-    batteries = []
     for i in range(instances):
         levels = int(rng.integers(2, max_levels + 1))
         delta = float(rng.uniform(0.01, 0.99))
-        if i % 10 == 0:
-            e_on = delta  # ratio exactly 1
-        else:
-            e_on = float(rng.uniform(0.01, 0.99))
-        batteries.append(BatteryModel(levels, delta, e_on))
-    width = max((b.levels for b in batteries), default=2)
-    down, up = np.ones((instances, width - 1)), np.zeros((instances, width - 1))
-    stay = np.zeros((instances, width))
-    for k, b in enumerate(batteries):
-        down[k, :b.levels - 1], stay[k, :b.levels], up[k, :b.levels - 1] = battery_diagonals(b)
-    worst_pi0 = worst_vec = 0.0
-    for b, row in zip(batteries, birth_death_steady_state(down, stay, up)):
-        worst_pi0 = max(worst_pi0, abs(outage_prob(b) - row[0]))
-        worst_vec = max(worst_vec, float(np.max(np.abs(battery_steady_state(b) - row[:b.levels]))))
-    return worst_pi0, worst_vec
+        e_on = delta if i % 10 == 0 else float(rng.uniform(0.01, 0.99))
+        yield BatteryModel(levels, delta, e_on)
+
+
+def closed_form_vs_numeric(instances: int = 200, seed: int = 20240101, max_levels: int = 200):
+    """Worst disagreement between the battery closed form and the solver.
+
+    Builds the diagonals of all :func:`random_batteries` in one batched
+    :func:`battery_diagonals` call (padded to the largest L), solves them in
+    one batched O(L) call of :func:`birth_death_steady_state`, and returns
+    the worst absolute difference of the outage probability and of the
+    full stationary vector, all rows of :func:`battery_steady_state` built
+    in one call; both are 0 past each row's L.
+    """
+    batteries = list(random_batteries(instances, seed, max_levels))
+    numeric = birth_death_steady_state(*battery_diagonals(batteries))
+    outage = np.array([outage_prob(b) for b in batteries])
+    worst_pi0 = np.abs(outage - numeric[:, 0]).max(initial=0.0)
+    worst_vec = np.abs(battery_steady_state(batteries) - numeric).max(initial=0.0)
+    return float(worst_pi0), float(worst_vec)
 
 
 def run_validation(bundle: LoadedConfig, instances: int = 200) -> list[CheckResult]:

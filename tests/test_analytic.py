@@ -27,9 +27,10 @@ from ehcrn.analytic import (
     steady_state_numeric,
     threshold_for_target_pf,
 )
+from ehcrn import validate
 from ehcrn.chains import TwoStateChain
 from ehcrn.errors import NumericsError
-from ehcrn.validate import closed_form_vs_numeric
+from ehcrn.validate import closed_form_vs_numeric, random_batteries
 
 SNR_M15_DB = 10.0 ** (-1.5)  # -15 dB as a linear ratio
 
@@ -88,16 +89,6 @@ def loop_transition_matrix(b):
     mat[levels - 1, levels - 2] = down
     mat[levels - 1, levels - 1] = 1.0 - down
     return mat
-
-
-def validate_instances(instances=200, seed=20240101, max_levels=200):
-    """The random batteries of ``closed_form_vs_numeric``, drawn the same way."""
-    rng = np.random.default_rng(seed)
-    for i in range(instances):
-        levels = int(rng.integers(2, max_levels + 1))
-        delta = float(rng.uniform(0.01, 0.99))
-        e_on = delta if i % 10 == 0 else float(rng.uniform(0.01, 0.99))
-        yield BatteryModel(levels, delta, e_on)
 
 
 class TestDetectorConfig:
@@ -394,6 +385,71 @@ class TestBatterySteadyState:
             assert abs(vec[l + 1] * down - vec[l] * up) <= 1e-12 * scale
 
 
+class TestBatteryBatch:
+    """A list of models gives the one-model diagonals and vectors, row by row."""
+
+    @staticmethod
+    def assert_rows_match(models):
+        down, stay, up = battery_diagonals(models)
+        vec = battery_steady_state(models)
+        width = max(b.levels for b in models)
+        assert (down.shape, stay.shape, up.shape, vec.shape) == (
+            (len(models), width - 1), (len(models), width), (len(models), width - 1),
+            (len(models), width))
+        for k, battery in enumerate(models):
+            n = battery.levels
+            one_down, one_stay, one_up = battery_diagonals(battery)
+            assert np.array_equal(down[k, :n - 1], one_down) and (down[k, n - 1:] == 1.0).all()
+            assert np.array_equal(stay[k, :n], one_stay) and (stay[k, n:] == 0.0).all()
+            assert np.array_equal(up[k, :n - 1], one_up) and (up[k, n - 1:] == 0.0).all()
+            # the weights match bit for bit, but the normalising sum runs over
+            # the padded length in another order: the two sums of at most W
+            # positive terms differ by under 2 (W - 1) ulp, plus one rounding
+            # in each division
+            single = battery_steady_state(battery)
+            bound = (2 * width + 2) * 2.0**-53 * single + 2.0**-1074
+            assert (np.abs(vec[k, :n] - single) <= bound).all()
+            assert not vec[k, n:].any()
+        return vec
+
+    def test_random_batteries(self):
+        models = list(random_batteries())
+        vec = self.assert_rows_match(models)
+        for battery, row in zip(models, vec):
+            assert np.max(np.abs(row[:battery.levels] - battery_steady_state(battery))) <= 2.3e-16
+
+    def test_mixed_boundary_models(self):
+        models = [
+            BatteryModel(6, 0.4, 0.0), BatteryModel(3, 0.4, 1.0),
+            BatteryModel(5, 0.0, 0.3), BatteryModel(4, 1.0, 0.3),
+            BatteryModel(7, 1.0 - 2.0**-53, 0.01), BatteryModel(2, 0.3, 0.3),
+            BatteryModel(9, 0.02, 0.98), BatteryModel(2, 0.0, 0.0),
+        ]
+        vec = self.assert_rows_match(models)
+        for k in (0, 1, 2, 3, 4, 7):  # the boundary rows are set, not normalised
+            n = models[k].levels
+            assert vec[k, :n].tolist() == battery_steady_state(models[k]).tolist()
+
+    @given(st.lists(batteries, min_size=1, max_size=8))
+    def test_matches_single_calls_property(self, models):
+        self.assert_rows_match(models)
+
+    def test_empty_batch(self):
+        assert [v.shape for v in battery_diagonals([])] == [(0, 1), (0, 2), (0, 1)]
+        assert battery_steady_state([]).shape == (0, 2)
+        assert closed_form_vs_numeric(instances=0) == (0.0, 0.0)
+
+    def test_validate_builds_each_batch_once(self, monkeypatch):
+        calls = {"battery_diagonals": 0, "battery_steady_state": 0}
+        for name in calls:
+            def spy(b, _real=getattr(validate, name), _name=name):
+                calls[_name] += 1
+                return _real(b)
+            monkeypatch.setattr(validate, name, spy)
+        closed_form_vs_numeric(instances=30)
+        assert calls == {"battery_diagonals": 1, "battery_steady_state": 1}
+
+
 class TestNumericSolver:
     def test_symmetric_two_state(self):
         pi = steady_state_numeric(np.array([[0.5, 0.5], [0.5, 0.5]]))
@@ -484,28 +540,16 @@ class TestBoundaryLimits:
 class TestBirthDeathSolver:
     def test_matches_dense_on_validate_instances(self):
         count = 0
-        for battery in validate_instances():
+        for battery in random_batteries():
             fast = birth_death_steady_state(*battery_diagonals(battery))
             dense = steady_state_numeric(battery_transition_matrix(battery))
             assert np.max(np.abs(fast - dense)) <= 1e-12
             count += 1
         assert count == 200
 
-    @staticmethod
-    def padded_batch(instances):
-        """Stacked diagonals, padded past each chain's top with (1, 0, 0)."""
-        width = max(b.levels for b in instances)
-        down = np.ones((len(instances), width - 1))
-        stay = np.zeros((len(instances), width))
-        up = np.zeros((len(instances), width - 1))
-        for k, battery in enumerate(instances):
-            n = battery.levels
-            down[k, :n - 1], stay[k, :n], up[k, :n - 1] = battery_diagonals(battery)
-        return down, stay, up
-
     def test_batch_matches_single_solves(self):
-        instances = list(validate_instances())
-        batch = birth_death_steady_state(*self.padded_batch(instances))
+        instances = list(random_batteries())
+        batch = birth_death_steady_state(*battery_diagonals(instances))
         assert batch.shape == (200, max(b.levels for b in instances))
         for battery, row in zip(instances, batch):
             single = birth_death_steady_state(*battery_diagonals(battery))
@@ -514,27 +558,27 @@ class TestBirthDeathSolver:
             assert not row[battery.levels:].any()
 
     def test_batch_axes(self):
-        instances = list(validate_instances(instances=6))
-        down, stay, up = self.padded_batch(instances)
+        instances = list(random_batteries(instances=6))
+        down, stay, up = battery_diagonals(instances)
         flat = birth_death_steady_state(down, stay, up)
         shaped = birth_death_steady_state(*(v.reshape(2, 3, -1) for v in (down, stay, up)))
         assert np.array_equal(shaped.reshape(flat.shape), flat)
 
     def test_batch_names_non_stochastic_row(self):
-        down, stay, up = self.padded_batch(list(validate_instances(instances=5)))
+        down, stay, up = battery_diagonals(list(random_batteries(instances=5)))
         stay[3, 0] += 1e-6
         with pytest.raises(NumericsError, match="row-stochastic in batch row 3$"):
             birth_death_steady_state(down, stay, up)
 
     def test_batch_names_zero_down_row(self):
-        down, stay, up = self.padded_batch(list(validate_instances(instances=5)))
+        down, stay, up = battery_diagonals(list(random_batteries(instances=5)))
         stay[2, 1] += down[2, 0]
         down[2, 0] = 0.0
         with pytest.raises(NumericsError, match="down entry is 0 in batch row 2;.*irreducible"):
             birth_death_steady_state(down, stay, up)
 
     def test_batch_names_unreliable_row(self):
-        down, stay, up = self.padded_batch(list(validate_instances(instances=5)))
+        down, stay, up = battery_diagonals(list(random_batteries(instances=5)))
         stay[4, 0] += 5e-10
         with pytest.raises(NumericsError, match=r"unreliable: residual .* in batch row 4$"):
             birth_death_steady_state(down, stay, up)

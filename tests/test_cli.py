@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from ehcrn import cli
 from ehcrn.cli import ANALYZE_HEADER, main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -279,6 +280,39 @@ class TestExitCodes:
         bad = tmp_path / "bad.cfg"
         bad.write_text("[spectrum]\nq_i = 1.0\n")
         assert main(["analyze", "--config", str(bad)]) == 2
+
+
+class TestOneProcess:
+    """main builds its parser once per process: a run must not see the runs before it."""
+
+    @staticmethod
+    def in_process(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage error
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    def test_back_to_back_matches_separate_runs(self, small_cfg, tmp_path, capsys):
+        runs = [
+            ["analyze", "--config", CASE1],
+            ["sweep", "--case", "custom", "--config", small_cfg, "--out", str(tmp_path / "out")],
+            ["validate", "--config", CASE1],
+            ["frobnicate"],
+            ["simulate", "--config", small_cfg, "--slots", "-5"],
+            ["analyze", "--config", small_cfg],
+        ]
+        together = [self.in_process(argv, capsys) for argv in runs]
+        separate = []
+        for argv in runs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ehcrn", *argv], capture_output=True, text=True,
+                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(REPO / "src")},
+            )
+            separate.append((proc.returncode, proc.stdout))
+        assert [code for code, _ in together] == [0, 0, 0, 2, 2, 0]
+        assert together == separate
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestSubprocessEntryPoints:
