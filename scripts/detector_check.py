@@ -5,10 +5,11 @@ For a range of sample counts N, prints the false-alarm and detection
 rates three ways: the closed forms' Gaussian approximation (``model``),
 the exact finite-N law of the energy statistic, Q(N, eps N / v) from
 ``analytic.gamma_tail`` (``exact``, the rates signal-mode simulation
-uses), and the busy share of that many sampled statistics, each from N
-complex Gaussian samples (``sampled``).  The gap between model and exact
-is the Gaussian-approximation error, which shrinks roughly like
-1/sqrt(N); sampled differs from exact by Monte-Carlo noise only.
+uses), and the busy share of that many sampled statistics, each drawn
+by that law as v / N times one Gamma(N, 1) variable (``sampled``).  The
+gap between model and exact is the Gaussian-approximation error, which
+shrinks roughly like 1/sqrt(N); sampled differs from exact by
+Monte-Carlo noise only.
 
 Usage:
     python scripts/detector_check.py [--trials 100000] [--snr-db -15]

@@ -300,6 +300,11 @@ def outage_prob(b: BatteryModel) -> float:
     The boundaries short circuit to their limits: never harvesting pins the
     battery at empty, harvesting every slot or never accessing keeps it
     away from empty, and accessing every slot gives 1 - e_on.
+
+    Two corners have no unique stationary law.  At delta == e_on == 0 the
+    battery never moves, every level absorbs, and pi_0 = 1 by convention
+    (the never-harvesting limit).  At delta == e_on == 1 every level >= 1
+    absorbs, level 0 is left at once, and pi_0 = 0 for every stationary law.
     """
     if b.harvest_prob == 0.0:
         return 1.0

@@ -161,25 +161,16 @@ class SimReport:
 def measure_signal_rate(spectrum_state: int, det, rng: RandomStream, trials: int) -> float:
     """Empirical rate of "busy" verdicts over many signal-level trials.
 
-    Each trial draws N complex samples (noise only when idle, signal plus
-    noise when occupied, both circularly symmetric Gaussian), averages
-    their power and thresholds the result; used to check the Gaussian
-    approximation of the closed-form rates.
+    Each trial thresholds the average power of N complex samples (noise
+    only when idle, signal plus noise when occupied, both circularly
+    symmetric Gaussian of total variance v), drawn by its exact law: v / N
+    times a Gamma(N, 1) variable, one draw per trial.  Used to check the
+    Gaussian approximation of the closed-form rates.
     """
     n = det.sample_count
     variance = det.noise_power * ((det.primary_snr + 1.0) if spectrum_state == 1 else 1.0)
-    rows = max(1, (1 << 22) // n)
-    busy = 0
-    done = 0
-    gen = rng.generator
-    while done < trials:
-        k = min(rows, trials - done)
-        re = gen.standard_normal((k, n))
-        im = gen.standard_normal((k, n))
-        stats = (0.5 * variance / n) * (np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im))
-        busy += int(np.count_nonzero(stats > det.threshold))
-        done += k
-    return busy / trials
+    stats = (variance / n) * rng.generator.standard_gamma(n, trials)
+    return int(np.count_nonzero(stats > det.threshold)) / trials
 
 
 def initial_level(scenario: Scenario, cfg: SimConfig) -> int:

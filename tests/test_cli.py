@@ -1,12 +1,18 @@
 """CLI subcommands, argument plumbing and exit codes."""
 
 import hashlib
+import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ehcrn import cli
 from ehcrn.cli import ANALYZE_HEADER, main
@@ -269,6 +275,122 @@ class TestBoundaryConfigs:
     def test_validate(self, boundary_cfg, capsys):
         assert main(["validate", "--config", boundary_cfg[1]]) == 0
         assert capsys.readouterr().out.count("[PASS]") == 5
+
+
+def stock(case, **values):
+    """The stock config of ``case`` with the given keys set to new values."""
+    text = (REPO / "configs" / f"case{case}.cfg").read_text(encoding="utf-8")
+    for key, value in values.items():
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert count == 1, key
+    return text
+
+
+# Configs that load but on which a dense solve of the configured battery
+# fails: a stiff chain (delta ~ 4e-7, e_on ~ 3e-9), delta = e_on = 0 (every
+# level absorbs) and delta = e_on = 1 (every level >= 1 absorbs); and a long
+# battery, whose dense transition matrix alone takes 128 MB.
+HARD_CONFIGS = {
+    "stiff": stock(1, p_off="0.999999999", target_pf="0.999999", levels="1000"),
+    "absorbing0": stock(1, q_o="1", p_off="1", target_pf="0.999999", primary_snr_db="300"),
+    "absorbing1": stock(2, p_on="1", normalized_threshold="1.4"),
+}
+LONG_CONFIG = stock(1, levels="4000")
+
+
+def run_quietly(argv):
+    """(exit code, stdout, stderr) of one in-process ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestValidateVerdicts:
+    """``validate`` certifies the configured battery in O(L) and passes on
+    configs whose chain is stiff, absorbing or long."""
+
+    @pytest.mark.parametrize("name", sorted(HARD_CONFIGS))
+    def test_passes(self, name, tmp_path):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(HARD_CONFIGS[name], encoding="utf-8")
+        code, out, err = run_quietly(["validate", "--config", str(path)])
+        assert code == 0, err + out
+        assert out.count("[PASS]") == 5
+        line = next(x for x in out.splitlines() if "configured operating point" in x)
+        assert float(re.search(r"\|outage diff\| = (\S+) at", line).group(1)) <= 1e-10
+
+    def test_long_battery_memory(self, tmp_path):
+        path = tmp_path / "long.cfg"
+        path.write_text(LONG_CONFIG, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code, out, err = run_quietly(["validate", "--config", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err + out
+        assert peak < 20e6, f"validate at L = 4000 peaked at {peak / 1e6:.1f} MB"
+
+
+def _stay():
+    return st.one_of(st.sampled_from([0.0, 1.0, 1e-9, 1.0 - 1e-9]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def config_texts(draw):
+    """A config file with every key drawn from its valid range, boundaries included."""
+    threshold_key = draw(st.sampled_from(["target_pf", "normalized_threshold", "threshold"]))
+    threshold = draw({
+        "target_pf": st.one_of(st.sampled_from([1e-12, 1e-6, 0.999999, 1.0 - 1e-12]),
+                               st.floats(1e-12, 1.0 - 1e-12)),
+        "normalized_threshold": st.one_of(st.sampled_from([0.6, 1.0, 1.4]), st.floats(1e-3, 10.0)),
+        "threshold": st.floats(1e-6, 1e6),
+    }[threshold_key])
+    levels = draw(st.integers(2, 1000))
+    sensing_duration = draw(st.floats(1e-5, 0.01))
+    values = {
+        "spectrum": {"q_i": draw(_stay()), "q_o": draw(_stay())},
+        "energy": {"p_on": draw(_stay()), "p_off": draw(_stay())},
+        "detector": {
+            "sensing_duration": sensing_duration,
+            "sampling_rate": draw(st.floats(1e4, 1e8)),
+            "noise_power": draw(st.floats(1e-6, 1e6)),
+            "primary_snr_db": draw(st.one_of(st.sampled_from([-300.0, 300.0]),
+                                             st.floats(-300.0, 300.0))),
+            threshold_key: threshold,
+        },
+        "battery": {"levels": levels},
+        "sim": {
+            "slot_duration": draw(st.floats(sensing_duration, 1.0)),
+            "slots": draw(st.integers(1, 10**6)),
+            "replications": draw(st.integers(1, 4)),
+            "seed": draw(st.integers(0, 2**64 - 1)),
+            "sensing_mode": draw(st.sampled_from(["event", "signal"])),
+            "initial_battery": draw(st.one_of(st.just("full"), st.integers(0, levels - 1))),
+            "initial_states": draw(st.sampled_from(["steady-draw", "fixed"])),
+            "num_pu_channels": draw(st.integers(1, 200)),
+        },
+    }
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in values.items())
+
+
+@pytest.mark.filterwarnings("ignore:sensing duration .* is more than a tenth of the slot")
+@settings(max_examples=100, deadline=None)
+@given(config_texts())
+@example(HARD_CONFIGS["stiff"])
+@example(HARD_CONFIGS["absorbing0"])
+@example(HARD_CONFIGS["absorbing1"])
+@example(LONG_CONFIG)
+def test_every_loaded_config_gets_a_verdict(text):
+    # exit 0, or 2 for a config that does not load; never 3 or a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text(text, encoding="utf-8")
+        for argv in (["analyze"], ["validate"], ["simulate", "--slots", "2000"]):
+            code, out, err = run_quietly([*argv, "--config", str(path)])
+            assert code in (0, 2), f"{argv[0]} exit {code}: {err}{out}"
 
 
 class TestExitCodes:

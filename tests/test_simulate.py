@@ -101,6 +101,19 @@ class TestSenseSignal:
         exact = exact_busy_rate(det, state)
         assert abs(rate - exact) <= 3.0 * math.sqrt(exact * (1.0 - exact) / trials)
 
+    @pytest.mark.parametrize("state", [0, 1])
+    def test_summed_samples_follow_exact_law(self, state):
+        # measure_signal_rate draws the statistic as v/N times Gamma(N, 1); here it
+        # is formed from its N complex samples, 2N real squares of variance v/2
+        det = detector(threshold=1.2, n=50)
+        n, trials = det.sample_count, 40_000
+        variance = det.noise_power * ((det.primary_snr + 1.0) if state == 1 else 1.0)
+        parts = RandomStream(9, state).generator.standard_normal((trials, 2 * n))
+        stats = (0.5 * variance / n) * np.einsum("ij,ij->i", parts, parts)
+        rate = np.count_nonzero(stats > det.threshold) / trials
+        exact = exact_busy_rate(det, state)
+        assert abs(rate - exact) <= 3.0 * math.sqrt(exact * (1.0 - exact) / trials)
+
     def test_same_stream_reproduces(self):
         det = detector(n=100)
         a = measure_signal_rate(1, det, RandomStream(6, 0), 1000)
