@@ -4,12 +4,12 @@
 For a range of sample counts N, prints the false-alarm and detection
 rates three ways: the closed forms' Gaussian approximation (``model``),
 the exact finite-N law of the energy statistic, Q(N, eps N / v) from
-``analytic.gamma_tail`` (``exact``, the rates signal-mode simulation
-uses), and the busy share of that many sampled statistics, each drawn
-by that law as v / N times one Gamma(N, 1) variable (``sampled``).  The
-gap between model and exact is the Gaussian-approximation error, which
-shrinks roughly like 1/sqrt(N); sampled differs from exact by
-Monte-Carlo noise only.
+``analytic.exact_false_alarm_prob`` and ``exact_detection_prob``
+(``exact``, the rates signal-mode simulation uses), and the busy share
+of that many sampled statistics, each drawn by that law as v / N times
+one Gamma(N, 1) variable (``sampled``).  The gap between model and
+exact is the Gaussian-approximation error, which shrinks roughly like
+1/sqrt(N); sampled differs from exact by Monte-Carlo noise only.
 
 Usage:
     python scripts/detector_check.py [--trials 100000] [--snr-db -15]
@@ -22,8 +22,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ehcrn.analytic import (DetectorConfig, detection_prob, false_alarm_prob, gamma_tail,
-                            threshold_for_target_pf)
+from ehcrn.analytic import (DetectorConfig, detection_prob, exact_detection_prob,
+                            exact_false_alarm_prob, false_alarm_prob, threshold_for_target_pf)
 from ehcrn.chains import RandomStream
 from ehcrn.simulate import measure_signal_rate
 
@@ -46,8 +46,7 @@ def main() -> int:
             noise_power=1.0, threshold=1.0, primary_snr=snr,
         )
         det = replace(det, threshold=threshold_for_target_pf(args.target_pf, det))
-        pf_exact = gamma_tail(n, det.threshold * n / det.noise_power)
-        pd_exact = gamma_tail(n, det.threshold * n / ((1.0 + snr) * det.noise_power))
+        pf_exact, pd_exact = exact_false_alarm_prob(det), exact_detection_prob(det)
         pf_hat = measure_signal_rate(0, det, RandomStream(args.seed, 0), args.trials)
         pd_hat = measure_signal_rate(1, det, RandomStream(args.seed, 1), args.trials)
         print(f"{n:>6} {false_alarm_prob(det):>10.5f} {pf_exact:>10.5f} {pf_hat:>11.5f} "

@@ -43,6 +43,8 @@ __all__ = [
     "battery_transition_matrix",
     "birth_death_steady_state",
     "detection_prob",
+    "exact_detection_prob",
+    "exact_false_alarm_prob",
     "false_alarm_prob",
     "gamma_tail",
     "operating_point",
@@ -105,6 +107,18 @@ def detection_prob(det: DetectorConfig) -> float:
     """Probability of declaring the channel busy when it is occupied."""
     scaled = det.threshold / ((det.primary_snr + 1.0) * det.noise_power)
     return q_tail((scaled - 1.0) * math.sqrt(det.sample_count))
+
+
+def exact_false_alarm_prob(det: DetectorConfig) -> float:
+    """:func:`false_alarm_prob` by the exact law (:func:`gamma_tail`), v = N0."""
+    n = det.sample_count
+    return gamma_tail(n, det.threshold * n / det.noise_power)
+
+
+def exact_detection_prob(det: DetectorConfig) -> float:
+    """:func:`detection_prob` by the exact law (:func:`gamma_tail`), v = (SNR + 1) N0."""
+    n = det.sample_count
+    return gamma_tail(n, det.threshold * n / ((det.primary_snr + 1.0) * det.noise_power))
 
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)

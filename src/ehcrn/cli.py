@@ -128,7 +128,7 @@ def _cmd_sweep(args) -> int:
         written.append(json_path)
     if args.plots:
         plot_path = out / f"{stem}.gp"
-        emit_plot_script(rows, plot_path, sweep_variable=spec.variable, csv_name=csv_path.name)
+        emit_plot_script(rows, plot_path, sweep_variable=spec.variable)
         written.append(plot_path)
     for path in written:
         print(path)

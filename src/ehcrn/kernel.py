@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ehcrn.analytic import detection_prob, false_alarm_prob, gamma_tail
+from ehcrn.analytic import (detection_prob, exact_detection_prob, exact_false_alarm_prob,
+                            false_alarm_prob)
 from ehcrn.chains import steady_state
 
 # Slots the kernel works on at once; bounds its temporaries, which would
@@ -250,16 +251,15 @@ def sensing(scenarios, signal):
     Event mode takes the closed forms' Gaussian tails, signal mode the
     exact finite-N law of the energy statistic (v / N times a Gamma(N, 1)
     variable, busy above eps): P = Q(N, eps N / v), with v = N0 on an idle
-    and (SNR + 1) N0 on an occupied channel.  The detectors do not change
-    within a run, so a run works these out once and hands them to every
-    :func:`advance`.
+    and (SNR + 1) N0 on an occupied channel
+    (:func:`ehcrn.analytic.exact_false_alarm_prob` and
+    :func:`~ehcrn.analytic.exact_detection_prob`).  The detectors do not
+    change within a run, so a run works these out once and hands them to
+    every :func:`advance`.
     """
-    dets = [s.detector for s in scenarios]
-    if signal:
-        rates = [[gamma_tail(d.sample_count, d.threshold * d.sample_count / v)
-                  for v in (d.noise_power, (d.primary_snr + 1.0) * d.noise_power)] for d in dets]
-    else:
-        rates = [[false_alarm_prob(d), detection_prob(d)] for d in dets]
+    pf, pd = ((exact_false_alarm_prob, exact_detection_prob) if signal
+              else (false_alarm_prob, detection_prob))
+    rates = [[pf(s.detector), pd(s.detector)] for s in scenarios]
     idle, occupied = np.array(rates).T[:, :, None]
     return Sensing(idle, occupied)
 

@@ -125,15 +125,20 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Empirical estimators pooled over one or more replications.
+    """Slot counts pooled over one or more replications, and the empirical
+    estimators that are their ratios.
 
-    Counters partition the slots: delivered + outage + non-access +
-    collided == slots.  ``battery_histogram`` holds start-of-slot level
-    occupancy fractions; ``battery_transition_counts[l, k]`` counts moves
-    from level l with k in {0: down, 1: stay, 2: up}.  ``packet_loss_ci95``
-    is the 95 % half-width across replications, t(0.975, R - 1) sd / sqrt(R),
+    Only what is counted, or needs the replications one by one, is stored;
+    every ratio is a property of the counts, so it cannot disagree with
+    them.  Counters partition the slots: delivered + outage + non-access +
+    collided == slots.  ``battery_level_counts[l]`` counts the slots that
+    start at level l (``battery_histogram`` as fractions) and
+    ``battery_transition_counts[l, k]`` the moves from level l with k in
+    {0: down, 1: stay, 2: up}.  ``packet_loss_ci95`` is the 95 % half-width
+    across the ``replication_loss_rates``, t(0.975, R - 1) sd / sqrt(R),
     when there are R > 1 of them (the spread absorbs slot-to-slot
-    correlation), otherwise the binomial one of the pooled slots.
+    correlation), otherwise the binomial one of the pooled slots.  The
+    rates pf and pd are NaN when no slot was idle or occupied.
     """
 
     slots: int
@@ -142,20 +147,42 @@ class SimReport:
     packets_lost_outage: int
     packets_lost_false_alarm_or_busy: int
     packets_collided: int
-    empirical_packet_loss: float
-    packet_loss_ci95: float
-    empirical_outage_occupancy: float
-    empirical_pf: float
-    empirical_pd: float
-    empirical_delta: float
-    empirical_pi_idle: float
-    battery_histogram: np.ndarray
-    battery_level_counts: np.ndarray
-    battery_transition_counts: np.ndarray
     idle_slots: int
     alarms_idle: int
     alarms_occupied: int
+    battery_level_counts: np.ndarray
+    battery_transition_counts: np.ndarray
     replication_loss_rates: tuple
+    packet_loss_ci95: float
+
+    @property
+    def empirical_packet_loss(self) -> float:
+        return 1.0 - self.packets_delivered / self.slots
+
+    @property
+    def empirical_outage_occupancy(self) -> float:
+        return float(self.battery_level_counts[0]) / self.slots
+
+    @property
+    def empirical_pf(self) -> float:
+        return float(self.alarms_idle) / self.idle_slots if self.idle_slots else math.nan
+
+    @property
+    def empirical_pd(self) -> float:
+        occupied = self.slots - self.idle_slots
+        return float(self.alarms_occupied) / occupied if occupied else math.nan
+
+    @property
+    def empirical_delta(self) -> float:
+        return 1.0 - self.packets_lost_false_alarm_or_busy / self.slots
+
+    @property
+    def empirical_pi_idle(self) -> float:
+        return self.idle_slots / self.slots
+
+    @property
+    def battery_histogram(self) -> np.ndarray:
+        return self.battery_level_counts / float(self.slots)
 
 
 def measure_signal_rate(spectrum_state: int, det, rng: RandomStream, trials: int) -> float:
@@ -189,11 +216,9 @@ def initial_level(scenario: Scenario, cfg: SimConfig) -> int:
 def _initial_states(scenario: Scenario, cfg: SimConfig, rng: RandomStream):
     channels = cfg.num_pu_channels
     if cfg.initial_states == "steady-draw":
-        pi_idle = scenario.pi_idle
-        e_on = scenario.e_on
         gen = rng.generator
-        spec = np.array([0 if gen.random() < pi_idle else 1 for _ in range(channels)], np.int64)
-        energy = 0 if gen.random() < e_on else 1
+        spec = (gen.random(channels) >= scenario.pi_idle).astype(np.int64)
+        energy = 0 if gen.random() < scenario.e_on else 1
     else:
         spec = np.zeros(channels, np.int64)  # all idle
         energy = 1  # not harvesting
@@ -281,7 +306,8 @@ def _reports(slots_per_replication: int, tallies: np.ndarray) -> list[SimReport]
     The one place that sorts slots into outcomes: a busy verdict is a
     non-access loss, an idle one an outage at level 0 and otherwise a
     packet, delivered on an idle channel and collided on an occupied one.
-    Every count and rate is an array step over all the points at once.
+    Every count is an array step over all the points at once; the rates
+    are the reports' properties.
     """
     replications = len(tallies)
     slots = slots_per_replication * replications
@@ -290,43 +316,28 @@ def _reports(slots_per_replication: int, tallies: np.ndarray) -> list[SimReport]
     level_counts = level_moves.sum(axis=2)
     rates = 1.0 - tallies[:, :, 0, 0, 1:].sum(axis=(2, 3)).T / slots_per_replication
     delivered, collided = t[:, :, 0, 1:].sum(axis=(2, 3)).T
-    loss = 1.0 - delivered / slots
     if replications > 1:
         t975 = student_t_quantile(0.975, replications - 1)
         ci95 = t975 * (np.std(rates, axis=1, ddof=1) / math.sqrt(replications))
     else:
+        loss = 1.0 - delivered / slots
         ci95 = 1.96 * np.sqrt(np.maximum(loss * (1.0 - loss), 0.0) / slots)
     alarms_idle, alarms_occ = t[:, :, 1].sum(axis=(2, 3)).T.tolist()
     idle = t[:, 0].sum(axis=(1, 2, 3)).tolist()
     outage = t[:, :, 0, 0].sum(axis=(1, 2)).tolist()
-    empty = level_counts[:, 0].tolist()
-    histogram = level_counts / float(slots)
-    delivered, collided, loss, ci95, rates = (
-        a.tolist() for a in (delivered, collided, loss, ci95, rates))
-    reports = []
-    for g in range(len(idle)):
-        nonaccess = alarms_idle[g] + alarms_occ[g]
-        occupied = slots - idle[g]
-        reports.append(SimReport(
-            slots=slots,
-            replications=replications,
-            packets_delivered=delivered[g],
-            packets_lost_outage=outage[g],
-            packets_lost_false_alarm_or_busy=nonaccess,
-            packets_collided=collided[g],
-            empirical_packet_loss=loss[g],
-            packet_loss_ci95=ci95[g],
-            empirical_outage_occupancy=float(empty[g]) / slots,
-            empirical_pf=float(alarms_idle[g]) / idle[g] if idle[g] else math.nan,
-            empirical_pd=float(alarms_occ[g]) / occupied if occupied else math.nan,
-            empirical_delta=1.0 - nonaccess / slots,
-            empirical_pi_idle=idle[g] / slots,
-            battery_histogram=histogram[g],
-            battery_level_counts=level_counts[g],
-            battery_transition_counts=level_moves[g],
-            idle_slots=idle[g],
-            alarms_idle=alarms_idle[g],
-            alarms_occupied=alarms_occ[g],
-            replication_loss_rates=tuple(rates[g]),
-        ))
-    return reports
+    delivered, collided, ci95, rates = (a.tolist() for a in (delivered, collided, ci95, rates))
+    return [SimReport(
+        slots=slots,
+        replications=replications,
+        packets_delivered=delivered[g],
+        packets_lost_outage=outage[g],
+        packets_lost_false_alarm_or_busy=alarms_idle[g] + alarms_occ[g],
+        packets_collided=collided[g],
+        idle_slots=idle[g],
+        alarms_idle=alarms_idle[g],
+        alarms_occupied=alarms_occ[g],
+        battery_level_counts=level_counts[g],
+        battery_transition_counts=level_moves[g],
+        replication_loss_rates=tuple(rates[g]),
+        packet_loss_ci95=ci95[g],
+    ) for g in range(len(idle))]

@@ -222,12 +222,12 @@ def emit_json(rows, path) -> None:
         fh.write("\n")
 
 
-def emit_plot_script(rows, path, sweep_variable: str = "primary_snr_db", csv_name: str | None = None) -> None:
+def emit_plot_script(rows, path, sweep_variable: str = "primary_snr_db") -> None:
     """Write a gnuplot script rendering analytic curves plus simulated
     points with error bars, one series per variant.
 
-    The script references only the CSV (by relative path, assumed to sit
-    next to the script; default: same stem with a .csv suffix).
+    The script references only the CSV, by relative path: the same stem
+    with a .csv suffix, assumed to sit next to the script.
     """
     if not rows:
         raise ValueError("no rows to emit")
@@ -235,12 +235,10 @@ def emit_plot_script(rows, path, sweep_variable: str = "primary_snr_db", csv_nam
         raise ValueError(
             f"sweep_variable must be one of {tuple(SWEEP_VARIABLES)}, got {sweep_variable!r}"
         )
-    if csv_name is None:
-        csv_name = Path(path).with_suffix(".csv").name
     labels = list(dict.fromkeys(row.variant for row in rows))
     lines = [
         "# generated by ehcrn sweep; run with: gnuplot -persist " + Path(path).name,
-        f'csvfile = "{csv_name}"',
+        f'csvfile = "{Path(path).with_suffix(".csv").name}"',
         "set datafile separator comma",
         f'set xlabel "{SWEEP_VARIABLES[sweep_variable]}"',
         'set ylabel "packet loss probability"',

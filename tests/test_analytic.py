@@ -20,6 +20,8 @@ from ehcrn.analytic import (
     battery_transition_matrix,
     birth_death_steady_state,
     detection_prob,
+    exact_detection_prob,
+    exact_false_alarm_prob,
     false_alarm_prob,
     gamma_tail,
     operating_point,
@@ -186,6 +188,20 @@ class TestGammaTail:
         limit = det.threshold * det.sample_count
         assert gamma_tail(2000, limit) == pytest.approx(0.010878, abs=5e-7)
         assert gamma_tail(2000, limit / (1.0 + det.primary_snr)) == pytest.approx(0.464812, abs=5e-7)
+
+    @pytest.mark.parametrize("noise", [1.0, 0.3, 7.0])
+    @pytest.mark.parametrize("tau", [0.00005, 0.002])
+    def test_exact_detector_pair(self, noise, tau):
+        # busy above eps with probability Q(N, eps N / v): v = N0 when idle,
+        # (SNR + 1) N0 when occupied
+        det = detector(threshold=1.02 * noise, tau=tau, noise=noise)
+        n = det.sample_count
+        idle, occupied = noise, (det.primary_snr + 1.0) * noise
+        assert exact_false_alarm_prob(det) == pytest.approx(
+            float(gammaincc(n, det.threshold * n / idle)), rel=1e-10)
+        assert exact_detection_prob(det) == pytest.approx(
+            float(gammaincc(n, det.threshold * n / occupied)), rel=1e-10)
+        assert exact_detection_prob(det) > exact_false_alarm_prob(det)
 
     @pytest.mark.parametrize("n, x", [(0, 1.0), (-1, 1.0), (5, -1.0), (5, math.nan),
                                       (math.nan, 1.0)])

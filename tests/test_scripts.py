@@ -1,0 +1,48 @@
+"""Smoke tests of the scripts under ``scripts/``."""
+
+import importlib.util
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+from ehcrn import kernel, simulate
+from ehcrn.analytic import (DetectorConfig, exact_detection_prob, exact_false_alarm_prob,
+                            threshold_for_target_pf)
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_detector_check_prints_the_exact_rates():
+    done = subprocess.run([sys.executable, str(SCRIPTS / "detector_check.py"), "--trials", "2000"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()[1:]
+    columns = header.split()
+    assert len(rows) == 4
+    for row in rows:
+        cells = dict(zip(columns, row.split()))
+        n = int(cells["N"])
+        det = DetectorConfig(sensing_duration=n / 1e6, sampling_rate=1e6, noise_power=1.0,
+                             threshold=1.0, primary_snr=10.0 ** -1.5)
+        det = replace(det, threshold=threshold_for_target_pf(0.01, det))
+        assert cells["pf_exact"] == f"{exact_false_alarm_prob(det):.5f}"
+        assert cells["pd_exact"] == f"{exact_detection_prob(det):.5f}"
+
+
+def test_bench_kernel_wraps_names_the_package_has(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec = importlib.util.spec_from_file_location("bench_kernel", SCRIPTS / "bench_kernel.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    undo = bench._instrument(bench._Clock())
+    try:
+        assert undo
+        for module, name, original in undo:
+            assert module in (kernel, simulate), name
+            assert getattr(module, name) is not original, name
+    finally:
+        for module, name, original in undo:
+            setattr(module, name, original)
+    for module, name, original in undo:
+        assert getattr(module, name) is original, name

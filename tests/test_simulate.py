@@ -18,7 +18,7 @@ from ehcrn.analytic import (
     detection_prob,
     false_alarm_prob,
 )
-from ehcrn import kernel, simulate
+from ehcrn import analytic, kernel, simulate
 from ehcrn.chains import RandomStream, TwoStateChain
 from ehcrn.gaussian import student_t_quantile
 from ehcrn.configio import load_config
@@ -278,9 +278,15 @@ class TestPoolingAndDeterminism:
         assert r.slots == 1000
 
 
+# The report's ratios, worked out from its stored counts.
+DERIVED = {"empirical_packet_loss", "empirical_outage_occupancy", "empirical_pf",
+           "empirical_pd", "empirical_delta", "empirical_pi_idle", "battery_histogram"}
+
+
 def pooled_reference(slots_per_replication, tallies):
-    """Reference for the pooling: one point's report from its R (2, 2, L, 3)
-    tallies, with sums and rates worked out for this point alone."""
+    """Reference for the pooling: one point's report numbers, the 13 stored
+    fields and the 7 ratios of them, from its R (2, 2, L, 3) tallies, with
+    sums and rates worked out for this point alone."""
     replications = len(tallies)
     slots = slots_per_replication * replications
     t = sum(tallies)
@@ -298,7 +304,7 @@ def pooled_reference(slots_per_replication, tallies):
         ci95 = student_t_quantile(0.975, replications - 1) * spread
     else:
         ci95 = 1.96 * math.sqrt(max(loss * (1.0 - loss), 0.0) / slots)
-    return simulate.SimReport(
+    return dict(
         slots=slots, replications=replications, packets_delivered=delivered,
         packets_lost_outage=int(t[:, 0, 0].sum()), packets_lost_false_alarm_or_busy=nonaccess,
         packets_collided=collided, empirical_packet_loss=loss, packet_loss_ci95=ci95,
@@ -313,18 +319,21 @@ def pooled_reference(slots_per_replication, tallies):
 
 
 def assert_same_report(report, reference):
-    """Every field equal, bit for bit and of the same type (NaN equal to NaN)."""
-    for f in fields(simulate.SimReport):
-        got, want = getattr(report, f.name), getattr(reference, f.name)
-        assert type(got) is type(want), f.name
+    """Every stored field and every derived ratio equal to the reference's,
+    bit for bit and of the same type (NaN equal to NaN)."""
+    stored = {f.name for f in fields(simulate.SimReport)}
+    assert len(stored) == 13 and stored | DERIVED == set(reference)
+    for name, want in reference.items():
+        got = getattr(report, name)
+        assert type(got) is type(want), name
         if isinstance(want, np.ndarray):
-            assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
         elif isinstance(want, float) and math.isnan(want):
-            assert math.isnan(got), f.name
+            assert math.isnan(got), name
         else:
-            assert got == want, f.name
+            assert got == want, name
             if isinstance(want, tuple):
-                assert all(type(a) is type(b) for a, b in zip(got, want)), f.name
+                assert all(type(a) is type(b) for a, b in zip(got, want)), name
 
 
 class TestPooledReports:
@@ -348,6 +357,13 @@ class TestPooledReports:
         for g, report in enumerate(reports):
             assert_same_report(report, pooled_reference(slots, list(tallies[:, g])))
         assert math.isnan(reports[1].empirical_pf) and math.isnan(reports[2].empirical_pd)
+
+    def test_ratios_follow_counts(self):
+        report = run_simulation(scenario(), SimConfig(slots=5000, replications=2, seed=39))
+        d = report.packets_delivered
+        moved = replace(report, packets_delivered=d + 1)
+        assert moved.empirical_packet_loss == 1.0 - (d + 1) / report.slots
+        assert moved.empirical_packet_loss != report.empirical_packet_loss
 
 
 class TestSignalModeSimulation:
@@ -900,8 +916,8 @@ class TestRunPoints:
         monkeypatch.setattr(kernel, "SUB_BLOCK", 100)
         points = DETECTOR_STACKS["event-snr"][0]
         calls = []
-        gamma_tail = kernel.gamma_tail
-        monkeypatch.setattr(kernel, "gamma_tail", lambda n, x: calls.append(n) or gamma_tail(n, x))
+        gamma_tail = analytic.gamma_tail
+        monkeypatch.setattr(analytic, "gamma_tail", lambda n, x: calls.append(n) or gamma_tail(n, x))
         simulate.run_points(points, SimConfig(slots=300, replications=2, sensing_mode="signal"))
         assert len(calls) == 2 * len(points)
 
