@@ -6,8 +6,10 @@ in four modes -- event sensing on 1 channel, signal sensing on 1 and on
 10 channels, and event sensing on 1 channel with L = 2 battery levels,
 where the battery touches both ends within most sub-blocks and takes the
 kernel's fallback scan -- and ``run_points`` on the 13 points of that
-scenario's case-1 SNR grid in a fifth (event sensing, 1 channel), one
-2^20-slot block per repeat, and times in each block:
+scenario's case-1 SNR grid in a fifth and on the 29 points of the stock
+case-2 scenario's threshold grid (configs/case2.cfg) in a sixth (event
+sensing, 1 channel: the stock sweeps' batches), one 2^20-slot block per
+repeat, and times in each block:
 
 * ``draws``: the RNG calls (spectrum and energy uniforms, channel choice,
   sensing uniforms);
@@ -19,9 +21,11 @@ scenario's case-1 SNR grid in a fifth (event sensing, 1 channel), one
 * ``battery_levels``: every ``kernel.battery_levels`` call, the battery
   scan (older trees call it once per point, newer ones once for all the
   points of a sub-block);
-* ``advance_rest``: the rest of ``kernel.advance`` (the sensed channel,
-  the verdicts and the one ``bincount`` of the joint tally over (point,
-  channel state, verdict, start level, level move));
+* ``verdicts``: ``kernel.verdicts``, every point's busy verdicts (older
+  trees have no such function and count this step in ``advance_rest``);
+* ``advance_rest``: the rest of ``kernel.advance`` (the sensed channel
+  and the one ``bincount`` of the joint tally over (point, channel
+  state, verdict, start level, level move));
 * ``total``: the whole ``run_simulation`` or ``run_points`` call.
 
 The draws and both chains are shared by the points of a batch; the
@@ -69,17 +73,20 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from ehcrn import kernel, simulate  # noqa: E402
 from ehcrn.configio import apply_overrides, load_config  # noqa: E402
-from ehcrn.sweep import CASE_ONE_GRID_DB  # noqa: E402
+from ehcrn.sweep import CASE_ONE_GRID_DB, CASE_TWO_GRID  # noqa: E402
 
 BLOCK = 1 << 20
 REPEATS = 9
-# mode -> (sensing mode, channels, grid of SNRs in dB or None for the configured
-# point, overrides of the configured scenario)
-MODES = {"event-1ch": ("event", 1, None, {}), "signal-1ch": ("signal", 1, None, {}),
-         "signal-10ch": ("signal", 10, None, {}),
-         "event-1ch-13pt": ("event", 1, CASE_ONE_GRID_DB, {}),
-         "event-1ch-L2": ("event", 1, None, {"levels": 2})}
-LAYERS = ("draws", "spectrum_chain", "energy_chain", "battery_levels", "advance_rest", "total")
+# mode -> (config under configs/, sensing mode, channels, (swept key, grid) or None
+# for the configured point, overrides of the configured scenario)
+MODES = {"event-1ch": ("case1", "event", 1, None, {}),
+         "signal-1ch": ("case1", "signal", 1, None, {}),
+         "signal-10ch": ("case1", "signal", 10, None, {}),
+         "event-1ch-13pt": ("case1", "event", 1, ("primary_snr_db", CASE_ONE_GRID_DB), {}),
+         "event-1ch-29pt": ("case2", "event", 1, ("normalized_threshold", CASE_TWO_GRID), {}),
+         "event-1ch-L2": ("case1", "event", 1, None, {"levels": 2})}
+LAYERS = ("draws", "spectrum_chain", "energy_chain", "battery_levels", "verdicts", "advance_rest",
+          "total")
 DRAWS = ("random", "integers")
 
 
@@ -135,6 +142,8 @@ def _instrument(clock):
         (kernel, "advance", clock.wrap("advance", kernel.advance)),
         (simulate, "RandomStream", TimedRandomStream),
     ]
+    if hasattr(kernel, "verdicts"):  # older trees compare inside advance
+        patches.append((kernel, "verdicts", clock.wrap("verdicts", kernel.verdicts)))
     undo = [(mod, name, getattr(mod, name)) for mod, name, _ in patches]
     for mod, name, value in patches:
         setattr(mod, name, value)
@@ -153,7 +162,8 @@ def _block_ms(scenarios, cfg):
         for mod, name, value in undo:
             setattr(mod, name, value)
     s = clock.spent
-    rest = s.pop("advance") - s["spectrum_chain"] - s["energy_chain"] - s["battery_levels"]
+    rest = (s.pop("advance") - s["spectrum_chain"] - s["energy_chain"] - s["battery_levels"]
+            - s["verdicts"])
     return {**s, "advance_rest": rest, "total": total}
 
 
@@ -162,12 +172,13 @@ def _quartiles(values, digits):
     return {"median": round(med, digits), "q1": round(q1, digits), "q3": round(q3, digits)}
 
 
-def measure(scenario, base_sim, mode, channels, grid, overrides):
-    cfg = replace(base_sim, slots=BLOCK, replications=1, sensing_mode=mode,
+def measure(config, mode, channels, grid, overrides):
+    bundle = load_config(str(ROOT / "configs" / f"{config}.cfg"))
+    cfg = replace(bundle.sim, slots=BLOCK, replications=1, sensing_mode=mode,
                   num_pu_channels=channels)
-    scenario = apply_overrides(scenario, None, overrides)[0]
+    scenario = apply_overrides(bundle.scenario, None, overrides)[0]
     scenarios = [scenario] if grid is None else [
-        apply_overrides(scenario, None, {"primary_snr_db": v})[0] for v in grid]
+        apply_overrides(scenario, None, {grid[0]: v})[0] for v in grid[1]]
     simulate.run_points(scenarios, replace(cfg, slots=2 * kernel.SUB_BLOCK))  # warm-up
     runs = [_block_ms(scenarios, replace(cfg, seed=cfg.seed + i)) for i in range(REPEATS)]
     out = {"points": len(scenarios)}
@@ -199,10 +210,9 @@ def main() -> int:
     parser.add_argument("--label", required=True, help="name of the measured source tree")
     args = parser.parse_args()
 
-    bundle = load_config(str(ROOT / "configs" / "case1.cfg"))
     modes = {}
-    for name, (mode, channels, grid, overrides) in MODES.items():
-        modes[name] = measure(bundle.scenario, bundle.sim, mode, channels, grid, overrides)
+    for name, spec in MODES.items():
+        modes[name] = measure(*spec)
         row = modes[name]
         print(f"{args.label:>10} {name:>14} " + " ".join(
             f"{layer}={row[layer]['median']:.2f}" for layer in LAYERS
@@ -213,8 +223,8 @@ def main() -> int:
     path = Path(args.out)
     record = json.loads(path.read_text()) if path.exists() else {
         "what": "ms per 2^20-slot block of run_simulation (run_points for a grid mode) "
-                "on configs/case1.cfg, thread CPU time on one core; median and quartiles "
-                "over the repeats",
+                "on configs/case1.cfg (case2.cfg for the 29-point mode), thread CPU time "
+                "on one core; median and quartiles over the repeats",
         "runs": [],
     }
     record["runs"].append({"label": args.label, "repeats": REPEATS,

@@ -7,9 +7,9 @@ battery levels with one running sum and a running extreme at each end it
 meets, and a tally of what happened in each slot with one ``bincount``;
 :mod:`ehcrn.simulate` sorts the tally into loss causes.  One pass serves G
 points that differ only in their detector (the grid of a sweep variant):
-the chain paths are worked out once and shared, the verdicts once per
-point, and the battery levels and the tally of all G points in one array
-step each.
+the chain paths are worked out once and shared, and the verdicts
+(:func:`verdicts`, two comparisons of the shared sensing uniform), the
+battery levels and the tally of all G points in one array step each.
 
 The battery level is a random walk of harvests and transmissions held in
 [0, top].  The kernel reflects the walk at the cap (the walk minus its
@@ -239,7 +239,8 @@ def _clamp_map_scan(y, a, harvest, top):
 
 class Sensing(NamedTuple):
     """The probabilities P_f and P_d of a busy verdict on an idle and on an
-    occupied channel, of each of G points, as (G, 1) columns."""
+    occupied channel, of each of G points, as (G, 1) columns; the rates
+    that :func:`verdicts` compares the sensing uniforms with."""
 
     idle: np.ndarray
     occupied: np.ndarray
@@ -264,6 +265,25 @@ def sensing(scenarios, signal):
     return Sensing(idle, occupied)
 
 
+def verdicts(sense_draw, occupied, rule):
+    """The (G, n) bool busy verdicts of the G points of ``rule`` (a
+    :class:`Sensing`) on the n slots: slot t reads busy at point g when
+    ``sense_draw[t]`` is below the point's P_d if the sensed channel is
+    ``occupied[t]``, and below its P_f if not.
+
+    Two comparisons of the shared uniforms, each masked by the sensed
+    channel's state, in place on bool arrays: the same doubles compared
+    with the same rates as picking each slot's rate first, without the
+    (G, n) float table that picking would build.
+    """
+    busy = np.less(sense_draw, rule.occupied)
+    busy &= occupied
+    idle = np.less(sense_draw, rule.idle)
+    idle &= ~occupied
+    busy |= idle
+    return busy
+
+
 def advance(scenarios, rule, state, u_spec, u_energy, chan_sel, sense_draw, tally):
     """Advance the link over one run of slots at G points at once; returns
     the state after it.
@@ -271,7 +291,7 @@ def advance(scenarios, rule, state, u_spec, u_energy, chan_sel, sense_draw, tall
     The points are ``scenarios``, which differ only in their detector, and
     ``rule`` is their :class:`Sensing`: the chain paths (from the first
     point) and the sensed channel are shared, while each point has its own
-    verdicts and battery.  ``state`` is (channel carry of
+    verdicts (:func:`verdicts`) and battery.  ``state`` is (channel carry of
     :func:`sensed_channel`, energy state, battery level of each point,
     shape (G,)) with 1 / True meaning occupied and not harvesting.  Each
     slot draws one spectrum uniform ``u_spec``, one energy uniform, the
@@ -287,8 +307,7 @@ def advance(scenarios, rule, state, u_spec, u_energy, chan_sel, sense_draw, tall
     size = first.battery_levels
     occupied, spec = sensed_channel(u_spec, chan_sel, first.spectrum, spec)
     off_path = chain_path(u_energy, first.energy.stay_a, first.energy.stay_b, energy)
-    per_state = np.where(occupied, rule.occupied, rule.idle)
-    busy = sense_draw < per_state
+    busy = verdicts(sense_draw, occupied, rule)
     # the flat bin of (g, occupied, busy, start, k); int32 scalars keep it int32.
     # Row g of the (G, n) verdicts gives point g's levels on the shared harvests.
     levels = battery_levels(~busy, ~off_path, carry, size - 1)

@@ -21,9 +21,9 @@ from ehcrn.analytic import (
 from ehcrn import analytic, kernel, simulate
 from ehcrn.chains import RandomStream, TwoStateChain
 from ehcrn.gaussian import student_t_quantile
-from ehcrn.configio import load_config
+from ehcrn.configio import apply_overrides, load_config
 from ehcrn.simulate import SimConfig, measure_signal_rate, run_replication, run_simulation
-from ehcrn.sweep import campaign
+from ehcrn.sweep import CASE_ONE_GRID_DB, CASE_TWO_GRID, campaign
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -726,6 +726,87 @@ class TestBatteryLevels:
         rows = [(a.tolist(), int(s)) for a, s in zip(access, start)
                 if overflows_after_empty(a.tolist(), harvest.tolist(), int(s), top)]
         assert scanned == ([rows] if rows else [])
+
+
+def stock_points(points):
+    """1 point (configs/case1.cfg), the 13 of the case-1 SNR grid, or the 29
+    of the case-2 threshold grid (configs/case2.cfg)."""
+    name, key, grid = {1: ("case1", None, None),
+                       13: ("case1", "primary_snr_db", CASE_ONE_GRID_DB),
+                       29: ("case2", "normalized_threshold", CASE_TWO_GRID)}[points]
+    base = load_config(str(REPO / "configs" / f"{name}.cfg")).scenario
+    if grid is None:
+        return [base]
+    return [apply_overrides(base, None, {key: v})[0] for v in grid]
+
+
+def edge_rates(rule):
+    """``rule`` with rates of exactly 0.0 and 1.0 and points of equal rates:
+    P_f = 0 and P_d = 1 on the first point, P_f = 1 and P_d = 0 on the
+    second, the third a copy of the second and P_f = P_d on the fourth."""
+    idle, occupied = rule.idle.copy(), rule.occupied.copy()
+    edges = [(0.0, 1.0), (1.0, 0.0), (1.0, 0.0), (occupied[-1, 0], occupied[-1, 0])]
+    for g, (pf, pd) in enumerate(edges[:len(idle)]):
+        idle[g], occupied[g] = pf, pd
+    return kernel.Sensing(idle, occupied)
+
+
+def verdict_draws(rule, occupied, seed):
+    """Shared uniforms of the slots of ``occupied`` in which every rate of
+    ``rule`` appears as a draw exactly, on an idle and on an occupied slot,
+    and some draws are exactly 0.0."""
+    rng = np.random.default_rng(seed)
+    sense_draw = rng.random(len(occupied))
+    rates = np.concatenate([rule.idle.ravel(), rule.occupied.ravel(), [0.0] * 4])
+    for state in (False, True):
+        slots = rng.choice(np.flatnonzero(occupied == state), len(rates), replace=False)
+        sense_draw[slots] = np.minimum(rates, np.nextafter(1.0, 0.0))  # draws lie in [0, 1)
+    return sense_draw
+
+
+class TestVerdicts:
+    """``kernel.verdicts`` is the old per-slot rate table compared once,
+    bit for bit, at the ties and at the ends of [0, 1]."""
+
+    @staticmethod
+    def reference(sense_draw, occupied, rule):
+        return sense_draw < np.where(occupied, rule.occupied, rule.idle)
+
+    @pytest.mark.parametrize("points", [1, 13, 29])
+    @pytest.mark.parametrize("signal", [False, True])
+    @pytest.mark.parametrize("edges", [False, True])
+    def test_matches_rate_table(self, points, signal, edges, monkeypatch):
+        scenarios = stock_points(points)
+        first = scenarios[0]
+        rule = kernel.sensing(scenarios, signal)
+        if edges:
+            rule = edge_rates(rule)
+        spec, energy, level = simulate._initial_states(first, SimConfig(slots=1, replications=1),
+                                                       RandomStream(points, 1))
+        state = ((spec, np.zeros(len(spec), np.int64)), energy, np.full(points, level))
+        u_spec, u_energy = np.random.default_rng(points).random((2, 3000))
+        occupied = kernel.sensed_channel(u_spec, None, first.spectrum, state[0])[0]
+        sense_draw = verdict_draws(rule, occupied, seed=points + 1)
+        busy = kernel.verdicts(sense_draw, occupied, rule)
+        expect = self.reference(sense_draw, occupied, rule)
+        assert busy.dtype == bool and busy.shape == (points, 3000)
+        assert (busy == expect).all()
+        # every point reads both verdicts, so a swapped mask would show
+        assert expect.any(axis=1).all() and not expect.all(axis=1).any()
+
+        # one advance call counts and ends the same way either way
+        results = []
+        for verdicts in (kernel.verdicts, self.reference):
+            monkeypatch.setattr(kernel, "verdicts", verdicts)
+            tally = np.zeros((points, 2, 2, first.battery_levels, 3), np.int64)
+            after = kernel.advance(scenarios, rule, state, u_spec, u_energy, None, sense_draw,
+                                   tally)
+            results.append((tally, after))
+        (tally, after), (ref_tally, ref_after) = results
+        assert (tally == ref_tally).all()
+        assert tally[:, 1].sum() == points * np.count_nonzero(occupied)
+        assert (after[0][0] == ref_after[0][0]).all() and after[1] == ref_after[1]
+        assert (after[2] == ref_after[2]).all()
 
 
 class TestKernelMatchesLoopOracle:
