@@ -19,10 +19,8 @@ repeat, and times in each block:
 * ``energy_chain``: ``kernel.chain_path`` on the energy uniforms (the
   calls outside ``sensed_channel``);
 * ``battery_levels``: every ``kernel.battery_levels`` call, the battery
-  scan (older trees call it once per point, newer ones once for all the
-  points of a sub-block);
-* ``verdicts``: ``kernel.verdicts``, every point's busy verdicts (older
-  trees have no such function and count this step in ``advance_rest``);
+  scan (once for all the points of a sub-block);
+* ``verdicts``: ``kernel.verdicts``, every point's busy verdicts;
 * ``advance_rest``: the rest of ``kernel.advance`` (the sensed channel
   and the one ``bincount`` of the joint tally over (point, channel
   state, verdict, start level, level move));
@@ -139,11 +137,10 @@ def _instrument(clock):
         (kernel, "sensed_channel", clock.wrap("spectrum_chain", kernel.sensed_channel)),
         (kernel, "chain_path", clock.wrap("energy_chain", kernel.chain_path)),
         (kernel, "battery_levels", clock.wrap("battery_levels", kernel.battery_levels)),
+        (kernel, "verdicts", clock.wrap("verdicts", kernel.verdicts)),
         (kernel, "advance", clock.wrap("advance", kernel.advance)),
         (simulate, "RandomStream", TimedRandomStream),
     ]
-    if hasattr(kernel, "verdicts"):  # older trees compare inside advance
-        patches.append((kernel, "verdicts", clock.wrap("verdicts", kernel.verdicts)))
     undo = [(mod, name, getattr(mod, name)) for mod, name, _ in patches]
     for mod, name, value in patches:
         setattr(mod, name, value)

@@ -39,7 +39,10 @@ from ehcrn.sweep import (
 )
 from ehcrn.validate import run_validation
 
-ANALYZE_HEADER = "pf,pd,delta,pi_idle,e_on,alpha,analytic_pi0,analytic_pl"
+# analyze column -> the OperatingPoint attribute it prints
+_ANALYZE_COLUMNS = (("pf", "pf"), ("pd", "pd"), ("delta", "delta"), ("pi_idle", "pi_idle"), ("e_on", "e_on"),
+                    ("alpha", "alpha"), ("analytic_pi0", "outage"), ("analytic_pl", "packet_loss"))
+ANALYZE_HEADER = ",".join(column for column, _ in _ANALYZE_COLUMNS)
 
 # simulate flag -> the SimConfig field it overrides
 _SIMULATE_FLAGS = (("slots", "slots"), ("seed", "seed"), ("sensing", "sensing_mode"),
@@ -80,9 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_analyze(args) -> int:
     bundle = load_config(args.config)
     op = operating_point(bundle.scenario)
-    values = (op.pf, op.pd, op.delta, op.pi_idle, op.e_on, op.alpha, op.outage, op.packet_loss)
     print(ANALYZE_HEADER)
-    print(",".join(format_float(v) for v in values))
+    print(",".join(format_float(getattr(op, name)) for _, name in _ANALYZE_COLUMNS))
     return 0
 
 

@@ -18,12 +18,12 @@ path's running deficit below empty, the lower form, Lindley's recursion).
 A row whose reflected path stays at or below top has its level; only the
 rows whose level overflows the cap after it has met empty do not, and
 they take one batched doubling scan of the slots' clamp maps, as the
-chain paths do of their step maps.  The kernel reads the chains, L and
-the detectors from the ``Scenario``s (the detectors' busy probabilities
-once per run, as a :class:`Sensing`) and gives every point the same
-counts, bit for bit, as stepping its slots one at a time by the rules in
-:mod:`ehcrn.simulate`; the tests hold that per-slot loop, with constants
-of its own, as the reference.
+chain paths do of their step maps.  The kernel reads the chains and L
+from the one ``Scenario`` the points share, and their detectors as one
+:class:`Sensing`, and gives every point the same counts, bit for bit, as
+stepping its slots one at a time by the rules in :mod:`ehcrn.simulate`;
+the tests hold that per-slot loop, with constants of its own, as the
+reference.
 """
 
 from typing import NamedTuple
@@ -39,7 +39,7 @@ from ehcrn.chains import steady_state
 SUB_BLOCK = 1 << 13
 
 
-def chain_path(u, stay_a, stay_b, start, runs=None):
+def chain_path(u, stay_a, stay_b, start):
     """States of two-state chains after each step driven by the uniforms ``u``.
 
     Axis 0 of ``u`` is time; ``start`` holds the states before the first
@@ -47,30 +47,21 @@ def chain_path(u, stay_a, stay_b, start, runs=None):
     state 0 if u < stay_a and state 1 if u < stay_b (scalars, or one pair
     per step): it is the map x -> (x & a) ^ b, with b = (u >= stay_a) the
     image of 0 and a = b ^ (u < stay_b) true where the step keeps x
-    (identity or swap), false where it is constant.  Such maps compose into
-    maps of the same form, so a doubling scan gives every prefix: the round
-    of shift s composes row t with row t - s, leaving in row t the map of
-    the 2s steps ending at t (of all of them for t < 2s).  The scan stops
-    once every row t >= s holds a constant map: such a window holds a
-    constant step, which wipes out the steps before it, so its map is the
-    prefix map, and the rows t < s hold full prefixes; the state is then
-    (start & a) ^ b.  With no constant step (stay_a == stay_b, say) the
-    scan would never stop early, and the state is the running parity of
-    the swaps XOR ``start``.
-
-    ``runs``, if given, holds the (increasing) indices of the steps of a
-    1-d ``u`` that start a chain of their own, 0 among them, and ``start``
-    one state per run: each such step becomes the constant map to its image
-    of that start, which wipes out the run before it, so one scan serves
-    every run.  Returns a bool array shaped like ``u``.
+    (identity or swap), false where it is constant (stays (1, 0) map to 0,
+    (0, 1) to 1).  Such maps compose into maps of the same form, so a
+    doubling scan gives every prefix: the round of shift s composes row t
+    with row t - s, leaving in row t the map of the 2s steps ending at t
+    (of all of them for t < 2s).  The scan stops once every row t >= s
+    holds a constant map: such a window holds a constant step, which wipes
+    out the steps before it, so its map is the prefix map, and the rows
+    t < s hold full prefixes; the state is then (start & a) ^ b.  With no
+    constant step (stay_a == stay_b, say) the scan would never stop early,
+    and the state is the running parity of the swaps XOR ``start``.
+    Returns a bool array shaped like ``u``.
     """
     b = u >= stay_a
     a = b ^ (u < stay_b)
     start = np.asarray(start, bool)
-    if runs is not None:
-        b[runs] ^= a[runs] & start
-        a[runs] = False
-        start = False
     if a.all():
         return np.bitwise_xor.accumulate(b, axis=0) ^ start
     s = 1
@@ -92,12 +83,13 @@ def sensed_channel(u, chan_sel, chain, carry):
     step of the two-state ``chain`` each slot, but only the sensed one is
     read, and the channels are i.i.d. and independent of the rest of the
     link; so a channel is stepped only when it is read, by the k steps since
-    it was last seen at once (:func:`_k_step_stays`).  Sorted by channel, stably so that each channel's slots stay in time
-    order, the slots form one run per sensed channel: a two-state chain
-    with per-step stays whose first step maps from the channel's carried
-    state, and one :func:`chain_path` call serves all the runs.  A single
-    channel is read every slot and steps by the chain itself, its age
-    staying 0.
+    it was last seen at once (:func:`_k_step_stays`).  Sorted by channel,
+    stably so that each channel's slots stay in time order, the slots form
+    one run per sensed channel, a two-state chain with per-step stays.  A
+    run's first step is written as the constant step to its image of the
+    channel's carried state, which wipes out the run before it, so one
+    :func:`chain_path` call serves all the runs.  A single channel is read
+    every slot and steps by the chain itself, its age staying 0.
     """
     states, ages = carry
     if chan_sel is None:
@@ -114,13 +106,15 @@ def sensed_channel(u, chan_sel, chain, carry):
     gaps[runs] = 0
     stay_a, stay_b = (table[gaps] for table in _k_step_stays(chain, np.arange(gaps.max() + 1)))
     stay_a[runs], stay_b[runs] = _k_step_stays(chain, ages[seen] + order[runs] + 1)
-    path = chain_path(u[order], stay_a, stay_b, states[seen], runs)
+    u = u[order]
+    image = np.where(states[seen], u[runs] < stay_b[runs], u[runs] >= stay_a[runs])
+    stay_a[runs], stay_b[runs] = ~image, image
+    path = chain_path(u, stay_a, stay_b, False)
     occupied = np.empty(n, bool)
     occupied[order] = path
     states, ages = states.copy(), ages + n
-    last = order[ends - 1]
     states[seen] = path[ends - 1]
-    ages[seen] = n - 1 - last
+    ages[seen] = n - 1 - order[ends - 1]
     return occupied, (states, ages)
 
 
@@ -261,8 +255,7 @@ def sensing(scenarios, signal):
     pf, pd = ((exact_false_alarm_prob, exact_detection_prob) if signal
               else (false_alarm_prob, detection_prob))
     rates = [[pf(s.detector), pd(s.detector)] for s in scenarios]
-    idle, occupied = np.array(rates).T[:, :, None]
-    return Sensing(idle, occupied)
+    return Sensing(*np.array(rates).T[:, :, None])
 
 
 def verdicts(sense_draw, occupied, rule):
@@ -284,46 +277,45 @@ def verdicts(sense_draw, occupied, rule):
     return busy
 
 
-def advance(scenarios, rule, state, u_spec, u_energy, chan_sel, sense_draw, tally):
+def advance(scenario, rule, state, u_spec, u_energy, chan_sel, sense_draw, tally):
     """Advance the link over one run of slots at G points at once; returns
     the state after it.
 
-    The points are ``scenarios``, which differ only in their detector, and
-    ``rule`` is their :class:`Sensing`: the chain paths (from the first
-    point) and the sensed channel are shared, while each point has its own
-    verdicts (:func:`verdicts`) and battery.  ``state`` is (channel carry of
-    :func:`sensed_channel`, energy state, battery level of each point,
-    shape (G,)) with 1 / True meaning occupied and not harvesting.  Each
-    slot draws one spectrum uniform ``u_spec``, one energy uniform, the
-    sensed channel ``chan_sel`` (None for a single channel) and one
-    uniform ``sense_draw``, which reads busy when it is below the point's
-    P_d (occupied) or P_f (idle).  Counts each slot of point g in the
-    (G, 2, 2, L, 3) int64 ``tally`` at [g, sensed channel occupied, verdict
-    busy, battery level at slot start, move k = after - start + 1 (0 down,
-    1 stay, 2 up)].
+    ``scenario`` holds what the points share, the chains and the battery
+    size L; ``rule`` is their :class:`Sensing`, one row per point, and
+    gives G.  The chain paths and the sensed channel are shared, while each
+    point has its own verdicts (:func:`verdicts`) and battery.  ``state``
+    is (channel carry of :func:`sensed_channel`, energy state, battery
+    level of each point, shape (G,)) with 1 / True meaning occupied and not
+    harvesting.  Each slot draws one spectrum uniform ``u_spec``, one
+    energy uniform, the sensed channel ``chan_sel`` (None for a single
+    channel) and one uniform ``sense_draw``, which reads busy when it is
+    below the point's P_d (occupied) or P_f (idle).  Counts each slot of
+    point g in the (G, 2, 2, L, 3) int64 ``tally`` at [g, sensed channel
+    occupied, verdict busy, battery level at slot start, move
+    k = after - start + 1 (0 down, 1 stay, 2 up)].
     """
     spec, energy, carry = state
-    first = scenarios[0]
-    size = first.battery_levels
-    occupied, spec = sensed_channel(u_spec, chan_sel, first.spectrum, spec)
-    off_path = chain_path(u_energy, first.energy.stay_a, first.energy.stay_b, energy)
+    size = scenario.battery_levels
+    occupied, spec = sensed_channel(u_spec, chan_sel, scenario.spectrum, spec)
+    off_path = chain_path(u_energy, scenario.energy.stay_a, scenario.energy.stay_b, energy)
     busy = verdicts(sense_draw, occupied, rule)
     # the flat bin of (g, occupied, busy, start, k); int32 scalars keep it int32.
     # Row g of the (G, n) verdicts gives point g's levels on the shared harvests.
     levels = battery_levels(~busy, ~off_path, carry, size - 1)
     code = np.multiply(levels[:, :-1], 2, dtype=np.int32)
     code += levels[:, 1:]
-    code += np.arange(1, 12 * size * len(scenarios), 12 * size, dtype=np.int32)[:, None]
+    code += np.arange(1, 12 * size * len(rule.idle), 12 * size, dtype=np.int32)[:, None]
     code += occupied * np.int32(6 * size)
     code += busy * np.int32(3 * size)
     tally += np.bincount(code.ravel(), minlength=tally.size).reshape(tally.shape)
     return spec, off_path[-1], levels[:, -1].copy()
 
 
-def advance_block(scenarios, rule, state, u_spec, u_energy, chan_sel, sense_draw, tally):
+def advance_block(scenario, rule, state, u_spec, u_energy, chan_sel, sense_draw, tally):
     """:func:`advance` over a block, ``SUB_BLOCK`` slots at a time."""
     for i in range(0, len(u_energy), SUB_BLOCK):
         j = i + SUB_BLOCK
-        state = advance(scenarios, rule, state, u_spec[i:j], u_energy[i:j],
+        state = advance(scenario, rule, state, u_spec[i:j], u_energy[i:j],
                         None if chan_sel is None else chan_sel[i:j], sense_draw[i:j], tally)
     return state

@@ -45,9 +45,9 @@ shared uniform keeps the points' verdicts comonotone: a point with a
 higher busy probability reads busy in every slot another one does.
 
 The slots themselves are advanced by the array kernel in
-:mod:`ehcrn.kernel`, which reads the chains, L and the detectors from the
-``Scenario``s and only tallies the slots by what happened; the report
-sorts that tally into the loss causes above.
+:mod:`ehcrn.kernel`, which takes the one ``Scenario`` the points share
+and their detectors' busy rates, and only tallies the slots by what
+happened; the report sorts that tally into the loss causes above.
 """
 
 import math
@@ -129,10 +129,12 @@ class SimReport:
     estimators that are their ratios.
 
     Only what is counted, or needs the replications one by one, is stored;
-    every ratio is a property of the counts, so it cannot disagree with
-    them.  Counters partition the slots: delivered + outage + non-access +
-    collided == slots.  ``battery_level_counts[l]`` counts the slots that
-    start at level l (``battery_histogram`` as fractions) and
+    every ratio, the non-access count (alarms on idle and occupied slots)
+    and ``replications`` are properties of the stored fields, so they cannot
+    disagree with them.  Counters partition the slots: delivered + outage +
+    non-access + collided == slots.  ``battery_level_counts[l]`` (the row
+    sums of the transition counts, stored) counts the slots that start at
+    level l (``battery_histogram`` as fractions) and
     ``battery_transition_counts[l, k]`` the moves from level l with k in
     {0: down, 1: stay, 2: up}.  ``packet_loss_ci95`` is the 95 % half-width
     across the ``replication_loss_rates``, t(0.975, R - 1) sd / sqrt(R),
@@ -142,10 +144,8 @@ class SimReport:
     """
 
     slots: int
-    replications: int
     packets_delivered: int
     packets_lost_outage: int
-    packets_lost_false_alarm_or_busy: int
     packets_collided: int
     idle_slots: int
     alarms_idle: int
@@ -154,6 +154,14 @@ class SimReport:
     battery_transition_counts: np.ndarray
     replication_loss_rates: tuple
     packet_loss_ci95: float
+
+    @property
+    def replications(self) -> int:
+        return len(self.replication_loss_rates)
+
+    @property
+    def packets_lost_false_alarm_or_busy(self) -> int:
+        return self.alarms_idle + self.alarms_occupied
 
     @property
     def empirical_packet_loss(self) -> float:
@@ -225,20 +233,20 @@ def _initial_states(scenario: Scenario, cfg: SimConfig, rng: RandomStream):
     return spec, energy, initial_level(scenario, cfg)
 
 
-def _replication_counts(scenarios, rule, cfg: SimConfig, stream_id: int):
+def _replication_counts(scenario: Scenario, rule, cfg: SimConfig, stream_id: int):
     """The (G, 2, 2, L, 3) slot tally of one replication of ``cfg.slots``
-    slots on its own stream, for each of the G ``scenarios`` (axes as in
-    :func:`ehcrn.kernel.advance`), whose verdict constants are ``rule``
+    slots on its own stream, for each of the G points of ``rule`` (axes as
+    in :func:`ehcrn.kernel.advance`): ``scenario`` holds the chains and the
+    battery that the points share, ``rule`` their verdict rates
     (:func:`ehcrn.kernel.sensing`).  The points share the draws and the
     chain paths, so each point's tally is the one it gets alone."""
-    first = scenarios[0]
     rng = RandomStream(cfg.seed, stream_id)
     gen = rng.generator
     channels = cfg.num_pu_channels
 
-    spec, energy, level = _initial_states(first, cfg, rng)
-    state = ((spec, np.zeros(channels, np.int64)), energy, np.full(len(scenarios), level))
-    tally = np.zeros((len(scenarios), 2, 2, first.battery_levels, 3), np.int64)
+    spec, energy, level = _initial_states(scenario, cfg, rng)
+    state = ((spec, np.zeros(channels, np.int64)), energy, np.full(len(rule.idle), level))
+    tally = np.zeros((len(rule.idle), 2, 2, scenario.battery_levels, 3), np.int64)
 
     done = 0
     while done < cfg.slots:
@@ -249,7 +257,7 @@ def _replication_counts(scenarios, rule, cfg: SimConfig, stream_id: int):
         chan_sel = (gen.integers(0, channels, b, np.min_scalar_type(-channels))
                     if channels > 1 else None)
         sense_draw = gen.random(b)
-        state = advance_block(scenarios, rule, state, u_spec, u_energy, chan_sel, sense_draw, tally)
+        state = advance_block(scenario, rule, state, u_spec, u_energy, chan_sel, sense_draw, tally)
         done += b
     return tally
 
@@ -278,7 +286,7 @@ def run_points(scenarios, cfg: SimConfig) -> list[SimReport]:
                 "the points of one run share their chains, battery and draws"
             )
     rule = sensing(scenarios, cfg.sensing_mode == "signal")
-    tallies = np.stack([_replication_counts(scenarios, rule, cfg, rep)
+    tallies = np.stack([_replication_counts(scenarios[0], rule, cfg, rep)
                         for rep in range(cfg.replications)])
     return _reports(cfg.slots, tallies)
 
@@ -286,7 +294,7 @@ def run_points(scenarios, cfg: SimConfig) -> list[SimReport]:
 def run_replication(scenario: Scenario, cfg: SimConfig, stream_id: int) -> SimReport:
     """Simulate one replication of ``cfg.slots`` slots on its own stream."""
     rule = sensing([scenario], cfg.sensing_mode == "signal")
-    return _reports(cfg.slots, _replication_counts([scenario], rule, cfg, stream_id)[None])[0]
+    return _reports(cfg.slots, _replication_counts(scenario, rule, cfg, stream_id)[None])[0]
 
 
 def run_simulation(scenario: Scenario, cfg: SimConfig) -> SimReport:
@@ -328,10 +336,8 @@ def _reports(slots_per_replication: int, tallies: np.ndarray) -> list[SimReport]
     delivered, collided, ci95, rates = (a.tolist() for a in (delivered, collided, ci95, rates))
     return [SimReport(
         slots=slots,
-        replications=replications,
         packets_delivered=delivered[g],
         packets_lost_outage=outage[g],
-        packets_lost_false_alarm_or_busy=alarms_idle[g] + alarms_occ[g],
         packets_collided=collided[g],
         idle_slots=idle[g],
         alarms_idle=alarms_idle[g],

@@ -101,22 +101,22 @@ CSV_HEADER = ",".join(f.name for f in _FIELDS)
 class SweepSpec:
     """A sweep campaign: grid, labelled variants, base scenario, controls.
     ``runs``, built and so checked at construction, holds per variant its label,
-    its scenario at each grid value and ``sim`` on ``derive_seed(sim.seed, vi)``."""
+    its scenario at each grid value and ``sim`` on ``derive_seed(sim.seed, vi)``.
+    A variant keeps the base's threshold, which a config's ``target_pf`` fixed at
+    load time, unless it sets ``target_pf`` or ``normalized_threshold`` itself."""
 
     variable: str
     grid: tuple
     base: Scenario
     variants: tuple
     sim: SimConfig
-    target_pf: float | None = None
     runs: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_sweep(self.variable, self.grid, self.variants)
         runs = []
         for vi, (label, overrides) in enumerate(self.variants):
-            # Grid values keep the variant's threshold: no key moves what a target derives it from.
-            scn, _ = apply_overrides(self.base, self.target_pf, overrides)
+            scn, _ = apply_overrides(self.base, None, overrides)
             points = tuple(apply_overrides(scn, None, {self.variable: value})[0] for value in self.grid)
             try:
                 initial_level(scn, self.sim)
@@ -153,7 +153,6 @@ def campaign(bundle: LoadedConfig, case: str) -> SweepSpec:
             base=bundle.scenario,
             variants=sweep.variants,
             sim=bundle.sim,
-            target_pf=bundle.target_pf,
         )
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc

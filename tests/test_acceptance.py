@@ -102,7 +102,7 @@ def test_criterion_2_monte_carlo_agreement():
         ("case1", SweepSpec(
             variable="primary_snr_db", grid=CASE_ONE_POINTS,
             base=case_bundle("case1.cfg").scenario, variants=CASE_ONE_VARIANTS,
-            sim=sim, target_pf=0.01)),
+            sim=sim)),
         ("case2", SweepSpec(
             variable="normalized_threshold", grid=CASE_TWO_POINTS,
             base=case_bundle("case2.cfg").scenario, variants=CASE_TWO_VARIANTS,

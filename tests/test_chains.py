@@ -233,10 +233,16 @@ def run_inputs(draw):
 
 @given(run_inputs())
 def test_chain_path_over_runs_matches_step_reference(inputs):
-    # per-step stays, and each run's first step mapping from its own start
+    # per-step stays; each run's first step, mapping from the run's own
+    # start, is written as the constant step to its image, as
+    # sensed_channel writes it: stays (1, 0) to 0 and (0, 1) to 1
     u, stay_a, stay_b, runs, starts = inputs
     expect = run_step_path(u, stay_a, stay_b, runs, starts)
-    assert (chain_path(u, stay_a, stay_b, np.array(starts), runs) == expect).all()
+    stay_a, stay_b = (np.array(np.broadcast_to(s, u.shape), float) for s in (stay_a, stay_b))
+    for t, start in zip(runs.tolist(), starts):
+        image = u[t] < stay_b[t] if start else u[t] >= stay_a[t]
+        stay_a[t], stay_b[t] = (0.0, 1.0) if image else (1.0, 0.0)
+    assert (chain_path(u, stay_a, stay_b, False) == expect).all()
 
 
 def sensed_paths(chain, channels, slots, seed, states):

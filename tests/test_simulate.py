@@ -278,14 +278,16 @@ class TestPoolingAndDeterminism:
         assert r.slots == 1000
 
 
-# The report's ratios, worked out from its stored counts.
+# The report's numbers worked out from its stored fields: the ratios, the
+# non-access count and the replication count.
 DERIVED = {"empirical_packet_loss", "empirical_outage_occupancy", "empirical_pf",
-           "empirical_pd", "empirical_delta", "empirical_pi_idle", "battery_histogram"}
+           "empirical_pd", "empirical_delta", "empirical_pi_idle", "battery_histogram",
+           "packets_lost_false_alarm_or_busy", "replications"}
 
 
 def pooled_reference(slots_per_replication, tallies):
-    """Reference for the pooling: one point's report numbers, the 13 stored
-    fields and the 7 ratios of them, from its R (2, 2, L, 3) tallies, with
+    """Reference for the pooling: one point's report numbers, the 11 stored
+    fields and the 9 derived from them, from its R (2, 2, L, 3) tallies, with
     sums and rates worked out for this point alone."""
     replications = len(tallies)
     slots = slots_per_replication * replications
@@ -322,7 +324,7 @@ def assert_same_report(report, reference):
     """Every stored field and every derived ratio equal to the reference's,
     bit for bit and of the same type (NaN equal to NaN)."""
     stored = {f.name for f in fields(simulate.SimReport)}
-    assert len(stored) == 13 and stored | DERIVED == set(reference)
+    assert len(stored) == 11 and stored | DERIVED == set(reference)
     for name, want in reference.items():
         got = getattr(report, name)
         assert type(got) is type(want), name
@@ -364,6 +366,11 @@ class TestPooledReports:
         moved = replace(report, packets_delivered=d + 1)
         assert moved.empirical_packet_loss == 1.0 - (d + 1) / report.slots
         assert moved.empirical_packet_loss != report.empirical_packet_loss
+        lost = report.packets_lost_false_alarm_or_busy
+        alarmed = replace(report, alarms_idle=report.alarms_idle + 1)
+        assert alarmed.packets_lost_false_alarm_or_busy == lost + 1
+        assert alarmed.empirical_delta == 1.0 - (lost + 1) / report.slots
+        assert alarmed.empirical_delta < report.empirical_delta
 
 
 class TestSignalModeSimulation:
@@ -799,7 +806,7 @@ class TestVerdicts:
         for verdicts in (kernel.verdicts, self.reference):
             monkeypatch.setattr(kernel, "verdicts", verdicts)
             tally = np.zeros((points, 2, 2, first.battery_levels, 3), np.int64)
-            after = kernel.advance(scenarios, rule, state, u_spec, u_energy, None, sense_draw,
+            after = kernel.advance(first, rule, state, u_spec, u_energy, None, sense_draw,
                                    tally)
             results.append((tally, after))
         (tally, after), (ref_tally, ref_after) = results
@@ -832,7 +839,7 @@ class TestKernelMatchesLoopOracle:
         sensing = kernel.sensing(scenarios, signal)
         for b in blocks:
             draws = draw_block(gen, b, cfg.num_pu_channels)
-            state = kernel.advance_block(scenarios, sensing, state, *draws, tally)
+            state = kernel.advance_block(first, sensing, state, *draws, tally)
             for g, (rule, o) in enumerate(zip(rules, oracles)):
                 slot_loop_oracle(rule, o.spec, o.ages, o.carry, *draws, o.counters, o.counts,
                                  o.moves)
@@ -956,9 +963,10 @@ class TestRunPoints:
         signal = sensing_mode == "signal"
         for points, cfg in self.campaign_points(case, sensing_mode, channels):
             for rep in range(cfg.replications):
-                batch = simulate._replication_counts(points, kernel.sensing(points, signal), cfg, rep)
+                batch = simulate._replication_counts(points[0], kernel.sensing(points, signal), cfg,
+                                                     rep)
                 for g, scn in enumerate(points):
-                    alone = simulate._replication_counts([scn], kernel.sensing([scn], signal), cfg, rep)
+                    alone = simulate._replication_counts(scn, kernel.sensing([scn], signal), cfg, rep)
                     assert (batch[g] == alone[0]).all()
 
     def test_reports_equal_run_simulation(self):
@@ -974,7 +982,7 @@ class TestRunPoints:
         # checked against the per-point reference on its own tallies
         points, cfg = next(self.campaign_points("1", "event", 1))
         rule = kernel.sensing(points, False)
-        tallies = [simulate._replication_counts(points, rule, cfg, rep)
+        tallies = [simulate._replication_counts(points[0], rule, cfg, rep)
                    for rep in range(cfg.replications)]
         for g, report in enumerate(simulate.run_points(points, cfg)):
             assert_same_report(report, pooled_reference(cfg.slots, [t[g] for t in tallies]))

@@ -110,18 +110,19 @@ class TestSweepSpec:
         spec = campaign(tiny_bundle, "custom")
         with pytest.raises(ValueError, match="label"):
             SweepSpec(variable=spec.variable, grid=spec.grid, base=spec.base,
-                      variants=((label, {"p_on": 0.5}),), sim=spec.sim,
-                      target_pf=spec.target_pf)
+                      variants=((label, {"p_on": 0.5}),), sim=spec.sim)
 
     @pytest.mark.parametrize("case", ["1", "2"])
     def test_runs_hold_every_point_and_seed(self, case):
         # each variant's entry is the per-point build at every grid value,
-        # on the variant's derived seed
+        # on the variant's derived seed; the reference derives the variant's
+        # threshold from the config's target again, the spec keeps the base's
         repo = Path(__file__).resolve().parents[1]
-        spec = campaign(load_config(str(repo / "configs" / f"case{case}.cfg")), case)
+        bundle = load_config(str(repo / "configs" / f"case{case}.cfg"))
+        spec = campaign(bundle, case)
         assert len(spec.runs) == len(spec.variants)
         for vi, ((label, overrides), run) in enumerate(zip(spec.variants, spec.runs)):
-            variant, _ = apply_overrides(spec.base, spec.target_pf, overrides)
+            variant, _ = apply_overrides(spec.base, bundle.target_pf, overrides)
             points = tuple(apply_overrides(variant, None, {spec.variable: v})[0] for v in spec.grid)
             sim = replace(spec.sim, seed=RandomStream.derive_seed(spec.sim.seed, vi))
             assert run == (label, points, sim)
@@ -142,7 +143,7 @@ class TestSweepSpec:
         spec = campaign(tiny_bundle, "custom")
         with pytest.raises(ValueError, match="nan"):
             SweepSpec(variable=variable, grid=grid, base=spec.base,
-                      variants=spec.variants, sim=spec.sim, target_pf=spec.target_pf)
+                      variants=spec.variants, sim=spec.sim)
         bundle = replace(tiny_bundle, sweep=SweepDef(variable, grid, tiny_bundle.sweep.variants))
         with pytest.raises(ConfigError, match="nan"):
             campaign(bundle, "custom")
@@ -151,11 +152,10 @@ class TestSweepSpec:
         spec = campaign(tiny_bundle, "custom")
         message = "battery_levels must be an integer >= 2, got 7.9"
         with pytest.raises(ValueError, match=message):
-            apply_overrides(spec.base, spec.target_pf, {"levels": 7.9})
+            apply_overrides(spec.base, tiny_bundle.target_pf, {"levels": 7.9})
         with pytest.raises(ValueError, match=message):
             SweepSpec(variable=spec.variable, grid=spec.grid, base=spec.base,
-                      variants=(("fractional", {"levels": 7.9}),), sim=spec.sim,
-                      target_pf=spec.target_pf)
+                      variants=(("fractional", {"levels": 7.9}),), sim=spec.sim)
 
 
 class TestApplyOverrides:
