@@ -21,9 +21,10 @@ repeat, and times in each block:
 * ``battery_levels``: every ``kernel.battery_levels`` call, the battery
   scan (once for all the points of a sub-block);
 * ``verdicts``: ``kernel.verdicts``, every point's busy verdicts;
-* ``advance_rest``: the rest of ``kernel.advance`` (the sensed channel
-  and the one ``bincount`` of the joint tally over (point, channel
-  state, verdict, start level, level move));
+* ``advance_rest``: the rest of ``kernel.advance``, one call per block
+  (its sub-block loop, the tally codes and one ``bincount`` per sub-block
+  of the joint tally over (point, channel state, verdict, start level,
+  level move));
 * ``total``: the whole ``run_simulation`` or ``run_points`` call.
 
 The draws and both chains are shared by the points of a batch; the

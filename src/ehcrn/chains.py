@@ -17,13 +17,12 @@ class TwoStateChain:
     """A correlated binary Markov process.
 
     ``stay_a`` is the probability of remaining in state A on the next
-    slot, ``stay_b`` the probability of remaining in state B.  ``labels``
-    carries semantic tags for the two states (for messages only).
+    slot, ``stay_b`` the probability of remaining in state B; the two stays
+    are the whole law, so chains with equal stays are equal.
     """
 
     stay_a: float
     stay_b: float
-    labels: tuple[str, str] = ("A", "B")
 
     def __post_init__(self):
         for name, p in (("stay_a", self.stay_a), ("stay_b", self.stay_b)):
@@ -31,8 +30,7 @@ class TwoStateChain:
                 raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
         if self.stay_a == 1.0 and self.stay_b == 1.0:
             raise ValueError(
-                f"degenerate chain ({self.labels[0]}/{self.labels[1]}): both "
-                "self-transition probabilities are 1, so both states are "
+                "degenerate chain: both self-transition probabilities are 1, so both states are "
                 "absorbing and no unique stationary distribution exists"
             )
 

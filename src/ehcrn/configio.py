@@ -40,11 +40,12 @@ _SCHEMA = {
     "sim": {"slot_duration": True, **{f.name: False for f in fields(SimConfig)}},
     "sweep": {"variable": True, "grid": True},
 }
-_VARIANT_PREFIX = "variant"
+_VARIANT_KEY = re.compile(r"variant_\d+")
 
-# Sweep variant override key -> (part, field) it sets.  The parts are the
-# two chains, the detector, the scenario itself, and "target" for the
-# target false-alarm rate that fixes the threshold.
+# Override key -> (part, field) it sets, in config files and sweep variants
+# alike.  The parts are the two chains, the scenario itself and the
+# detector; ``target_pf`` sets the threshold through the target
+# false-alarm rate.
 OVERRIDE_FIELDS = {
     "q_i": ("spectrum", "stay_a"),
     "q_o": ("spectrum", "stay_b"),
@@ -53,7 +54,7 @@ OVERRIDE_FIELDS = {
     "levels": ("scenario", "battery_levels"),
     "primary_snr_db": ("detector", "primary_snr"),
     "normalized_threshold": ("detector", "threshold"),
-    "target_pf": ("target", "target_pf"),
+    "target_pf": ("detector", "threshold"),
 }
 
 # Sweep variable -> plot axis label.
@@ -145,28 +146,30 @@ def snr_db_to_linear(snr_db: float) -> float:
 def apply_overrides(scenario: Scenario, target_pf, overrides: dict):
     """Rebuild a scenario with labelled parameter overrides applied.
 
-    Returns the new scenario and the (possibly overridden) target
-    false-alarm probability; a ``normalized_threshold`` override clears
-    the target since it pins the threshold directly.  A target of None
-    keeps the scenario's threshold.
+    Returns the new scenario and the target false-alarm probability in
+    force: a ``target_pf`` override replaces ``target_pf``, and a
+    ``normalized_threshold`` override clears it since it pins the threshold
+    directly.  A target in force derives the threshold from the rebuilt
+    detector; a target of None keeps the threshold.
     """
     _one_threshold_key(overrides)
     changes = {part: {} for part, _ in OVERRIDE_FIELDS.values()}
-    changes["target"]["target_pf"] = target_pf
     for key, value in overrides.items():
         if key not in OVERRIDE_FIELDS:
             raise ValueError(f"unknown override key {key!r}")
+        if key == "target_pf":
+            target_pf = value
+            continue
         part, name = OVERRIDE_FIELDS[key]
         if key == "primary_snr_db":
             value = snr_db_to_linear(value)
         elif key == "normalized_threshold":
             value *= scenario.detector.noise_power
-            changes["target"]["target_pf"] = None
+            target_pf = None
         changes[part][name] = value
-    target = changes["target"]["target_pf"]
     det = replace(scenario.detector, **changes["detector"])
-    if target is not None:
-        det = replace(det, threshold=threshold_for_target_pf(target, det))
+    if target_pf is not None:
+        det = replace(det, threshold=threshold_for_target_pf(target_pf, det))
     scenario = replace(
         scenario,
         spectrum=replace(scenario.spectrum, **changes["spectrum"]),
@@ -174,7 +177,7 @@ def apply_overrides(scenario: Scenario, target_pf, overrides: dict):
         detector=det,
         **changes["scenario"],
     )
-    return scenario, target
+    return scenario, target_pf
 
 
 def _float(section, key, raw):
@@ -221,7 +224,7 @@ def _parse_variant(key: str, raw: str):
 def _parse_sweep(section) -> SweepDef:
     variable = section["variable"].strip()
     grid = tuple(_float("sweep", "grid", tok) for tok in section["grid"].split(","))
-    variants = tuple(_parse_variant(k, section[k]) for k in section if k.startswith(_VARIANT_PREFIX))
+    variants = tuple(_parse_variant(k, section[k]) for k in section if _VARIANT_KEY.fullmatch(k))
     try:
         check_sweep(variable, grid, variants)
     except ValueError as exc:
@@ -257,9 +260,7 @@ def load_config(path: str) -> LoadedConfig:
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}] in {path!r}")
         for key in parser[section]:
-            if key not in _SCHEMA[section] and not (
-                section == "sweep" and key.startswith(_VARIANT_PREFIX)
-            ):
+            if key not in _SCHEMA[section] and not (section == "sweep" and _VARIANT_KEY.fullmatch(key)):
                 raise ConfigError(f"unknown key '{section}.{key}' in {path!r}")
     for section, keys in _SCHEMA.items():
         if section == "sweep" and section not in parser:
@@ -274,9 +275,9 @@ def load_config(path: str) -> LoadedConfig:
                           f"is required, found {found or 'none'}")
 
     # A probe scenario from the keys that are not overrides; each section's
-    # override keys then replace its placeholders (chains, primary SNR,
-    # battery size), so errors name their part.  The detector goes last,
-    # so a target false-alarm rate derives the threshold once.
+    # override keys then replace its placeholders (chains, battery size,
+    # primary SNR and threshold) as in a sweep variant, so errors name their
+    # part.  Only [detector] may hold target_pf, which the config reports.
     num = {section: {key: (_int if key == "levels" else _float)(section, key, raw)
                      for key, raw in parser[section].items()}
            for section in ("spectrum", "energy", "battery", "detector")}
@@ -288,18 +289,15 @@ def load_config(path: str) -> LoadedConfig:
         raise ConfigError(f"detector: {exc}") from exc
     try:
         scenario = Scenario(
-            TwoStateChain(0.5, 0.5, labels=("idle", "occupied")),
-            TwoStateChain(0.5, 0.5, labels=("harvesting", "not-harvesting")),
-            detector, battery_levels=2,
+            TwoStateChain(0.5, 0.5), TwoStateChain(0.5, 0.5), detector, battery_levels=2,
             slot_duration=_float("sim", "slot_duration", parser["sim"]["slot_duration"]),
         )
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from exc
-    target_pf = None
     for section, values in num.items():
         overrides = {key: v for key, v in values.items() if key in OVERRIDE_FIELDS}
         try:
-            scenario, target_pf = apply_overrides(scenario, target_pf, overrides)
+            scenario = apply_overrides(scenario, None, overrides)[0]
         except ValueError as exc:
             raise ConfigError(f"{'scenario' if section == 'battery' else section}: {exc}") from exc
 
@@ -313,4 +311,4 @@ def load_config(path: str) -> LoadedConfig:
         raise ConfigError(f"sim: {exc}") from exc
 
     sweep = _parse_sweep(parser["sweep"]) if "sweep" in parser else None
-    return LoadedConfig(scenario=scenario, sim=sim, target_pf=target_pf, sweep=sweep)
+    return LoadedConfig(scenario=scenario, sim=sim, target_pf=det.get("target_pf"), sweep=sweep)

@@ -1,7 +1,7 @@
 """Array kernel of the slot simulator.
 
-A block of slots is advanced with array scans, a few thousand slots at a
-time: the chain paths with a doubling scan of their step maps (of the
+:func:`advance` steps a run of slots with array scans, ``SUB_BLOCK`` slots
+at a time: the chain paths with a doubling scan of their step maps (of the
 licensed channels, only the path of the channel sensed in each slot), the
 battery levels with one running sum and a running extreme at each end it
 meets, and a tally of what happened in each slot with one ``bincount``;
@@ -278,8 +278,8 @@ def verdicts(sense_draw, occupied, rule):
 
 
 def advance(scenario, rule, state, u_spec, u_energy, chan_sel, sense_draw, tally):
-    """Advance the link over one run of slots at G points at once; returns
-    the state after it.
+    """Advance the link over any run of slots at G points at once,
+    ``SUB_BLOCK`` slots at a time; returns the state after it.
 
     ``scenario`` holds what the points share, the chains and the battery
     size L; ``rule`` is their :class:`Sensing`, one row per point, and
@@ -295,27 +295,23 @@ def advance(scenario, rule, state, u_spec, u_energy, chan_sel, sense_draw, tally
     occupied, verdict busy, battery level at slot start, move
     k = after - start + 1 (0 down, 1 stay, 2 up)].
     """
-    spec, energy, carry = state
+    spec, energy, level = state
     size = scenario.battery_levels
-    occupied, spec = sensed_channel(u_spec, chan_sel, scenario.spectrum, spec)
-    off_path = chain_path(u_energy, scenario.energy.stay_a, scenario.energy.stay_b, energy)
-    busy = verdicts(sense_draw, occupied, rule)
-    # the flat bin of (g, occupied, busy, start, k); int32 scalars keep it int32.
-    # Row g of the (G, n) verdicts gives point g's levels on the shared harvests.
-    levels = battery_levels(~busy, ~off_path, carry, size - 1)
-    code = np.multiply(levels[:, :-1], 2, dtype=np.int32)
-    code += levels[:, 1:]
-    code += np.arange(1, 12 * size * len(rule.idle), 12 * size, dtype=np.int32)[:, None]
-    code += occupied * np.int32(6 * size)
-    code += busy * np.int32(3 * size)
-    tally += np.bincount(code.ravel(), minlength=tally.size).reshape(tally.shape)
-    return spec, off_path[-1], levels[:, -1].copy()
-
-
-def advance_block(scenario, rule, state, u_spec, u_energy, chan_sel, sense_draw, tally):
-    """:func:`advance` over a block, ``SUB_BLOCK`` slots at a time."""
+    # the flat bin of (g, occupied, busy, start, k); int32 scalars keep it int32
+    point_bins = np.arange(1, 12 * size * len(rule.idle), 12 * size, dtype=np.int32)[:, None]
     for i in range(0, len(u_energy), SUB_BLOCK):
         j = i + SUB_BLOCK
-        state = advance(scenario, rule, state, u_spec[i:j], u_energy[i:j],
-                        None if chan_sel is None else chan_sel[i:j], sense_draw[i:j], tally)
-    return state
+        occupied, spec = sensed_channel(u_spec[i:j], None if chan_sel is None else chan_sel[i:j],
+                                        scenario.spectrum, spec)
+        off_path = chain_path(u_energy[i:j], scenario.energy.stay_a, scenario.energy.stay_b, energy)
+        busy = verdicts(sense_draw[i:j], occupied, rule)
+        # Row g of the (G, n) verdicts gives point g's levels on the shared harvests.
+        levels = battery_levels(~busy, ~off_path, level, size - 1)
+        code = np.multiply(levels[:, :-1], 2, dtype=np.int32)
+        code += levels[:, 1:]
+        code += point_bins
+        code += occupied * np.int32(6 * size)
+        code += busy * np.int32(3 * size)
+        tally += np.bincount(code.ravel(), minlength=tally.size).reshape(tally.shape)
+        energy, level = off_path[-1], levels[:, -1].copy()
+    return spec, energy, level

@@ -55,10 +55,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ehcrn import kernel
 from ehcrn.analytic import Scenario
 from ehcrn.chains import RandomStream
 from ehcrn.gaussian import student_t_quantile
-from ehcrn.kernel import advance_block, sensing
 
 __all__ = [
     "SimConfig",
@@ -239,7 +239,9 @@ def _replication_counts(scenario: Scenario, rule, cfg: SimConfig, stream_id: int
     in :func:`ehcrn.kernel.advance`): ``scenario`` holds the chains and the
     battery that the points share, ``rule`` their verdict rates
     (:func:`ehcrn.kernel.sensing`).  The points share the draws and the
-    chain paths, so each point's tally is the one it gets alone."""
+    chain paths, so each point's tally is the one it gets alone.  Each block
+    of ``_BLOCK`` drawn slots is one :func:`ehcrn.kernel.advance` call,
+    looked up on the module so that a wrapper set there sees every block."""
     rng = RandomStream(cfg.seed, stream_id)
     gen = rng.generator
     channels = cfg.num_pu_channels
@@ -257,7 +259,7 @@ def _replication_counts(scenario: Scenario, rule, cfg: SimConfig, stream_id: int
         chan_sel = (gen.integers(0, channels, b, np.min_scalar_type(-channels))
                     if channels > 1 else None)
         sense_draw = gen.random(b)
-        state = advance_block(scenario, rule, state, u_spec, u_energy, chan_sel, sense_draw, tally)
+        state = kernel.advance(scenario, rule, state, u_spec, u_energy, chan_sel, sense_draw, tally)
         done += b
     return tally
 
@@ -285,7 +287,7 @@ def run_points(scenarios, cfg: SimConfig) -> list[SimReport]:
                 f"scenario {i} differs from scenario 0 outside its detector; "
                 "the points of one run share their chains, battery and draws"
             )
-    rule = sensing(scenarios, cfg.sensing_mode == "signal")
+    rule = kernel.sensing(scenarios, cfg.sensing_mode == "signal")
     tallies = np.stack([_replication_counts(scenarios[0], rule, cfg, rep)
                         for rep in range(cfg.replications)])
     return _reports(cfg.slots, tallies)
@@ -293,7 +295,7 @@ def run_points(scenarios, cfg: SimConfig) -> list[SimReport]:
 
 def run_replication(scenario: Scenario, cfg: SimConfig, stream_id: int) -> SimReport:
     """Simulate one replication of ``cfg.slots`` slots on its own stream."""
-    rule = sensing([scenario], cfg.sensing_mode == "signal")
+    rule = kernel.sensing([scenario], cfg.sensing_mode == "signal")
     return _reports(cfg.slots, _replication_counts(scenario, rule, cfg, stream_id)[None])[0]
 
 

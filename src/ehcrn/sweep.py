@@ -221,7 +221,7 @@ def emit_json(rows, path) -> None:
         fh.write("\n")
 
 
-def emit_plot_script(rows, path, sweep_variable: str = "primary_snr_db") -> None:
+def emit_plot_script(rows, path, sweep_variable: str) -> None:
     """Write a gnuplot script rendering analytic curves plus simulated
     points with error bars, one series per variant.
 

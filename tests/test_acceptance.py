@@ -193,8 +193,8 @@ def test_criterion_5_chain_level_convergence():
     snr = SNR_M15_DB
     eps = 2.0 * (1.0 + snr) / (2.0 + snr)  # false alarm + detection = 1
     scenario = Scenario(
-        spectrum=TwoStateChain(0.5, 0.5, labels=("idle", "occupied")),
-        energy=TwoStateChain(0.5, 0.5, labels=("harvesting", "not-harvesting")),
+        spectrum=TwoStateChain(0.5, 0.5),
+        energy=TwoStateChain(0.5, 0.5),
         detector=DetectorConfig(sensing_duration=0.002, sampling_rate=1e6,
                                 noise_power=1.0, threshold=eps, primary_snr=snr),
         battery_levels=levels,
@@ -295,7 +295,7 @@ def test_criterion_7_multi_channel_invariance():
         return rep.empirical_packet_loss, rates.std(ddof=1) / math.sqrt(len(rates))
 
     base = case_bundle("case1.cfg").scenario
-    memoryless = replace(base, spectrum=TwoStateChain(0.5, 0.5, labels=("idle", "occupied")))
+    memoryless = replace(base, spectrum=TwoStateChain(0.5, 0.5))
     exact = {c: measure(memoryless, c) for c in channel_counts}
     details = []
     for a, b in pairs:

@@ -58,8 +58,8 @@ def case1_base_scenario():
     det = detector()
     det = replace(det, threshold=threshold_for_target_pf(0.01, det))
     return Scenario(
-        spectrum=TwoStateChain(0.5, 0.7, labels=("idle", "occupied")),
-        energy=TwoStateChain(0.7, 0.5, labels=("harvesting", "not-harvesting")),
+        spectrum=TwoStateChain(0.5, 0.7),
+        energy=TwoStateChain(0.7, 0.5),
         detector=det,
         battery_levels=100,
         slot_duration=0.1,

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ehcrn.configio import load_config
+from ehcrn.configio import OVERRIDE_FIELDS, apply_overrides, load_config
 from ehcrn.errors import ConfigError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -106,6 +106,39 @@ variant_2 = b: q_o=0.3 q_i=0.5
         assert bundle.sweep.variants[0] == ("a", {"q_o": 0.7, "q_i": 0.5})
 
 
+# A key means the same in a file and in a variant: (base file, line the
+# file replaces, key, value) with every override key, and each threshold
+# key over a base of either kind.
+NORMALIZED = VALID.replace("target_pf = 0.01", "normalized_threshold = 1.05")
+SAME_KEY = [
+    (VALID, "q_i = 0.5", "q_i", 0.6),
+    (VALID, "q_o = 0.7", "q_o", 0.4),
+    (VALID, "p_on = 0.7", "p_on", 0.3),
+    (VALID, "p_off = 0.5", "p_off", 0.6),
+    (VALID, "levels = 100", "levels", 7),
+    (VALID, "primary_snr_db = -15.0", "primary_snr_db", -10.0),
+    (VALID, "target_pf = 0.01", "target_pf", 0.02),
+    (VALID, "target_pf = 0.01", "normalized_threshold", 1.02),
+    (NORMALIZED, "normalized_threshold = 1.05", "normalized_threshold", 1.02),
+    (NORMALIZED, "normalized_threshold = 1.05", "target_pf", 0.02),
+]
+
+
+def test_same_key_covers_every_override_key():
+    assert {key for _, _, key, _ in SAME_KEY} == set(OVERRIDE_FIELDS)
+
+
+@pytest.mark.parametrize("base, old, key, value", SAME_KEY,
+                         ids=[f"{key}-over-{'normalized' if base is NORMALIZED else 'target'}"
+                              for base, _, key, _ in SAME_KEY])
+def test_a_key_means_the_same_in_a_file_and_a_variant(tmp_path, base, old, key, value):
+    bundle = load_config(write(tmp_path, base, "base.cfg"))
+    loaded = load_config(write(tmp_path, base.replace(old, f"{key} = {value}")))
+    assert apply_overrides(bundle.scenario, None, {key: value})[0] == loaded.scenario
+    assert apply_overrides(bundle.scenario, bundle.target_pf, {key: value}) == (
+        loaded.scenario, loaded.target_pf)
+
+
 class TestErrors:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -141,7 +174,7 @@ class TestErrors:
     # reports under its own name.
     @pytest.mark.parametrize("old, new, message", [
         ("q_o = 0.7", "q_o = 1.0",
-         "spectrum: degenerate chain (idle/occupied): both self-transition probabilities are 1, "
+         "spectrum: degenerate chain: both self-transition probabilities are 1, "
          "so both states are absorbing and no unique stationary distribution exists"),
         ("p_on = 0.7", "p_on = 1.5", "energy: stay_a must lie in [0, 1], got 1.5"),
         ("sensing_duration = 0.002", "sensing_duration = -1",
@@ -240,6 +273,14 @@ class TestErrors:
         text = VALID + f"\n[sweep]\nvariable = {variable}\ngrid = {grid}\n{variants}\n"
         with pytest.raises(ConfigError, match=f"sweep: .*{match}"):
             load_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("key", ["variants", "variant_x", "variant_", "variant_1b", "variant1"])
+    def test_sweep_variant_key_is_variant_n(self, tmp_path, key):
+        text = (VALID + "\n[sweep]\nvariable = primary_snr_db\ngrid = -20, -10\n"
+                f"variant_1 = a: p_on=0.5\n{key} = b: p_on=0.3\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(write(tmp_path, text))
+        assert str(info.value).startswith(f"unknown key 'sweep.{key}' in ")
 
     def test_sweep_unknown_override(self, tmp_path):
         text = VALID + "\n[sweep]\nvariable = primary_snr_db\ngrid = -20, -10\nvariant_1 = a: snr=3\n"

@@ -9,6 +9,7 @@ from pathlib import Path
 from ehcrn import kernel, simulate
 from ehcrn.analytic import (DetectorConfig, exact_detection_prob, exact_false_alarm_prob,
                             threshold_for_target_pf)
+from ehcrn.configio import load_config
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -30,11 +31,16 @@ def test_detector_check_prints_the_exact_rates():
         assert cells["pd_exact"] == f"{exact_detection_prob(det):.5f}"
 
 
-def test_bench_kernel_wraps_names_the_package_has(monkeypatch):
+def load_bench_kernel(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
     spec = importlib.util.spec_from_file_location("bench_kernel", SCRIPTS / "bench_kernel.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_kernel_wraps_names_the_package_has(monkeypatch):
+    bench = load_bench_kernel(monkeypatch)
     undo = bench._instrument(bench._Clock())
     try:
         assert (kernel, "verdicts") in [(module, name) for module, name, _ in undo]
@@ -46,3 +52,14 @@ def test_bench_kernel_wraps_names_the_package_has(monkeypatch):
             setattr(module, name, original)
     for module, name, original in undo:
         assert getattr(module, name) is original, name
+
+
+def test_bench_kernel_times_every_advance_call(monkeypatch):
+    # the simulator looks kernel.advance up on the module, so the wrapped
+    # advance encloses its layers and the rest of it is positive
+    bench = load_bench_kernel(monkeypatch)
+    bundle = load_config(str(SCRIPTS.parent / "configs" / "case1.cfg"))
+    cfg = replace(bundle.sim, slots=2 * kernel.SUB_BLOCK, replications=1)
+    ms = bench._block_ms([bundle.scenario], cfg)
+    assert ms["advance_rest"] > 0
+    assert min(ms.values()) >= 0

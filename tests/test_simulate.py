@@ -39,8 +39,8 @@ def detector(threshold=1.0, snr=SNR_M15_DB, n=2000, noise_power=1.0):
 
 def scenario(q_i=0.5, q_o=0.7, p_on=0.7, p_off=0.5, det=None, levels=10):
     return Scenario(
-        spectrum=TwoStateChain(q_i, q_o, labels=("idle", "occupied")),
-        energy=TwoStateChain(p_on, p_off, labels=("harvesting", "not-harvesting")),
+        spectrum=TwoStateChain(q_i, q_o),
+        energy=TwoStateChain(p_on, p_off),
         detector=det if det is not None else detector(),
         battery_levels=levels,
         slot_duration=0.1,
@@ -839,7 +839,7 @@ class TestKernelMatchesLoopOracle:
         sensing = kernel.sensing(scenarios, signal)
         for b in blocks:
             draws = draw_block(gen, b, cfg.num_pu_channels)
-            state = kernel.advance_block(first, sensing, state, *draws, tally)
+            state = kernel.advance(first, sensing, state, *draws, tally)
             for g, (rule, o) in enumerate(zip(rules, oracles)):
                 slot_loop_oracle(rule, o.spec, o.ages, o.carry, *draws, o.counters, o.counts,
                                  o.moves)
@@ -1036,6 +1036,18 @@ class TestRunPoints:
             assert report_counters(report) == report_counters(alone)
             assert (report.battery_transition_counts == alone.battery_transition_counts).all()
             assert report.replication_loss_rates == alone.replication_loss_rates
+
+    def test_loaded_scenario_runs_beside_the_same_one_built_in_code(self):
+        # a chain is its two stays, so the config's chains are the same law
+        # as the ones built here and the two points share one run
+        loaded = load_config(str(REPO / "configs" / "case1.cfg")).scenario
+        built = replace(loaded, spectrum=TwoStateChain(0.5, 0.7), energy=TwoStateChain(0.7, 0.5))
+        cfg = SimConfig(slots=2000, replications=2, seed=67)
+        names = {f.name for f in fields(simulate.SimReport)} | DERIVED
+        for scn, report in zip((loaded, built), simulate.run_points([loaded, built], cfg)):
+            alone = run_simulation(scn, cfg)
+            assert_same_report(report, {name: getattr(alone, name) for name in names})
+        assert built == loaded
 
     def test_rejects_no_points(self):
         with pytest.raises(ValueError, match="at least one"):

@@ -328,7 +328,7 @@ class TestEmitters:
         with pytest.raises(ValueError):
             emit_json([], tmp_path / "x.json")
         with pytest.raises(ValueError):
-            emit_plot_script([], tmp_path / "x.gp")
+            emit_plot_script([], tmp_path / "x.gp", sweep_variable="primary_snr_db")
 
     def test_byte_identical_emission(self, tiny_bundle, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
