@@ -3,11 +3,11 @@
 
 For a range of sample counts N, prints the false-alarm and detection
 rates three ways: the closed forms' Gaussian approximation (``model``),
-the exact finite-N law of the energy statistic, Q(N, eps N / v) from
-``analytic.exact_false_alarm_prob`` and ``exact_detection_prob``
-(``exact``, the rates signal-mode simulation uses), and the busy share
-of that many sampled statistics, each drawn by that law as v / N times
-one Gamma(N, 1) variable (``sampled``).  The gap between model and
+the exact finite-N law of the energy statistic, Q(N, eps N / v)
+(``exact``, the rates signal-mode simulation uses), both from
+``analytic.detector_rates``, and the busy share of that many sampled
+statistics, each drawn by that law as v / N times one Gamma(N, 1)
+variable (``sampled``).  The gap between model and
 exact is the Gaussian-approximation error, which shrinks roughly like
 1/sqrt(N); sampled differs from exact by Monte-Carlo noise only.
 
@@ -22,8 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ehcrn.analytic import (DetectorConfig, detection_prob, exact_detection_prob,
-                            exact_false_alarm_prob, false_alarm_prob, threshold_for_target_pf)
+from ehcrn.analytic import DetectorConfig, detector_rates, threshold_for_target_pf
 from ehcrn.chains import RandomStream
 from ehcrn.simulate import measure_signal_rate
 
@@ -46,11 +45,12 @@ def main() -> int:
             noise_power=1.0, threshold=1.0, primary_snr=snr,
         )
         det = replace(det, threshold=threshold_for_target_pf(args.target_pf, det))
-        pf_exact, pd_exact = exact_false_alarm_prob(det), exact_detection_prob(det)
+        pf_model, pd_model = detector_rates(det, "event")
+        pf_exact, pd_exact = detector_rates(det, "signal")
         pf_hat = measure_signal_rate(0, det, RandomStream(args.seed, 0), args.trials)
         pd_hat = measure_signal_rate(1, det, RandomStream(args.seed, 1), args.trials)
-        print(f"{n:>6} {false_alarm_prob(det):>10.5f} {pf_exact:>10.5f} {pf_hat:>11.5f} "
-              f"{detection_prob(det):>10.5f} {pd_exact:>10.5f} {pd_hat:>11.5f}")
+        print(f"{n:>6} {pf_model:>10.5f} {pf_exact:>10.5f} {pf_hat:>11.5f} "
+              f"{pd_model:>10.5f} {pd_exact:>10.5f} {pd_hat:>11.5f}")
     return 0
 
 

@@ -25,8 +25,7 @@ from ehcrn.analytic import (
     access_prob_from_rates,
     battery_steady_state,
     battery_transition_matrix,
-    detection_prob,
-    false_alarm_prob,
+    detector_rates,
     operating_point,
     outage_prob,
     steady_state_numeric,
@@ -56,11 +55,10 @@ __all__ = [
     "access_prob_from_rates",
     "battery_steady_state",
     "battery_transition_matrix",
-    "detection_prob",
+    "detector_rates",
     "emit_csv",
     "emit_json",
     "emit_plot_script",
-    "false_alarm_prob",
     "operating_point",
     "outage_prob",
     "q_tail",

@@ -24,7 +24,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from ehcrn.analytic import operating_point
+from ehcrn.analytic import SENSING_LAWS, operating_point
 from ehcrn.configio import load_config
 from ehcrn.errors import ConfigError, NumericsError
 from ehcrn.simulate import run_simulation
@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="scenario config file")
     p.add_argument("--slots", type=int, help="slots per replication (overrides config)")
     p.add_argument("--seed", type=int, help="base seed (overrides config)")
-    p.add_argument("--sensing", choices=("event", "signal"), help="sensing mode (overrides config)")
+    p.add_argument("--sensing", choices=tuple(SENSING_LAWS), help="sensing mode (overrides config)")
     p.add_argument("--replications", type=int, help="replication count (overrides config)")
 
     p = sub.add_parser("sweep", help="run a sweep campaign and write result files")

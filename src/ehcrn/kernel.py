@@ -19,19 +19,18 @@ A row whose reflected path stays at or below top has its level; only the
 rows whose level overflows the cap after it has met empty do not, and
 they take one batched doubling scan of the slots' clamp maps, as the
 chain paths do of their step maps.  The kernel reads the chains and L
-from the one ``Scenario`` the points share, and their detectors as one
-:class:`Sensing`, and gives every point the same counts, bit for bit, as
-stepping its slots one at a time by the rules in :mod:`ehcrn.simulate`;
-the tests hold that per-slot loop, with constants of its own, as the
-reference.
+from the one ``Scenario`` the points share, and their detectors' rates
+under the run's sensing law as one :class:`Sensing` (:func:`sensing`),
+and gives every point the same counts, bit for bit, as stepping its
+slots one at a time by the rules in :mod:`ehcrn.simulate`; the tests
+hold that per-slot loop, with constants of its own, as the reference.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from ehcrn.analytic import (detection_prob, exact_detection_prob, exact_false_alarm_prob,
-                            false_alarm_prob)
+from ehcrn.analytic import detector_rates
 from ehcrn.chains import steady_state
 
 # Slots the kernel works on at once; bounds its temporaries, which would
@@ -240,21 +239,12 @@ class Sensing(NamedTuple):
     occupied: np.ndarray
 
 
-def sensing(scenarios, signal):
-    """The :class:`Sensing` of ``scenarios`` in signal (or event) mode.
-
-    Event mode takes the closed forms' Gaussian tails, signal mode the
-    exact finite-N law of the energy statistic (v / N times a Gamma(N, 1)
-    variable, busy above eps): P = Q(N, eps N / v), with v = N0 on an idle
-    and (SNR + 1) N0 on an occupied channel
-    (:func:`ehcrn.analytic.exact_false_alarm_prob` and
-    :func:`~ehcrn.analytic.exact_detection_prob`).  The detectors do not
-    change within a run, so a run works these out once and hands them to
-    every :func:`advance`.
-    """
-    pf, pd = ((exact_false_alarm_prob, exact_detection_prob) if signal
-              else (false_alarm_prob, detection_prob))
-    rates = [[pf(s.detector), pd(s.detector)] for s in scenarios]
+def sensing(scenarios, mode):
+    """The :class:`Sensing` of ``scenarios``: their
+    :func:`~ehcrn.analytic.detector_rates` under the sensing law ``mode``.
+    The detectors do not change within a run, so a run works these out once
+    and hands them to every :func:`advance`."""
+    rates = [detector_rates(s.detector, mode) for s in scenarios]
     return Sensing(*np.array(rates).T[:, :, None])
 
 

@@ -11,11 +11,13 @@ itself costs no energy and happens every slot.  The battery level used
 for the transmit decision is the level at slot start; the harvest lands
 at slot end, so the per-slot level change is always in {-1, 0, +1}.
 
-Sensing modes.  ``event`` draws the sensing verdict directly as a
-Bernoulli trial with the closed-form false-alarm / detection probability
-of the current channel state; it matches the analytic chain exactly.
-``signal`` thresholds an energy statistic with the *exact* finite-N
-distribution: the average power of N circularly-symmetric complex
+Sensing modes, the keys of :data:`ehcrn.analytic.SENSING_LAWS`.  A run
+takes its false-alarm / detection probabilities from
+:func:`ehcrn.analytic.detector_rates` under ``SimConfig.sensing_mode``.
+``event`` draws the verdict as a Bernoulli trial with the closed-form
+probability of the current channel state; it matches the analytic chain
+exactly.  ``signal`` thresholds an energy statistic with the *exact*
+finite-N distribution: the average power of N circularly-symmetric complex
 Gaussian samples of variance v is v/N times a Gamma(N, 1) variable, which
 exceeds the threshold eps with probability Q(N, eps N / v), the
 regularized upper incomplete gamma function
@@ -24,7 +26,8 @@ per slot and read busy iff u < P, with P the Gaussian tail in event mode
 and the Gamma tail in signal mode; in signal mode that is exactly the law
 of thresholding a Gamma draw, or the 2N samples themselves.  The mode
 exists to expose the Gaussian-approximation error of the closed forms at
-small N.
+small N; a threshold set from a target P_f inverts the Gaussian law, so
+in signal mode the false-alarm rate sits above the target.
 
 Channels.  With several licensed channels only the sensed one is read,
 and the channels are i.i.d. and independent of the rest of the link, so
@@ -56,7 +59,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ehcrn import kernel
-from ehcrn.analytic import Scenario
+from ehcrn.analytic import SENSING_LAWS, Scenario
 from ehcrn.chains import RandomStream
 from ehcrn.gaussian import student_t_quantile
 
@@ -78,10 +81,10 @@ class SimConfig:
     """Simulation controls.
 
     ``slots`` is the number of slots per replication; replications run on
-    distinct random substreams and are pooled.  ``sensing_mode`` is
-    ``event`` or ``signal`` (see module docstring).  ``initial_battery``
-    is ``"full"`` or a level in [0, L-1]; ``initial_states`` draws the
-    chain starts from their stationary laws (``steady-draw``, unbiased
+    distinct random substreams and are pooled.  ``sensing_mode`` is a key
+    of ``SENSING_LAWS`` (see module docstring).  ``initial_battery`` is
+    ``"full"`` or a level in [0, L-1]; ``initial_states`` draws the chain
+    starts from their stationary laws (``steady-draw``, unbiased
     without burn-in) or pins them to idle / not-harvesting (``fixed``).
     """
 
@@ -100,8 +103,9 @@ class SimConfig:
             raise ValueError(f"replications must be a positive integer, got {self.replications!r}")
         if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.sensing_mode not in ("event", "signal"):
-            raise ValueError(f"sensing_mode must be 'event' or 'signal', got {self.sensing_mode!r}")
+        if self.sensing_mode not in SENSING_LAWS:
+            raise ValueError(f"sensing_mode must be {' or '.join(map(repr, SENSING_LAWS))}, "
+                             f"got {self.sensing_mode!r}")
         if self.initial_states not in ("steady-draw", "fixed"):
             raise ValueError(
                 f"initial_states must be 'steady-draw' or 'fixed', got {self.initial_states!r}"
@@ -203,8 +207,7 @@ def measure_signal_rate(spectrum_state: int, det, rng: RandomStream, trials: int
     Gaussian approximation of the closed-form rates.
     """
     n = det.sample_count
-    variance = det.noise_power * ((det.primary_snr + 1.0) if spectrum_state == 1 else 1.0)
-    stats = (variance / n) * rng.generator.standard_gamma(n, trials)
+    stats = (det.variance(spectrum_state) / n) * rng.generator.standard_gamma(n, trials)
     return int(np.count_nonzero(stats > det.threshold)) / trials
 
 
@@ -287,7 +290,7 @@ def run_points(scenarios, cfg: SimConfig) -> list[SimReport]:
                 f"scenario {i} differs from scenario 0 outside its detector; "
                 "the points of one run share their chains, battery and draws"
             )
-    rule = kernel.sensing(scenarios, cfg.sensing_mode == "signal")
+    rule = kernel.sensing(scenarios, cfg.sensing_mode)
     tallies = np.stack([_replication_counts(scenarios[0], rule, cfg, rep)
                         for rep in range(cfg.replications)])
     return _reports(cfg.slots, tallies)
@@ -295,7 +298,7 @@ def run_points(scenarios, cfg: SimConfig) -> list[SimReport]:
 
 def run_replication(scenario: Scenario, cfg: SimConfig, stream_id: int) -> SimReport:
     """Simulate one replication of ``cfg.slots`` slots on its own stream."""
-    rule = kernel.sensing([scenario], cfg.sensing_mode == "signal")
+    rule = kernel.sensing([scenario], cfg.sensing_mode)
     return _reports(cfg.slots, _replication_counts(scenario, rule, cfg, stream_id)[None])[0]
 
 

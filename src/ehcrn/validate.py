@@ -20,7 +20,7 @@ from ehcrn.analytic import (
     battery_diagonals,
     battery_steady_state,
     birth_death_steady_state,
-    false_alarm_prob,
+    detector_rates,
     operating_point,
     outage_prob,
     threshold_for_target_pf,
@@ -114,7 +114,7 @@ def run_validation(bundle: LoadedConfig) -> list[CheckResult]:
     det = bundle.scenario.detector
     for target in (0.001, 0.01, 0.05, 0.1, 0.5):
         probe = replace(det, threshold=threshold_for_target_pf(target, det))
-        worst = max(worst, abs(false_alarm_prob(probe) - target))
+        worst = max(worst, abs(detector_rates(probe, "event")[0] - target))
     results.append(CheckResult(
         "threshold-from-target round trip",
         worst <= 1e-9,

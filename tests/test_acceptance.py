@@ -24,7 +24,7 @@ from ehcrn.analytic import (
     Scenario,
     battery_steady_state,
     battery_transition_matrix,
-    detection_prob,
+    detector_rates,
     operating_point,
     outage_prob,
     steady_state_numeric,
@@ -139,7 +139,7 @@ def test_criterion_3_signal_level_detector_validation():
 
     det_pd = base  # threshold at the noise power
     pd_rate = measure_signal_rate(1, det_pd, RandomStream(MC_SEED, 1), trials)
-    pd_model = detection_prob(det_pd)
+    pd_model = detector_rates(det_pd, "event")[1]
     assert abs(pd_rate - pd_model) <= 0.01, f"detection {pd_rate:.5f} vs {pd_model:.5f} +/- 0.01"
     report(3, f"N=2000, {trials} trials: false alarm {fa_rate:.5f} (target 0.01 +/- {fa_tol:.4f}), "
               f"detection {pd_rate:.5f} (model {pd_model:.5f} +/- 0.01)")

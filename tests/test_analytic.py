@@ -19,10 +19,7 @@ from ehcrn.analytic import (
     battery_steady_state,
     battery_transition_matrix,
     birth_death_steady_state,
-    detection_prob,
-    exact_detection_prob,
-    exact_false_alarm_prob,
-    false_alarm_prob,
+    detector_rates,
     gamma_tail,
     operating_point,
     outage_prob,
@@ -108,46 +105,51 @@ class TestDetectorConfig:
             detector(tau=1e-7)  # under one sample
 
 
+def gaussian_rates(**kwargs):
+    """(P_f, P_d) of ``detector(**kwargs)`` under the closed forms' Gaussian law."""
+    return detector_rates(detector(**kwargs), "event")
+
+
 class TestFalseAlarm:
     def test_half_at_noise_level(self):
-        assert false_alarm_prob(detector(threshold=1.0)) == 0.5
+        assert gaussian_rates(threshold=1.0)[0] == 0.5
 
     def test_table_point(self):
-        assert false_alarm_prob(detector(threshold=1.052018)) == pytest.approx(0.01, abs=1e-4)
+        assert gaussian_rates(threshold=1.052018)[0] == pytest.approx(0.01, abs=1e-4)
 
     def test_deep_tail(self):
-        assert false_alarm_prob(detector(threshold=2.0)) < 1e-15
+        assert gaussian_rates(threshold=2.0)[0] < 1e-15
 
     @given(st.floats(min_value=0.5, max_value=2.0), st.floats(min_value=1e-4, max_value=0.5))
     def test_monotone_in_threshold(self, eps, step):
-        assert false_alarm_prob(detector(threshold=eps + step)) <= false_alarm_prob(detector(threshold=eps))
+        assert gaussian_rates(threshold=eps + step)[0] <= gaussian_rates(threshold=eps)[0]
 
 
 class TestDetection:
     def test_half_at_signal_plus_noise_level(self):
-        assert detection_prob(detector(threshold=1.0 + SNR_M15_DB)) == pytest.approx(0.5, abs=1e-12)
+        assert gaussian_rates(threshold=1.0 + SNR_M15_DB)[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_table_point(self):
-        pd = detection_prob(detector(threshold=1.0))
+        pd = gaussian_rates(threshold=1.0)[1]
         assert pd == pytest.approx(0.91475, abs=1e-4)
         assert pd == pytest.approx(PD_AT_UNIT_THRESHOLD, abs=1e-12)
 
     def test_approaches_one_with_snr(self):
         last = 0.0
         for snr in (0.1, 1.0, 10.0, 100.0):
-            pd = detection_prob(detector(threshold=1.3, snr=snr))
+            pd = gaussian_rates(threshold=1.3, snr=snr)[1]
             assert pd >= last
             last = pd
         assert last > 1.0 - 1e-12
 
     @given(st.floats(min_value=0.5, max_value=2.0), st.floats(min_value=1e-4, max_value=0.5))
     def test_monotone_in_threshold(self, eps, step):
-        assert detection_prob(detector(threshold=eps + step)) <= detection_prob(detector(threshold=eps))
+        assert gaussian_rates(threshold=eps + step)[1] <= gaussian_rates(threshold=eps)[1]
 
     @given(st.floats(min_value=0.2, max_value=3.0))
     def test_dominates_false_alarm(self, eps):
-        det = detector(threshold=eps)
-        assert detection_prob(det) >= false_alarm_prob(det)
+        pf, pd = gaussian_rates(threshold=eps)
+        assert pd >= pf
 
 
 class TestGammaTail:
@@ -181,13 +183,21 @@ class TestGammaTail:
         assert gamma_tail(1999, 2000.0) < gamma_tail(2000, 2000.0) < gamma_tail(2001, 2000.0)
 
     def test_stock_detector_rates(self):
-        # N = 2000, target P_f 0.01, -13 dB: the exact law next to the
-        # Gaussian approximation (0.01 and 0.467755)
+        # target P_f 0.01 at -13 dB: the exact law next to the Gaussian
+        # approximation (0.01 and, at N = 2000, 0.467755).  The threshold
+        # inverts the Gaussian law, so the exact P_f overshoots the target,
+        # the more the fewer samples.
         det = detector(snr=10.0 ** -1.3)
         det = replace(det, threshold=threshold_for_target_pf(0.01, det))
         limit = det.threshold * det.sample_count
         assert gamma_tail(2000, limit) == pytest.approx(0.010878, abs=5e-7)
         assert gamma_tail(2000, limit / (1.0 + det.primary_snr)) == pytest.approx(0.464812, abs=5e-7)
+        for n, exact_pf in [(1, 0.03592), (20, 0.01852), (100, 0.01391), (2000, 0.01088)]:
+            det = detector(snr=10.0 ** -1.3, tau=n / 1e6)
+            det = replace(det, threshold=threshold_for_target_pf(0.01, det))
+            pf = detector_rates(det, "signal")[0]
+            assert pf == pytest.approx(float(gammaincc(n, det.threshold * n)), rel=1e-10)
+            assert pf == pytest.approx(exact_pf, abs=5e-6)
 
     @pytest.mark.parametrize("noise", [1.0, 0.3, 7.0])
     @pytest.mark.parametrize("tau", [0.00005, 0.002])
@@ -197,11 +207,10 @@ class TestGammaTail:
         det = detector(threshold=1.02 * noise, tau=tau, noise=noise)
         n = det.sample_count
         idle, occupied = noise, (det.primary_snr + 1.0) * noise
-        assert exact_false_alarm_prob(det) == pytest.approx(
-            float(gammaincc(n, det.threshold * n / idle)), rel=1e-10)
-        assert exact_detection_prob(det) == pytest.approx(
-            float(gammaincc(n, det.threshold * n / occupied)), rel=1e-10)
-        assert exact_detection_prob(det) > exact_false_alarm_prob(det)
+        pf, pd = detector_rates(det, "signal")
+        assert pf == pytest.approx(float(gammaincc(n, det.threshold * n / idle)), rel=1e-10)
+        assert pd == pytest.approx(float(gammaincc(n, det.threshold * n / occupied)), rel=1e-10)
+        assert pd > pf
 
     @pytest.mark.parametrize("n, x", [(0, 1.0), (-1, 1.0), (5, -1.0), (5, math.nan),
                                       (math.nan, 1.0)])
@@ -223,7 +232,7 @@ class TestThresholdFromTarget:
     def test_round_trip(self, target):
         det = detector()
         eps = threshold_for_target_pf(target, det)
-        assert false_alarm_prob(replace(det, threshold=eps)) == pytest.approx(target, abs=1e-9)
+        assert detector_rates(replace(det, threshold=eps), "event")[0] == pytest.approx(target, abs=1e-9)
 
     @pytest.mark.parametrize("target", [0.0, 1.0, -0.2, 2.0])
     def test_domain_error(self, target):
@@ -244,8 +253,7 @@ class TestAccessProb:
     def test_composition(self):
         det = detector()
         scn = replace(case1_base_scenario(), detector=det)  # pi_idle 0.375
-        expected = access_prob_from_rates(
-            false_alarm_prob(det), detection_prob(det), 0.375)
+        expected = access_prob_from_rates(*detector_rates(det, "event"), 0.375)
         assert operating_point(scn).delta == pytest.approx(expected, abs=1e-15)
 
 

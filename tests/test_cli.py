@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ehcrn import cli
+from ehcrn.analytic import SENSING_LAWS
 from ehcrn.cli import ANALYZE_HEADER, main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -366,7 +367,7 @@ def config_texts(draw):
             "slots": draw(st.integers(1, 10**6)),
             "replications": draw(st.integers(1, 4)),
             "seed": draw(st.integers(0, 2**64 - 1)),
-            "sensing_mode": draw(st.sampled_from(["event", "signal"])),
+            "sensing_mode": draw(st.sampled_from(list(SENSING_LAWS))),
             "initial_battery": draw(st.one_of(st.just("full"), st.integers(0, levels - 1))),
             "initial_states": draw(st.sampled_from(["steady-draw", "fixed"])),
             "num_pu_channels": draw(st.integers(1, 200)),
@@ -463,9 +464,11 @@ class TestSubprocessEntryPoints:
         assert proc.stderr == ""
 
     def test_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ehcrn", "frobnicate"],
-            capture_output=True, text=True,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(REPO / "src")},
-        )
-        assert proc.returncode == 2
+        for argv in (["frobnicate"], ["simulate", "--config", CASE1, "--sensing", "both"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ehcrn", *argv],
+                capture_output=True, text=True,
+                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(REPO / "src")},
+            )
+            assert proc.returncode == 2
+            assert "invalid choice" in proc.stderr

@@ -55,7 +55,8 @@ class TestBundledConfigs:
     def test_case2(self):
         bundle = load_config(str(REPO / "configs" / "case2.cfg"))
         assert bundle.target_pf is None
-        assert bundle.scenario.detector.normalized_threshold == pytest.approx(1.05)
+        det = bundle.scenario.detector
+        assert det.threshold / det.noise_power == pytest.approx(1.05)
         assert bundle.scenario.energy.stay_a == 0.5
         assert bundle.scenario.energy.stay_b == 0.7
 
@@ -186,8 +187,10 @@ class TestErrors:
          "detector: target false-alarm probability must lie in (0, 1), got 1.5"),
         ("primary_snr_db = -15.0", "primary_snr_db = 4000",
          "detector: primary_snr_db 4000.0 overflows a float"),
+        ("seed = 9", "seed = 9\nsensing_mode = both",
+         "sim: sensing_mode must be 'event' or 'signal', got 'both'"),
     ], ids=["degenerate-spectrum", "p_on", "sensing_duration", "slot_duration", "levels", "target_pf",
-            "snr-overflow"])
+            "snr-overflow", "sensing_mode"])
     def test_full_message(self, tmp_path, old, new, message):
         text = VALID.replace("q_i = 0.5", "q_i = 1.0") if old == "q_o = 0.7" else VALID
         with pytest.raises(ConfigError) as info:

@@ -7,8 +7,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from ehcrn import kernel, simulate
-from ehcrn.analytic import (DetectorConfig, exact_detection_prob, exact_false_alarm_prob,
-                            threshold_for_target_pf)
+from ehcrn.analytic import DetectorConfig, detector_rates, threshold_for_target_pf
 from ehcrn.configio import load_config
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -27,8 +26,9 @@ def test_detector_check_prints_the_exact_rates():
         det = DetectorConfig(sensing_duration=n / 1e6, sampling_rate=1e6, noise_power=1.0,
                              threshold=1.0, primary_snr=10.0 ** -1.5)
         det = replace(det, threshold=threshold_for_target_pf(0.01, det))
-        assert cells["pf_exact"] == f"{exact_false_alarm_prob(det):.5f}"
-        assert cells["pd_exact"] == f"{exact_detection_prob(det):.5f}"
+        pf_exact, pd_exact = detector_rates(det, "signal")
+        assert cells["pf_exact"] == f"{pf_exact:.5f}"
+        assert cells["pd_exact"] == f"{pd_exact:.5f}"
 
 
 def load_bench_kernel(monkeypatch):

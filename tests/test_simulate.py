@@ -15,10 +15,9 @@ from ehcrn.analytic import (
     DetectorConfig,
     Scenario,
     access_prob_from_rates,
-    detection_prob,
-    false_alarm_prob,
+    detector_rates,
 )
-from ehcrn import analytic, kernel, simulate
+from ehcrn import kernel, simulate
 from ehcrn.chains import RandomStream, TwoStateChain
 from ehcrn.gaussian import student_t_quantile
 from ehcrn.configio import apply_overrides, load_config
@@ -61,7 +60,7 @@ class TestSenseEvent:
 
     def test_never_alarms_when_pf_zero(self):
         det = detector(threshold=2.0)  # false-alarm underflows to 0
-        assert false_alarm_prob(det) == 0.0
+        assert detector_rates(det, "event")[0] == 0.0
         scn = scenario(q_i=1.0, q_o=0.0, det=det)
         r = run_simulation(scn, SimConfig(slots=200, replications=1, seed=1))
         assert r.idle_slots == 200
@@ -69,7 +68,7 @@ class TestSenseEvent:
 
     def test_always_detects_when_pd_one(self):
         det = detector(threshold=0.2)
-        assert detection_prob(det) == 1.0
+        assert detector_rates(det, "event")[1] == 1.0
         scn = scenario(q_i=0.0, q_o=1.0, det=det)
         r = run_simulation(scn, SimConfig(slots=200, replications=1, seed=2))
         assert r.idle_slots == 0
@@ -77,7 +76,7 @@ class TestSenseEvent:
 
     def test_empirical_false_alarm_rate(self):
         det = detector(threshold=1.01)
-        pf = false_alarm_prob(det)
+        pf = detector_rates(det, "event")[0]
         trials = 100_000
         scn = scenario(q_i=1.0, q_o=0.0, det=det)
         r = run_simulation(scn, SimConfig(slots=trials, replications=1, seed=3))
@@ -189,7 +188,7 @@ class TestReportInvariants:
         # (1+r)/(1-r); delta (whose slots are cross-correlated through the
         # state sequence) uses the across-replication standard error.
         scn = scenario(det=detector(threshold=1.03))
-        pf, pd = false_alarm_prob(scn.detector), detection_prob(scn.detector)
+        pf, pd = detector_rates(scn.detector, "event")
         reps, slots = 8, 100_000
         cfg = SimConfig(slots=slots, replications=reps, seed=24)
         r = run_simulation(scn, cfg)
@@ -244,7 +243,7 @@ class TestPoolingAndDeterminism:
         # intervals, the share covering it must lie within 3 binomial sigma
         # of 0.95 (it is 0.939); 1.96 in place of t(0.975, 3) covers 0.822.
         scn = scenario(p_on=1.0, p_off=0.5)
-        exact = 1.0 - scn.pi_idle * (1.0 - false_alarm_prob(scn.detector))
+        exact = 1.0 - scn.pi_idle * (1.0 - detector_rates(scn.detector, "event")[0])
         covered = 0
         for seed in range(1000):
             r = run_simulation(scn, SimConfig(slots=2000, replications=4, seed=seed))
@@ -455,14 +454,15 @@ def oracle_constants(scn, signal):
     in either one shows as a mismatch: the signal-mode rates from scipy's
     incomplete gamma, the P^k stays from the stationary law written out."""
     det = scn.detector
+    gaussian = detector_rates(det, "event")
     stay_idle, stay_occ = scn.spectrum.stay_a, scn.spectrum.stay_b
     pi_idle = (1.0 - stay_occ) / ((1.0 - stay_idle) + (1.0 - stay_occ))
     return SimpleNamespace(
         stay_idle=stay_idle, stay_occ=stay_occ,
         pi_idle=pi_idle, pi_occ=1.0 - pi_idle, lam=stay_idle + stay_occ - 1.0,
         stay_on=scn.energy.stay_a, stay_off=scn.energy.stay_b,
-        pf=exact_busy_rate(det, 0) if signal else false_alarm_prob(det),
-        pd=exact_busy_rate(det, 1) if signal else detection_prob(det),
+        pf=exact_busy_rate(det, 0) if signal else gaussian[0],
+        pd=exact_busy_rate(det, 1) if signal else gaussian[1],
         levels=scn.battery_levels,
     )
 
@@ -785,7 +785,7 @@ class TestVerdicts:
     def test_matches_rate_table(self, points, signal, edges, monkeypatch):
         scenarios = stock_points(points)
         first = scenarios[0]
-        rule = kernel.sensing(scenarios, signal)
+        rule = kernel.sensing(scenarios, "signal" if signal else "event")
         if edges:
             rule = edge_rates(rule)
         spec, energy, level = simulate._initial_states(first, SimConfig(slots=1, replications=1),
@@ -822,9 +822,8 @@ class TestKernelMatchesLoopOracle:
     def run_both(self, scenarios, cfg, blocks, seed):
         """Feed the same draws to the kernel, for all ``scenarios`` at once,
         and to the loop oracle, for each scenario alone; compare each point."""
-        signal = cfg.sensing_mode == "signal"
         first = scenarios[0]
-        rules = [oracle_constants(scn, signal) for scn in scenarios]
+        rules = [oracle_constants(scn, cfg.sensing_mode == "signal") for scn in scenarios]
         spec, energy, level = simulate._initial_states(first, cfg, RandomStream(seed, 1))
         ages = np.zeros(len(spec), np.int64)
         state = ((spec, ages), energy, np.full(len(scenarios), level))
@@ -836,7 +835,7 @@ class TestKernelMatchesLoopOracle:
             moves=np.zeros((first.battery_levels, 3), np.int64),
         ) for _ in scenarios]
         gen = np.random.default_rng(seed)
-        sensing = kernel.sensing(scenarios, signal)
+        sensing = kernel.sensing(scenarios, cfg.sensing_mode)
         for b in blocks:
             draws = draw_block(gen, b, cfg.num_pu_channels)
             state = kernel.advance(first, sensing, state, *draws, tally)
@@ -960,13 +959,13 @@ class TestRunPoints:
     @pytest.mark.parametrize("sensing_mode, channels", [("event", 1), ("signal", 1), ("event", 3)])
     def test_every_point_matches_its_own_run(self, case, sensing_mode, channels, monkeypatch):
         monkeypatch.setattr(simulate, "_BLOCK", 1000)  # two blocks per replication
-        signal = sensing_mode == "signal"
         for points, cfg in self.campaign_points(case, sensing_mode, channels):
             for rep in range(cfg.replications):
-                batch = simulate._replication_counts(points[0], kernel.sensing(points, signal), cfg,
-                                                     rep)
+                batch = simulate._replication_counts(points[0], kernel.sensing(points, sensing_mode),
+                                                     cfg, rep)
                 for g, scn in enumerate(points):
-                    alone = simulate._replication_counts(scn, kernel.sensing([scn], signal), cfg, rep)
+                    alone = simulate._replication_counts(scn, kernel.sensing([scn], sensing_mode), cfg,
+                                                         rep)
                     assert (batch[g] == alone[0]).all()
 
     def test_reports_equal_run_simulation(self):
@@ -981,34 +980,35 @@ class TestRunPoints:
         # run_points and run_simulation share the pooling, so each point is
         # checked against the per-point reference on its own tallies
         points, cfg = next(self.campaign_points("1", "event", 1))
-        rule = kernel.sensing(points, False)
+        rule = kernel.sensing(points, "event")
         tallies = [simulate._replication_counts(points[0], rule, cfg, rep)
                    for rep in range(cfg.replications)]
         for g, report in enumerate(simulate.run_points(points, cfg)):
             assert_same_report(report, pooled_reference(cfg.slots, [t[g] for t in tallies]))
 
-    def test_detector_rates_worked_out_once_per_run(self, monkeypatch):
-        # two replications of three sub-blocks each: each point's P_f and
-        # P_d are worked out once for the run, not once per sub-block
+    @staticmethod
+    def rate_calls(monkeypatch, mode):
+        """The modes of the ``detector_rates`` calls of one run of two
+        replications of three sub-blocks each."""
         monkeypatch.setattr(kernel, "SUB_BLOCK", 100)
         points = DETECTOR_STACKS["event-snr"][0]
         calls = []
-        for name in ("false_alarm_prob", "detection_prob"):
-            rate = getattr(kernel, name)
-            monkeypatch.setattr(kernel, name, lambda det, name=name, rate=rate:
-                                calls.append(name) or rate(det))
-        simulate.run_points(points, SimConfig(slots=300, replications=2))
-        assert calls.count("false_alarm_prob") == calls.count("detection_prob") == len(points)
+        rates = kernel.detector_rates
+        monkeypatch.setattr(kernel, "detector_rates",
+                            lambda det, mode: calls.append(mode) or rates(det, mode))
+        simulate.run_points(points, SimConfig(slots=300, replications=2, sensing_mode=mode))
+        return calls, len(points)
+
+    def test_detector_rates_worked_out_once_per_run(self, monkeypatch):
+        # each point's P_f and P_d are worked out once for the run, not
+        # once per sub-block
+        calls, points = self.rate_calls(monkeypatch, "event")
+        assert calls == ["event"] * points
 
     def test_signal_rates_worked_out_once_per_run(self, monkeypatch):
-        # the same in signal mode: two Gamma tails per point and run
-        monkeypatch.setattr(kernel, "SUB_BLOCK", 100)
-        points = DETECTOR_STACKS["event-snr"][0]
-        calls = []
-        gamma_tail = analytic.gamma_tail
-        monkeypatch.setattr(analytic, "gamma_tail", lambda n, x: calls.append(n) or gamma_tail(n, x))
-        simulate.run_points(points, SimConfig(slots=300, replications=2, sensing_mode="signal"))
-        assert len(calls) == 2 * len(points)
+        # the same in signal mode
+        calls, points = self.rate_calls(monkeypatch, "signal")
+        assert calls == ["signal"] * points
 
     @pytest.mark.parametrize("change", [
         {"spectrum": TwoStateChain(0.5, 0.6)},
