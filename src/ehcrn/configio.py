@@ -10,7 +10,8 @@ which are required (the optional [sim] keys are the ``SimConfig`` fields,
 and their defaults live there alone), ``OVERRIDE_FIELDS`` names the
 override keys that ``apply_overrides``, beside it, turns into scenario
 fields for config files and sweeps alike, ``SWEEP_VARIABLES`` the sweep
-variables, and ``check_sweep`` says what makes a sweep definition valid.
+variables, and ``SweepDef`` checks, when it is built, what makes a sweep
+definition valid.
 """
 
 import configparser
@@ -24,7 +25,7 @@ from ehcrn.errors import ConfigError
 from ehcrn.simulate import SimConfig, initial_level
 
 __all__ = ["OVERRIDE_FIELDS", "SWEEP_VARIABLES", "LoadedConfig", "SweepDef", "apply_overrides",
-           "check_sweep", "load_config"]
+           "load_config"]
 
 # Section -> {key: required}.  The [sweep] section is optional as a whole
 # and also takes any number of variant_<n> keys.
@@ -74,11 +75,49 @@ _LABEL = re.compile(r"[A-Za-z0-9_.+-]+")
 @dataclass(frozen=True)
 class SweepDef:
     """A sweep campaign without its scenario: the swept variable, its grid
-    and the labelled variants, as (label, {override key: value}) pairs."""
+    and the labelled variants, as (label, {override key: value}) pairs.
+
+    Raises ``ValueError`` when built unless it is well formed, which needs
+    no scenario: a known variable, a grid of at least 2 strictly increasing
+    values, at least one variant, unique labels that match ``_LABEL``, and
+    known, non-empty overrides.  A variant sets at most one threshold key,
+    and no key the grid point sets: the variable, and for a threshold
+    variable every threshold key.
+    """
 
     variable: str
     grid: tuple
     variants: tuple
+
+    def __post_init__(self):
+        variable, grid = self.variable, self.grid
+        if variable not in SWEEP_VARIABLES:
+            raise ValueError(f"variable must be one of {tuple(SWEEP_VARIABLES)}, got {variable!r}")
+        if len(grid) < 2:
+            raise ValueError(f"grid needs at least 2 values, got {len(grid)}")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("grid values must be strictly increasing")
+        if not self.variants:
+            raise ValueError("at least one variant is required")
+        grid_keys = _THRESHOLD_KEYS if variable in _THRESHOLD_KEYS else {variable}
+        seen = set()
+        for label, overrides in self.variants:
+            if not _LABEL.fullmatch(label):
+                raise ValueError(f"variant label {label!r} must match {_LABEL.pattern}")
+            if label in seen:
+                raise ValueError(f"duplicate variant label {label!r}")
+            seen.add(label)
+            if not overrides:
+                raise ValueError(f"variant {label!r} has no overrides")
+            for key in overrides:
+                if key not in OVERRIDE_FIELDS:
+                    raise ValueError(
+                        f"variant {label!r}: unknown override {key!r} (allowed: {sorted(OVERRIDE_FIELDS)})"
+                    )
+            _one_threshold_key(overrides, f"variant {label!r}: ")
+            clash = sorted(grid_keys & overrides.keys())
+            if clash:
+                raise ValueError(f"variant {label!r}: cannot override {clash}, which the {variable} grid sets")
 
 
 @dataclass(frozen=True)
@@ -89,44 +128,6 @@ class LoadedConfig:
     sim: SimConfig
     target_pf: float | None
     sweep: SweepDef | None
-
-
-def check_sweep(variable: str, grid, variants) -> None:
-    """Raise ``ValueError`` unless the sweep definition is well formed.
-
-    The checks need no scenario: a known variable, a grid of at least 2
-    strictly increasing values, at least one variant, unique labels that
-    match ``_LABEL``, and known, non-empty overrides.  A variant sets at
-    most one threshold key, and no key the grid point sets: the variable,
-    and for a threshold variable every threshold key.
-    """
-    if variable not in SWEEP_VARIABLES:
-        raise ValueError(f"variable must be one of {tuple(SWEEP_VARIABLES)}, got {variable!r}")
-    if len(grid) < 2:
-        raise ValueError(f"grid needs at least 2 values, got {len(grid)}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid values must be strictly increasing")
-    if not variants:
-        raise ValueError("at least one variant is required")
-    grid_keys = _THRESHOLD_KEYS if variable in _THRESHOLD_KEYS else {variable}
-    seen = set()
-    for label, overrides in variants:
-        if not _LABEL.fullmatch(label):
-            raise ValueError(f"variant label {label!r} must match {_LABEL.pattern}")
-        if label in seen:
-            raise ValueError(f"duplicate variant label {label!r}")
-        seen.add(label)
-        if not overrides:
-            raise ValueError(f"variant {label!r} has no overrides")
-        for key in overrides:
-            if key not in OVERRIDE_FIELDS:
-                raise ValueError(
-                    f"variant {label!r}: unknown override {key!r} (allowed: {sorted(OVERRIDE_FIELDS)})"
-                )
-        _one_threshold_key(overrides, f"variant {label!r}: ")
-        clash = sorted(grid_keys & overrides.keys())
-        if clash:
-            raise ValueError(f"variant {label!r}: cannot override {clash}, which the {variable} grid sets")
 
 
 def _one_threshold_key(overrides, where: str = "") -> None:
@@ -226,10 +227,9 @@ def _parse_sweep(section) -> SweepDef:
     grid = tuple(_float("sweep", "grid", tok) for tok in section["grid"].split(","))
     variants = tuple(_parse_variant(k, section[k]) for k in section if _VARIANT_KEY.fullmatch(k))
     try:
-        check_sweep(variable, grid, variants)
+        return SweepDef(variable, grid, variants)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
-    return SweepDef(variable=variable, grid=grid, variants=variants)
 
 
 def load_config(path: str) -> LoadedConfig:
@@ -238,7 +238,7 @@ def load_config(path: str) -> LoadedConfig:
     Raises:
         ConfigError: missing file, syntax errors (with line numbers from
             the parser), unknown sections/keys, missing required keys, a
-            malformed [sweep] section (``check_sweep``), or any model
+            malformed [sweep] section (``SweepDef``), or any model
             invariant violation (reported with the field name).
     """
     parser = configparser.ConfigParser(

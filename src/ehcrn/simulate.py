@@ -133,18 +133,19 @@ class SimReport:
     estimators that are their ratios.
 
     Only what is counted, or needs the replications one by one, is stored;
-    every ratio, the non-access count (alarms on idle and occupied slots)
-    and ``replications`` are properties of the stored fields, so they cannot
-    disagree with them.  Counters partition the slots: delivered + outage +
-    non-access + collided == slots.  ``battery_level_counts[l]`` (the row
-    sums of the transition counts, stored) counts the slots that start at
-    level l (``battery_histogram`` as fractions) and
-    ``battery_transition_counts[l, k]`` the moves from level l with k in
-    {0: down, 1: stay, 2: up}.  ``packet_loss_ci95`` is the 95 % half-width
-    across the ``replication_loss_rates``, t(0.975, R - 1) sd / sqrt(R),
-    when there are R > 1 of them (the spread absorbs slot-to-slot
-    correlation), otherwise the binomial one of the pooled slots.  The
-    rates pf and pd are NaN when no slot was idle or occupied.
+    every ratio, the non-access count (alarms on idle and occupied slots),
+    ``replications`` and ``packet_loss_ci95`` are properties of the stored
+    fields, so they cannot disagree with them.  Counters partition the
+    slots: delivered + outage + non-access + collided == slots.
+    ``battery_level_counts[l]`` (the row sums of the transition counts,
+    stored) counts the slots that start at level l (``battery_histogram``
+    as fractions) and ``battery_transition_counts[l, k]`` the moves from
+    level l with k in {0: down, 1: stay, 2: up}.  ``packet_loss_ci95`` is
+    the 95 % half-width across the ``replication_loss_rates``,
+    t(0.975, R - 1) sd / sqrt(R), when there are R > 1 of them (the spread
+    absorbs slot-to-slot correlation), otherwise the binomial one of the
+    pooled slots.  The rates pf and pd are NaN when no slot was idle or
+    occupied.
     """
 
     slots: int
@@ -157,11 +158,18 @@ class SimReport:
     battery_level_counts: np.ndarray
     battery_transition_counts: np.ndarray
     replication_loss_rates: tuple
-    packet_loss_ci95: float
 
     @property
     def replications(self) -> int:
         return len(self.replication_loss_rates)
+
+    @property
+    def packet_loss_ci95(self) -> float:
+        if self.replications > 1:
+            spread = float(np.std(self.replication_loss_rates, ddof=1)) / math.sqrt(self.replications)
+            return student_t_quantile(0.975, self.replications - 1) * spread
+        loss = self.empirical_packet_loss
+        return 1.96 * math.sqrt(max(loss * (1.0 - loss), 0.0) / self.slots)
 
     @property
     def packets_lost_false_alarm_or_busy(self) -> int:
@@ -320,25 +328,17 @@ def _reports(slots_per_replication: int, tallies: np.ndarray) -> list[SimReport]
     non-access loss, an idle one an outage at level 0 and otherwise a
     packet, delivered on an idle channel and collided on an occupied one.
     Every count is an array step over all the points at once; the rates
-    are the reports' properties.
+    and the interval are the reports' properties.
     """
-    replications = len(tallies)
-    slots = slots_per_replication * replications
+    slots = slots_per_replication * len(tallies)
     t = tallies.sum(axis=0)
     level_moves = t.sum(axis=(1, 2))
     level_counts = level_moves.sum(axis=2)
-    rates = 1.0 - tallies[:, :, 0, 0, 1:].sum(axis=(2, 3)).T / slots_per_replication
-    delivered, collided = t[:, :, 0, 1:].sum(axis=(2, 3)).T
-    if replications > 1:
-        t975 = student_t_quantile(0.975, replications - 1)
-        ci95 = t975 * (np.std(rates, axis=1, ddof=1) / math.sqrt(replications))
-    else:
-        loss = 1.0 - delivered / slots
-        ci95 = 1.96 * np.sqrt(np.maximum(loss * (1.0 - loss), 0.0) / slots)
+    rates = (1.0 - tallies[:, :, 0, 0, 1:].sum(axis=(2, 3)).T / slots_per_replication).tolist()
+    delivered, collided = t[:, :, 0, 1:].sum(axis=(2, 3)).T.tolist()
     alarms_idle, alarms_occ = t[:, :, 1].sum(axis=(2, 3)).T.tolist()
     idle = t[:, 0].sum(axis=(1, 2, 3)).tolist()
     outage = t[:, :, 0, 0].sum(axis=(1, 2)).tolist()
-    delivered, collided, ci95, rates = (a.tolist() for a in (delivered, collided, ci95, rates))
     return [SimReport(
         slots=slots,
         packets_delivered=delivered[g],
@@ -350,5 +350,4 @@ def _reports(slots_per_replication: int, tallies: np.ndarray) -> list[SimReport]
         battery_level_counts=level_counts[g],
         battery_transition_counts=level_moves[g],
         replication_loss_rates=tuple(rates[g]),
-        packet_loss_ci95=ci95[g],
     ) for g in range(len(idle))]

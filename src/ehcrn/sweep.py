@@ -9,7 +9,9 @@ variable moves only the detector, so the points share their draws and
 chain paths (common random numbers), which makes the simulated curve
 smooth along the grid.  Each point's counts are those it gets alone on
 that seed, so any row can be reproduced alone from its ``seed`` column.
-``SweepSpec`` builds, and so checks, every point and seed once (``runs``).
+A ``SweepDef`` checks itself when built; a ``SweepSpec`` is one plus the
+base scenario and controls, and builds, and so checks, every point and
+seed once (``runs``).
 
 ``CASES`` holds the two stock campaigns, which mirror the headline
 experiments; ``campaign`` builds one of them, or a config's [sweep]:
@@ -30,7 +32,7 @@ from pathlib import Path
 
 from ehcrn.analytic import Scenario, operating_point
 from ehcrn.chains import RandomStream
-from ehcrn.configio import SWEEP_VARIABLES, LoadedConfig, SweepDef, apply_overrides, check_sweep
+from ehcrn.configio import SWEEP_VARIABLES, LoadedConfig, SweepDef, apply_overrides
 from ehcrn.errors import ConfigError
 from ehcrn.simulate import SimConfig, initial_level, run_points
 
@@ -98,22 +100,19 @@ CSV_HEADER = ",".join(f.name for f in _FIELDS)
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """A sweep campaign: grid, labelled variants, base scenario, controls.
+class SweepSpec(SweepDef):
+    """A sweep definition plus the base scenario and controls it runs on.
     ``runs``, built and so checked at construction, holds per variant its label,
     its scenario at each grid value and ``sim`` on ``derive_seed(sim.seed, vi)``.
     A variant keeps the base's threshold, which a config's ``target_pf`` fixed at
     load time, unless it sets ``target_pf`` or ``normalized_threshold`` itself."""
 
-    variable: str
-    grid: tuple
     base: Scenario
-    variants: tuple
     sim: SimConfig
     runs: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        check_sweep(self.variable, self.grid, self.variants)
+        super().__post_init__()
         runs = []
         for vi, (label, overrides) in enumerate(self.variants):
             scn, _ = apply_overrides(self.base, None, overrides)
@@ -147,13 +146,7 @@ def campaign(bundle: LoadedConfig, case: str) -> SweepSpec:
     else:
         sweep = CASES[case]
     try:
-        return SweepSpec(
-            variable=sweep.variable,
-            grid=sweep.grid,
-            base=bundle.scenario,
-            variants=sweep.variants,
-            sim=bundle.sim,
-        )
+        return SweepSpec(sweep.variable, sweep.grid, sweep.variants, bundle.scenario, bundle.sim)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
 

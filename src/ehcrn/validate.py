@@ -44,18 +44,18 @@ class CheckResult:
     detail: str
 
 
-def random_batteries(instances: int = INSTANCES):
+def random_batteries():
     """The random batteries of :func:`closed_form_vs_numeric`: drift down, drift
     up and, every tenth, the balanced ratio (delta == e_on gives exactly 1)."""
     rng = np.random.default_rng(SEED)
-    for i in range(instances):
+    for i in range(INSTANCES):
         levels = int(rng.integers(2, MAX_LEVELS + 1))
         delta = float(rng.uniform(0.01, 0.99))
         e_on = delta if i % 10 == 0 else float(rng.uniform(0.01, 0.99))
         yield BatteryModel(levels, delta, e_on)
 
 
-def closed_form_vs_numeric(instances: int = INSTANCES):
+def closed_form_vs_numeric():
     """Worst disagreement between the battery closed form and the solver.
 
     Builds the diagonals of all :func:`random_batteries` in one batched
@@ -65,7 +65,7 @@ def closed_form_vs_numeric(instances: int = INSTANCES):
     full stationary vector, all rows of :func:`battery_steady_state` built
     in one call; both are 0 past each row's L.
     """
-    batteries = list(random_batteries(instances))
+    batteries = list(random_batteries())
     numeric = birth_death_steady_state(*battery_diagonals(batteries))
     outage = np.array([outage_prob(b) for b in batteries])
     worst_pi0 = np.abs(outage - numeric[:, 0]).max(initial=0.0)

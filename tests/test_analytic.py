@@ -4,6 +4,7 @@ import math
 import re
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -461,7 +462,6 @@ class TestBatteryBatch:
     def test_empty_batch(self):
         assert [v.shape for v in battery_diagonals([])] == [(0, 1), (0, 2), (0, 1)]
         assert battery_steady_state([]).shape == (0, 2)
-        assert closed_form_vs_numeric(instances=0) == (0.0, 0.0)
 
     def test_validate_builds_each_batch_once(self, monkeypatch):
         calls = {"battery_diagonals": 0, "battery_steady_state": 0}
@@ -470,7 +470,7 @@ class TestBatteryBatch:
                 calls[_name] += 1
                 return _real(b)
             monkeypatch.setattr(validate, name, spy)
-        closed_form_vs_numeric(instances=30)
+        closed_form_vs_numeric()
         assert calls == {"battery_diagonals": 1, "battery_steady_state": 1}
 
 
@@ -582,27 +582,27 @@ class TestBirthDeathSolver:
             assert not row[battery.levels:].any()
 
     def test_batch_axes(self):
-        instances = list(random_batteries(instances=6))
+        instances = list(islice(random_batteries(), 6))
         down, stay, up = battery_diagonals(instances)
         flat = birth_death_steady_state(down, stay, up)
         shaped = birth_death_steady_state(*(v.reshape(2, 3, -1) for v in (down, stay, up)))
         assert np.array_equal(shaped.reshape(flat.shape), flat)
 
     def test_batch_names_non_stochastic_row(self):
-        down, stay, up = battery_diagonals(list(random_batteries(instances=5)))
+        down, stay, up = battery_diagonals(list(islice(random_batteries(), 5)))
         stay[3, 0] += 1e-6
         with pytest.raises(NumericsError, match="row-stochastic in batch row 3$"):
             birth_death_steady_state(down, stay, up)
 
     def test_batch_names_zero_down_row(self):
-        down, stay, up = battery_diagonals(list(random_batteries(instances=5)))
+        down, stay, up = battery_diagonals(list(islice(random_batteries(), 5)))
         stay[2, 1] += down[2, 0]
         down[2, 0] = 0.0
         with pytest.raises(NumericsError, match="down entry is 0 in batch row 2;.*irreducible"):
             birth_death_steady_state(down, stay, up)
 
     def test_batch_names_unreliable_row(self):
-        down, stay, up = battery_diagonals(list(random_batteries(instances=5)))
+        down, stay, up = battery_diagonals(list(islice(random_batteries(), 5)))
         stay[4, 0] += 5e-10
         with pytest.raises(NumericsError, match=r"unreliable: residual .* in batch row 4$"):
             birth_death_steady_state(down, stay, up)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ehcrn.configio import OVERRIDE_FIELDS, apply_overrides, load_config
+from ehcrn.configio import OVERRIDE_FIELDS, SweepDef, apply_overrides, load_config
 from ehcrn.errors import ConfigError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -241,8 +241,9 @@ class TestErrors:
         with pytest.raises(ConfigError, match="label"):
             load_config(write(tmp_path, text))
 
-    # Checked at load since check_sweep is shared with SweepSpec, so every
-    # subcommand rejects these, not only ``ehcrn sweep``.
+    # Checked at load since a SweepDef checks itself when built (and a
+    # SweepSpec is one), so every subcommand rejects these, not only
+    # ``ehcrn sweep``.
     # A variant may not set both threshold keys (the later one would win),
     # nor a key the grid point sets (every point would overwrite it).
     @pytest.mark.parametrize("variable, grid, variants, match", [
@@ -276,6 +277,35 @@ class TestErrors:
         text = VALID + f"\n[sweep]\nvariable = {variable}\ngrid = {grid}\n{variants}\n"
         with pytest.raises(ConfigError, match=f"sweep: .*{match}"):
             load_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("variable, grid, variants, match", [
+        ("snr", (-20.0, -10.0), (("a", {"p_on": 0.7}),), "variable must be one of"),
+        ("primary_snr_db", (-10.0,), (("a", {"p_on": 0.7}),), "at least 2 values, got 1"),
+        ("primary_snr_db", (-10.0, -20.0), (("a", {"p_on": 0.7}),), "strictly increasing"),
+        ("primary_snr_db", (-20.0, -10.0), (), "at least one variant"),
+        ("primary_snr_db", (-20.0, -10.0), (('a"x', {"p_on": 0.7}),), "variant label 'a\"x' must match"),
+        ("primary_snr_db", (-20.0, -10.0), (("a", {"p_on": 0.7}), ("a", {"p_on": 0.3})),
+         "duplicate variant label 'a'"),
+        ("primary_snr_db", (-20.0, -10.0), (("a", {}),), "variant 'a' has no overrides"),
+        ("primary_snr_db", (-20.0, -10.0), (("a", {"snr": 3.0}),), "variant 'a': unknown override 'snr'"),
+        ("primary_snr_db", (-20.0, -10.0), (("a", {"target_pf": 0.1, "normalized_threshold": 1.05}),),
+         "variant 'a': set one of .* not both"),
+        ("primary_snr_db", (-20.0, -10.0), (("a", {"primary_snr_db": -5.0}),),
+         r"variant 'a': cannot override \['primary_snr_db'\], which the primary_snr_db grid sets"),
+    ], ids=["unknown-variable", "one-value", "decreasing", "no-variant", "bad-label",
+            "duplicate-label", "empty-overrides", "unknown-override", "both-thresholds", "grid-clash"])
+    def test_sweep_def_checks_itself(self, tmp_path, variable, grid, variants, match):
+        # built in code, a SweepDef raises the message the loader prefixes
+        # with "sweep: " for the same section
+        with pytest.raises(ValueError, match=match) as built:
+            SweepDef(variable, grid, variants)
+        lines = [f"variant_{i} = {label}: " + " ".join(f"{k}={v!r}" for k, v in overrides.items())
+                 for i, (label, overrides) in enumerate(variants, 1)]
+        text = (VALID + f"\n[sweep]\nvariable = {variable}\ngrid = {', '.join(map(repr, grid))}\n"
+                + "\n".join(lines) + "\n")
+        with pytest.raises(ConfigError) as loaded:
+            load_config(write(tmp_path, text))
+        assert str(loaded.value) == f"sweep: {built.value}"
 
     @pytest.mark.parametrize("key", ["variants", "variant_x", "variant_", "variant_1b", "variant1"])
     def test_sweep_variant_key_is_variant_n(self, tmp_path, key):

@@ -278,15 +278,15 @@ class TestPoolingAndDeterminism:
 
 
 # The report's numbers worked out from its stored fields: the ratios, the
-# non-access count and the replication count.
+# non-access count, the replication count and the interval.
 DERIVED = {"empirical_packet_loss", "empirical_outage_occupancy", "empirical_pf",
            "empirical_pd", "empirical_delta", "empirical_pi_idle", "battery_histogram",
-           "packets_lost_false_alarm_or_busy", "replications"}
+           "packets_lost_false_alarm_or_busy", "replications", "packet_loss_ci95"}
 
 
 def pooled_reference(slots_per_replication, tallies):
-    """Reference for the pooling: one point's report numbers, the 11 stored
-    fields and the 9 derived from them, from its R (2, 2, L, 3) tallies, with
+    """Reference for the pooling: one point's report numbers, the 10 stored
+    fields and the 10 derived from them, from its R (2, 2, L, 3) tallies, with
     sums and rates worked out for this point alone."""
     replications = len(tallies)
     slots = slots_per_replication * replications
@@ -323,7 +323,7 @@ def assert_same_report(report, reference):
     """Every stored field and every derived ratio equal to the reference's,
     bit for bit and of the same type (NaN equal to NaN)."""
     stored = {f.name for f in fields(simulate.SimReport)}
-    assert len(stored) == 11 and stored | DERIVED == set(reference)
+    assert len(stored) == 10 and stored | DERIVED == set(reference)
     for name, want in reference.items():
         got = getattr(report, name)
         assert type(got) is type(want), name

@@ -3,7 +3,7 @@
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -83,6 +83,9 @@ class TestSweepSpec:
         assert two.variable == "normalized_threshold"
         assert two.grid == CASE_TWO_GRID
         assert len(two.variants) == 3
+        # a SweepDef plus its base and controls, in that positional order
+        assert isinstance(one, SweepDef)
+        assert [f.name for f in fields(SweepSpec)] == ["variable", "grid", "variants", "base", "sim", "runs"]
 
     def test_case_one_requires_target(self, tmp_path):
         text = TINY.replace("target_pf = 0.01", "normalized_threshold = 1.05")
