@@ -151,10 +151,13 @@ def apply_overrides(scenario: Scenario, target_pf, overrides: dict):
     force: a ``target_pf`` override replaces ``target_pf``, and a
     ``normalized_threshold`` override clears it since it pins the threshold
     directly.  A target in force derives the threshold from the rebuilt
-    detector; a target of None keeps the threshold.
+    detector; a target of None keeps the threshold.  Only the parts that
+    the overrides or a target in force change are rebuilt, and so checked
+    again; a part that rejects its values raises ``ValueError`` naming the
+    keys that set it.
     """
     _one_threshold_key(overrides)
-    changes = {part: {} for part, _ in OVERRIDE_FIELDS.values()}
+    changes = {}
     for key, value in overrides.items():
         if key not in OVERRIDE_FIELDS:
             raise ValueError(f"unknown override key {key!r}")
@@ -167,18 +170,19 @@ def apply_overrides(scenario: Scenario, target_pf, overrides: dict):
         elif key == "normalized_threshold":
             value *= scenario.detector.noise_power
             target_pf = None
-        changes[part][name] = value
-    det = replace(scenario.detector, **changes["detector"])
-    if target_pf is not None:
-        det = replace(det, threshold=threshold_for_target_pf(target_pf, det))
-    scenario = replace(
-        scenario,
-        spectrum=replace(scenario.spectrum, **changes["spectrum"]),
-        energy=replace(scenario.energy, **changes["energy"]),
-        detector=det,
-        **changes["scenario"],
-    )
-    return scenario, target_pf
+        changes.setdefault(part, {})[name] = value
+    new = changes.pop("scenario", {})
+    try:
+        for part, values in changes.items():
+            new[part] = replace(getattr(scenario, part), **values)
+        if target_pf is not None:
+            part, det = "target_pf", new.get("detector", scenario.detector)
+            new["detector"] = replace(det, threshold=threshold_for_target_pf(target_pf, det))
+        part = "scenario"
+        return (replace(scenario, **new) if new else scenario), target_pf
+    except ValueError as exc:
+        keys = " ".join(f"{k}={v!r}" for k, v in overrides.items() if part in (k, OVERRIDE_FIELDS[k][0]))
+        raise ValueError(f"{exc} (from {keys})" if keys else str(exc)) from None
 
 
 def _float(section, key, raw):

@@ -55,6 +55,8 @@ happened; the report sorts that tally into the loss causes above.
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache, partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -74,6 +76,8 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 20
+# t(0.975, df) on an int df, solved once per df: every report of a run asks for it.
+_T975 = lru_cache(maxsize=64)(partial(student_t_quantile, 0.975))
 
 
 @dataclass(frozen=True)
@@ -167,7 +171,7 @@ class SimReport:
     def packet_loss_ci95(self) -> float:
         if self.replications > 1:
             spread = float(np.std(self.replication_loss_rates, ddof=1)) / math.sqrt(self.replications)
-            return student_t_quantile(0.975, self.replications - 1) * spread
+            return _T975(self.replications - 1) * spread
         loss = self.empirical_packet_loss
         return 1.96 * math.sqrt(max(loss * (1.0 - loss), 0.0) / self.slots)
 
@@ -275,9 +279,8 @@ def _replication_counts(scenario: Scenario, rule, cfg: SimConfig, stream_id: int
     return tally
 
 
-def _shared(scenario: Scenario):
-    """What the points of one run must agree in: every field but the detector."""
-    return tuple(getattr(scenario, f.name) for f in fields(Scenario) if f.name != "detector")
+# What the points of one run must agree in: every field but the detector.
+_SHARED = attrgetter(*(f.name for f in fields(Scenario) if f.name != "detector"))
 
 
 def run_points(scenarios, cfg: SimConfig) -> list[SimReport]:
@@ -291,9 +294,9 @@ def run_points(scenarios, cfg: SimConfig) -> list[SimReport]:
     scenarios = list(scenarios)
     if not scenarios:
         raise ValueError("run_points needs at least one scenario")
-    shared = _shared(scenarios[0])
+    shared = _SHARED(scenarios[0])
     for i, scenario in enumerate(scenarios[1:], 1):
-        if _shared(scenario) != shared:
+        if _SHARED(scenario) != shared:
             raise ValueError(
                 f"scenario {i} differs from scenario 0 outside its detector; "
                 "the points of one run share their chains, battery and draws"

@@ -28,6 +28,7 @@ both data emitters walk them.
 import csv
 import json
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 from ehcrn.analytic import Scenario, operating_point
@@ -96,7 +97,10 @@ class SweepResultRow:
 
 
 _FIELDS = fields(SweepResultRow)
+_VALUES = attrgetter(*(f.name for f in _FIELDS))
 CSV_HEADER = ",".join(f.name for f in _FIELDS)
+# The C encoder, with the indent of an array element in its item separator.
+_JSON_RECORD = json.JSONEncoder(separators=(",\n    ", ": ")).encode
 
 
 @dataclass(frozen=True)
@@ -115,12 +119,12 @@ class SweepSpec(SweepDef):
         super().__post_init__()
         runs = []
         for vi, (label, overrides) in enumerate(self.variants):
-            scn, _ = apply_overrides(self.base, None, overrides)
-            points = tuple(apply_overrides(scn, None, {self.variable: value})[0] for value in self.grid)
             try:
+                scn, _ = apply_overrides(self.base, None, overrides)
                 initial_level(scn, self.sim)
             except ValueError as exc:
                 raise ValueError(f"variant {label!r}: {exc}") from None
+            points = tuple(apply_overrides(scn, None, {self.variable: value})[0] for value in self.grid)
             runs.append((label, points, replace(self.sim, seed=RandomStream.derive_seed(self.sim.seed, vi))))
         object.__setattr__(self, "runs", tuple(runs))
 
@@ -185,11 +189,8 @@ def format_float(x: float) -> str:
 
 def _cells(row: SweepResultRow) -> list[str]:
     """The row's cells in header order, as text: floats to 9 significant digits."""
-    cells = []
-    for f in _FIELDS:
-        value = getattr(row, f.name)
-        cells.append(format_float(value) if f.type is float else str(f.type(value)))
-    return cells
+    return [format_float(value) if f.type is float else str(f.type(value))
+            for f, value in zip(_FIELDS, _VALUES(row))]
 
 
 def emit_csv(rows, path) -> None:
@@ -205,13 +206,14 @@ def emit_csv(rows, path) -> None:
 
 def emit_json(rows, path) -> None:
     """Write rows as a JSON array with the same field names and the same
-    9-significant-digit values as the CSV."""
+    9-significant-digit values as the CSV, in the bytes of ``json.dump``
+    with ``indent=2``, written in one call."""
     if not rows:
         raise ValueError("no rows to emit")
+    records = "\n  },\n  {\n    ".join(
+        _JSON_RECORD({f.name: f.type(cell) for f, cell in zip(_FIELDS, _cells(row))})[1:-1] for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        records = [{f.name: f.type(cell) for f, cell in zip(_FIELDS, _cells(row))} for row in rows]
-        json.dump(records, fh, indent=2)
-        fh.write("\n")
+        fh.write("[\n  {\n    " + records + "\n  }\n]\n")
 
 
 def emit_plot_script(rows, path, sweep_variable: str) -> None:

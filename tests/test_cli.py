@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ehcrn import cli
+from ehcrn import cli, gaussian, simulate
 from ehcrn.analytic import SENSING_LAWS
 from ehcrn.cli import ANALYZE_HEADER, main
 
@@ -124,6 +124,35 @@ class TestSweepCommand:
         assert main(["sweep", "--case", "custom", "--config", str(path), "--out", str(out)]) == 2
         assert "sweep: primary_snr_db 4000.0 overflows a float" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("variant_1 = a: p_on=1.5", "variant 'a': stay_a must lie in [0, 1], got 1.5 (from p_on=1.5)"),
+        ("variant_1 = a: q_o=0.7 levels=1",
+         "variant 'a': battery_levels must be an integer >= 2, got 1 (from levels=1)"),
+    ], ids=["p_on", "levels"])
+    def test_variant_override_error_names_variant_and_key(self, tmp_path, capsys, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL.replace("variant_1 = a: q_o=0.7 q_i=0.5", line))
+        out = tmp_path / "results"
+        assert main(["sweep", "--case", "custom", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"ehcrn: config error: sweep: {message}\n"
+        assert not out.exists()
+
+    def test_solves_the_t_quantile_once_per_replication_count(self, tmp_path, monkeypatch, capsys):
+        # each report's interval needs t(0.975, R - 1); one Newton solve serves all 39
+        solves, t_cdf = [], gaussian._t_cdf
+
+        def counted(t, df):
+            if t == 0.0:  # every Newton solve starts at t = 0
+                solves.append(df)
+            return t_cdf(t, df)
+
+        monkeypatch.setattr(gaussian, "_t_cdf", counted)
+        simulate._T975.cache_clear()
+        config = tmp_path / "case1.cfg"
+        config.write_text(Path(CASE1).read_text().replace("slots = 1000000\n", "slots = 512\n"))
+        assert main(["sweep", "--case", "1", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert solves == [3]
 
     def test_out_path_collision_is_io_error(self, small_cfg, tmp_path, capsys):
         blocker = tmp_path / "blocked"

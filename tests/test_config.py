@@ -176,15 +176,16 @@ class TestErrors:
     @pytest.mark.parametrize("old, new, message", [
         ("q_o = 0.7", "q_o = 1.0",
          "spectrum: degenerate chain: both self-transition probabilities are 1, "
-         "so both states are absorbing and no unique stationary distribution exists"),
-        ("p_on = 0.7", "p_on = 1.5", "energy: stay_a must lie in [0, 1], got 1.5"),
+         "so both states are absorbing and no unique stationary distribution exists "
+         "(from q_i=1.0 q_o=1.0)"),
+        ("p_on = 0.7", "p_on = 1.5", "energy: stay_a must lie in [0, 1], got 1.5 (from p_on=1.5 p_off=0.5)"),
         ("sensing_duration = 0.002", "sensing_duration = -1",
          "detector: sensing_duration must be a positive finite number, got -1.0"),
         ("slot_duration = 0.1", "slot_duration = 0.001",
          "scenario: sensing duration 0.002 s exceeds the slot duration 0.001 s"),
-        ("levels = 100", "levels = 1", "scenario: battery_levels must be an integer >= 2, got 1"),
+        ("levels = 100", "levels = 1", "scenario: battery_levels must be an integer >= 2, got 1 (from levels=1)"),
         ("target_pf = 0.01", "target_pf = 1.5",
-         "detector: target false-alarm probability must lie in (0, 1), got 1.5"),
+         "detector: target false-alarm probability must lie in (0, 1), got 1.5 (from target_pf=1.5)"),
         ("primary_snr_db = -15.0", "primary_snr_db = 4000",
          "detector: primary_snr_db 4000.0 overflows a float"),
         ("seed = 9", "seed = 9\nsensing_mode = both",
@@ -319,3 +320,44 @@ class TestErrors:
         text = VALID + "\n[sweep]\nvariable = primary_snr_db\ngrid = -20, -10\nvariant_1 = a: snr=3\n"
         with pytest.raises(ConfigError, match="unknown override"):
             load_config(write(tmp_path, text))
+
+
+# The parts of a scenario that an override key can rebuild.
+PARTS = ("spectrum", "energy", "detector")
+GOOD_VALUE = {key: value for _, _, key, value in SAME_KEY}
+BAD_VALUE = {"q_i": 1.5, "q_o": -0.1, "p_on": 1.5, "p_off": 2.0, "levels": 1,
+             "primary_snr_db": 4000.0, "normalized_threshold": -1.0, "target_pf": 1.5}
+
+
+def test_bad_value_covers_every_override_key():
+    assert BAD_VALUE.keys() == OVERRIDE_FIELDS.keys() == GOOD_VALUE.keys()
+
+
+@pytest.mark.parametrize("key", sorted(OVERRIDE_FIELDS))
+def test_apply_overrides_reuses_what_it_does_not_name(tmp_path, key):
+    base = load_config(write(tmp_path, VALID)).scenario
+    scenario, _ = apply_overrides(base, None, {key: GOOD_VALUE[key]})
+    named = OVERRIDE_FIELDS[key][0]
+    assert {part: getattr(scenario, part) is getattr(base, part) for part in PARTS} == {
+        part: part != named for part in PARTS}
+    # a target in force rebuilds the detector it derives the threshold for
+    scenario, _ = apply_overrides(base, 0.02, {key: GOOD_VALUE[key]})
+    assert scenario.detector is not base.detector
+    assert {part: getattr(scenario, part) is getattr(base, part) for part in PARTS[:2]} == {
+        part: part != named for part in PARTS[:2]}
+
+
+def test_apply_overrides_without_changes_returns_its_scenario(tmp_path):
+    base = load_config(write(tmp_path, VALID)).scenario
+    assert apply_overrides(base, None, {}) == (base, None)
+    assert apply_overrides(base, None, {})[0] is base
+
+
+@pytest.mark.parametrize("target", [None, 0.02], ids=["no-target", "target"])
+@pytest.mark.parametrize("key", sorted(OVERRIDE_FIELDS))
+def test_every_override_key_rejects_a_bad_value(tmp_path, key, target):
+    # the message names the key and the value the caller set
+    base = load_config(write(tmp_path, VALID)).scenario
+    with pytest.raises(ValueError) as info:
+        apply_overrides(base, target, {key: BAD_VALUE[key]})
+    assert key in str(info.value) and repr(BAD_VALUE[key]) in str(info.value)

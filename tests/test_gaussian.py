@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 from scipy.stats import t as student_t
 
+from ehcrn import simulate
 from ehcrn.gaussian import q_tail, q_tail_inverse, student_t_quantile
 
 
@@ -117,3 +118,13 @@ def test_student_t_quantile_matches_scipy(p):
 def test_student_t_quantile_domain_errors(p, df):
     with pytest.raises(ValueError):
         student_t_quantile(p, df)
+
+
+def test_report_quantile_cache_keeps_the_df_check():
+    # a report solves t(0.975, R - 1) once per R through a cache keyed on the
+    # int df, which would take 1.0 for 1; the public function still rejects it
+    assert simulate._T975(1) == student_t_quantile(0.975, 1)
+    with pytest.raises(ValueError, match="df must be a positive integer, got 1.0"):
+        student_t_quantile(0.975, 1.0)
+    with pytest.raises(ValueError, match="df must be a positive integer, got 1.0"):
+        student_t_quantile(0.025, 1.0)

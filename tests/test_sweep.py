@@ -3,10 +3,12 @@
 import csv
 import json
 import math
+import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ehcrn.analytic import (
     BatteryModel,
@@ -16,13 +18,16 @@ from ehcrn.analytic import (
 )
 from ehcrn import sweep
 from ehcrn.chains import RandomStream
-from ehcrn.configio import OVERRIDE_FIELDS, SWEEP_VARIABLES, SweepDef, load_config, snr_db_to_linear
+from ehcrn.configio import (
+    _LABEL, OVERRIDE_FIELDS, SWEEP_VARIABLES, SweepDef, load_config, snr_db_to_linear,
+)
 from ehcrn.errors import ConfigError
 from ehcrn.simulate import run_simulation
 from ehcrn.sweep import (
     CASE_ONE_GRID_DB,
     CASE_TWO_GRID,
     CSV_HEADER,
+    SweepResultRow,
     SweepSpec,
     apply_overrides,
     campaign,
@@ -338,6 +343,29 @@ class TestEmitters:
         emit_csv(run_sweep(campaign(tiny_bundle, "custom")), a)
         emit_csv(run_sweep(campaign(tiny_bundle, "custom")), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# A JSON row holds the CSV cell's value: floats to 9 significant digits.
+def _json_record(row):
+    return {f.name: float(format(getattr(row, f.name), ".9g")) if f.type is float else getattr(row, f.name)
+            for f in fields(SweepResultRow)}
+
+
+_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-05, 5e-324]),
+                    st.floats())
+_ROWS = st.lists(st.builds(
+    SweepResultRow, st.from_regex(_LABEL, fullmatch=True), *[_FLOATS] * 10,
+    st.integers(1, 2**63), st.integers(0, 2**64 - 1)), min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_ROWS)
+def test_json_bytes_are_indent_two(rows):
+    # the file is exactly json.dump(records, indent=2) plus a newline
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.json"
+        emit_json(rows, path)
+        assert path.read_bytes() == (json.dumps([_json_record(r) for r in rows], indent=2) + "\n").encode()
 
 
 class TestPlotScript:
