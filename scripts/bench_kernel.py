@@ -148,13 +148,13 @@ def _instrument(clock):
     return undo
 
 
-def _block_ms(scenarios, cfg):
+def _block_ms(scenario, detectors, cfg):
     """Per-layer ms of one ``run_points`` call of one block."""
     clock = _Clock()
     undo = _instrument(clock)
     try:
         start = time.thread_time()
-        simulate.run_points(scenarios, cfg)
+        simulate.run_points(scenario, detectors, cfg)
         total = time.thread_time() - start
     finally:
         for mod, name, value in undo:
@@ -175,18 +175,18 @@ def measure(config, mode, channels, grid, overrides):
     cfg = replace(bundle.sim, slots=BLOCK, replications=1, sensing_mode=mode,
                   num_pu_channels=channels)
     scenario = apply_overrides(bundle.scenario, None, overrides)[0]
-    scenarios = [scenario] if grid is None else [
-        apply_overrides(scenario, None, {grid[0]: v})[0] for v in grid[1]]
-    simulate.run_points(scenarios, replace(cfg, slots=2 * kernel.SUB_BLOCK))  # warm-up
-    runs = [_block_ms(scenarios, replace(cfg, seed=cfg.seed + i)) for i in range(REPEATS)]
-    out = {"points": len(scenarios)}
+    detectors = [scenario.detector] if grid is None else [
+        apply_overrides(scenario, None, {grid[0]: v})[0].detector for v in grid[1]]
+    simulate.run_points(scenario, detectors, replace(cfg, slots=2 * kernel.SUB_BLOCK))  # warm-up
+    runs = [_block_ms(scenario, detectors, replace(cfg, seed=cfg.seed + i)) for i in range(REPEATS)]
+    out = {"points": len(detectors)}
     for layer in LAYERS:
         out[layer] = _quartiles([1e3 * r[layer] for r in runs], 3)
     out["battery_per_chains"] = _quartiles(
         [r["battery_levels"] / (r["spectrum_chain"] + r["energy_chain"]) for r in runs], 4)
     out["chains_per_draws"] = _quartiles(
         [(r["spectrum_chain"] + r["energy_chain"]) / r["draws"] for r in runs], 4)
-    out["ms_per_point"] = round(out["total"]["median"] / len(scenarios), 3)
+    out["ms_per_point"] = round(out["total"]["median"] / len(detectors), 3)
     out["mslot_per_s"] = round(BLOCK / 1e3 / out["total"]["median"], 2)
     return out
 

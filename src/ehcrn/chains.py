@@ -7,6 +7,7 @@ The simulator encodes state A as 0 and state B as 1 and advances the chains
 with :func:`ehcrn.kernel.chain_path`.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,16 +59,14 @@ class RandomStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        seed = int(seed)
-        stream_id = int(stream_id)
-        if not 0 <= seed < 2**64:
+        if not (_is_integer(seed) and 0 <= seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-        if not 0 <= stream_id < 2**32:
-            raise ValueError(f"stream_id must be in [0, 2**32), got {stream_id!r}")
-        self.seed = seed
-        self.stream_id = stream_id
+        if not (_is_integer(stream_id) and 0 <= stream_id < 2**32):
+            raise ValueError(f"stream_id must be an integer in [0, 2**32), got {stream_id!r}")
+        self.seed = int(seed)
+        self.stream_id = int(stream_id)
         self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream_id,)))
+            np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,)))
         )
 
     @property
@@ -82,9 +81,19 @@ class RandomStream:
         Deterministic and collision-resistant; used to give every sweep
         variant its own independent seed that is reported alongside the
         results.
+
+        Raises ValueError if the seed or a key is not a non-negative integer.
         """
+        for value in (seed, *key):
+            if not (_is_integer(value) and value >= 0):
+                raise ValueError(f"derive_seed takes non-negative integers, got {value!r}")
         ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
         return int(ss.generate_state(1, np.uint64)[0])
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
+
+
+def _is_integer(value) -> bool:
+    """An integer, Python's or numpy's, that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

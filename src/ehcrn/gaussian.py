@@ -82,11 +82,11 @@ def student_t_quantile(p: float, df: int) -> float:
     overshooting; lower quantiles follow by symmetry.
 
     Raises:
-        ValueError: if p is not strictly between 0 and 1 or df < 1.
+        ValueError: if p is not strictly between 0 and 1 or df is not an int >= 1.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
-    if not (isinstance(df, int) and df >= 1):
+    if not (isinstance(df, int) and not isinstance(df, bool) and df >= 1):
         raise ValueError(f"df must be a positive integer, got {df!r}")
     if p < 0.5:
         return -student_t_quantile(1.0 - p, df)

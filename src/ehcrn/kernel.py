@@ -6,7 +6,7 @@ licensed channels, only the path of the channel sensed in each slot), the
 battery levels with one running sum and a running extreme at each end it
 meets, and a tally of what happened in each slot with one ``bincount``;
 :mod:`ehcrn.simulate` sorts the tally into loss causes.  One pass serves G
-points that differ only in their detector (the grid of a sweep variant):
+points, one scenario with G detectors (the grid of a sweep variant):
 the chain paths are worked out once and shared, and the verdicts
 (:func:`verdicts`, two comparisons of the shared sensing uniform), the
 battery levels and the tally of all G points in one array step each.
@@ -239,12 +239,12 @@ class Sensing(NamedTuple):
     occupied: np.ndarray
 
 
-def sensing(scenarios, mode):
-    """The :class:`Sensing` of ``scenarios``: their
+def sensing(detectors, mode):
+    """The :class:`Sensing` of ``detectors``, one point each: their
     :func:`~ehcrn.analytic.detector_rates` under the sensing law ``mode``.
     The detectors do not change within a run, so a run works these out once
     and hands them to every :func:`advance`."""
-    rates = [detector_rates(s.detector, mode) for s in scenarios]
+    rates = [detector_rates(det, mode) for det in detectors]
     return Sensing(*np.array(rates).T[:, :, None])
 
 

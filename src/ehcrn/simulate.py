@@ -41,11 +41,11 @@ Reproducibility.  All randomness comes from a ``RandomStream`` keyed by
 uniforms, b channel choices when there are several channels, b sensing
 uniforms), so results are bit-identical for a given seed regardless of
 how replications are scheduled.  No draw depends on the detector, so
-``run_points`` runs points that differ only there on common random
-numbers: one set of draws and chain paths for all of them, and for each
-point the counts ``run_simulation`` gives it alone on the same seed.  A
-shared uniform keeps the points' verdicts comonotone: a point with a
-higher busy probability reads busy in every slot another one does.
+``run_points`` runs one scenario and its detectors on common random
+numbers: one set of draws and chain paths for all, and for each detector
+the counts ``run_simulation`` gives the scenario with it on the same
+seed.  A shared uniform keeps the points' verdicts comonotone: a point
+with a higher busy probability reads busy in every slot another one does.
 
 The slots themselves are advanced by the array kernel in
 :mod:`ehcrn.kernel`, which takes the one ``Scenario`` the points share
@@ -54,9 +54,8 @@ happened; the report sorts that tally into the loss causes above.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import attrgetter
 
 import numpy as np
 
@@ -279,37 +278,26 @@ def _replication_counts(scenario: Scenario, rule, cfg: SimConfig, stream_id: int
     return tally
 
 
-# What the points of one run must agree in: every field but the detector.
-_SHARED = attrgetter(*(f.name for f in fields(Scenario) if f.name != "detector"))
+def run_points(scenario: Scenario, detectors, cfg: SimConfig) -> list[SimReport]:
+    """Simulate one point per detector on ``scenario``'s chains and battery
+    (its own detector is not read), on common random numbers: each point
+    gets the report ``run_simulation`` gives the scenario with that
+    detector alone on ``cfg``, from one pass over the shared draws.
 
-
-def run_points(scenarios, cfg: SimConfig) -> list[SimReport]:
-    """Simulate points that differ only in their detector on common random
-    numbers: every point gets the report ``run_simulation`` gives it alone
-    on ``cfg``, from one pass over the shared draws and chain paths.
-
-    Raises ValueError if there are no points, or if two differ anywhere
-    but in the detector.
+    Raises ValueError if there are no detectors.
     """
-    scenarios = list(scenarios)
-    if not scenarios:
-        raise ValueError("run_points needs at least one scenario")
-    shared = _SHARED(scenarios[0])
-    for i, scenario in enumerate(scenarios[1:], 1):
-        if _SHARED(scenario) != shared:
-            raise ValueError(
-                f"scenario {i} differs from scenario 0 outside its detector; "
-                "the points of one run share their chains, battery and draws"
-            )
-    rule = kernel.sensing(scenarios, cfg.sensing_mode)
-    tallies = np.stack([_replication_counts(scenarios[0], rule, cfg, rep)
+    detectors = list(detectors)
+    if not detectors:
+        raise ValueError("run_points needs at least one detector")
+    rule = kernel.sensing(detectors, cfg.sensing_mode)
+    tallies = np.stack([_replication_counts(scenario, rule, cfg, rep)
                         for rep in range(cfg.replications)])
     return _reports(cfg.slots, tallies)
 
 
 def run_replication(scenario: Scenario, cfg: SimConfig, stream_id: int) -> SimReport:
     """Simulate one replication of ``cfg.slots`` slots on its own stream."""
-    rule = kernel.sensing([scenario], cfg.sensing_mode)
+    rule = kernel.sensing([scenario.detector], cfg.sensing_mode)
     return _reports(cfg.slots, _replication_counts(scenario, rule, cfg, stream_id)[None])[0]
 
 
@@ -320,7 +308,7 @@ def run_simulation(scenario: Scenario, cfg: SimConfig) -> SimReport:
     Replication i uses stream id i; pooling is an ordered sum, so the
     result is identical no matter how the replications are executed.
     """
-    return run_points([scenario], cfg)[0]
+    return run_points(scenario, [scenario.detector], cfg)[0]
 
 
 def _reports(slots_per_replication: int, tallies: np.ndarray) -> list[SimReport]:

@@ -25,7 +25,6 @@ The fields of ``SweepResultRow`` are the row schema: the CSV header and
 both data emitters walk them.
 """
 
-import csv
 import json
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
@@ -158,11 +157,13 @@ def campaign(bundle: LoadedConfig, case: str) -> SweepSpec:
 def run_sweep(spec: SweepSpec) -> list[SweepResultRow]:
     """Run every (variant, grid value) point; rows ordered by (variant, value).
 
-    A variant's grid points differ only in the detector, so they run as one
-    simulation on common random numbers, on the variant's seed."""
+    A sweep variable moves only the detector, so a variant's grid points run
+    as one simulation on common random numbers, on the variant's seed: its
+    first point's chains and battery with every point's detector."""
     rows = []
     for label, points, sim in spec.runs:
-        for value, scenario, report in zip(spec.grid, points, run_points(points, sim)):
+        reports = run_points(points[0], [p.detector for p in points], sim)
+        for value, scenario, report in zip(spec.grid, points, reports):
             op = operating_point(scenario)
             rows.append(SweepResultRow(
                 variant=label,
@@ -194,14 +195,14 @@ def _cells(row: SweepResultRow) -> list[str]:
 
 
 def emit_csv(rows, path) -> None:
-    """Write rows as CSV: fixed header, 9-significant-digit floats, LF endings."""
+    """Write rows as CSV: fixed header, 9-significant-digit floats, LF endings,
+    written in one call.  No cell needs quoting: a label matches
+    ``configio._LABEL`` and a number is ``.9g`` or integer text."""
     if not rows:
         raise ValueError("no rows to emit")
+    body = "".join(",".join(_cells(row)) + "\n" for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in rows:
-            writer.writerow(_cells(row))
+        fh.write(CSV_HEADER + "\n" + body)
 
 
 def emit_json(rows, path) -> None:

@@ -348,12 +348,13 @@ def test_stream_scalar_matches_array():
 
 
 def test_stream_validation():
-    with pytest.raises(ValueError):
-        RandomStream(-1, 0)
-    with pytest.raises(ValueError):
-        RandomStream(2**64, 0)
-    with pytest.raises(ValueError):
-        RandomStream(0, -1)
+    # out of range, or not an integer: rejected, not truncated
+    for seed, stream_id in [(-1, 0), (2**64, 0), (0, -1), (42.9, 0), (True, 0), (0, 1.5), (0, True)]:
+        with pytest.raises(ValueError):
+            RandomStream(seed, stream_id)
+    for seed, key in [(42.9, 1), (True, 1), (42, 1.5), (42, True), (42, -1)]:
+        with pytest.raises(ValueError):
+            RandomStream.derive_seed(seed, key)
 
 
 def test_derive_seed_deterministic():

@@ -114,7 +114,8 @@ def test_student_t_quantile_matches_scipy(p):
         assert student_t_quantile(p, df) == pytest.approx(student_t.ppf(p, df), abs=1e-9)
 
 
-@pytest.mark.parametrize("p, df", [(0.0, 3), (1.0, 3), (math.nan, 3), (0.975, 0), (0.975, 2.5)])
+@pytest.mark.parametrize("p, df", [(0.0, 3), (1.0, 3), (math.nan, 3), (0.975, 0), (0.975, 2.5),
+                                   (0.975, True)])
 def test_student_t_quantile_domain_errors(p, df):
     with pytest.raises(ValueError):
         student_t_quantile(p, df)

@@ -60,6 +60,6 @@ def test_bench_kernel_times_every_advance_call(monkeypatch):
     bench = load_bench_kernel(monkeypatch)
     bundle = load_config(str(SCRIPTS.parent / "configs" / "case1.cfg"))
     cfg = replace(bundle.sim, slots=2 * kernel.SUB_BLOCK, replications=1)
-    ms = bench._block_ms([bundle.scenario], cfg)
+    ms = bench._block_ms(bundle.scenario, [bundle.scenario.detector], cfg)
     assert ms["advance_rest"] > 0
     assert min(ms.values()) >= 0

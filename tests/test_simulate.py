@@ -785,7 +785,7 @@ class TestVerdicts:
     def test_matches_rate_table(self, points, signal, edges, monkeypatch):
         scenarios = stock_points(points)
         first = scenarios[0]
-        rule = kernel.sensing(scenarios, "signal" if signal else "event")
+        rule = kernel.sensing([s.detector for s in scenarios], "signal" if signal else "event")
         if edges:
             rule = edge_rates(rule)
         spec, energy, level = simulate._initial_states(first, SimConfig(slots=1, replications=1),
@@ -835,7 +835,7 @@ class TestKernelMatchesLoopOracle:
             moves=np.zeros((first.battery_levels, 3), np.int64),
         ) for _ in scenarios]
         gen = np.random.default_rng(seed)
-        sensing = kernel.sensing(scenarios, cfg.sensing_mode)
+        sensing = kernel.sensing([s.detector for s in scenarios], cfg.sensing_mode)
         for b in blocks:
             draws = draw_block(gen, b, cfg.num_pu_channels)
             state = kernel.advance(first, sensing, state, *draws, tally)
@@ -960,17 +960,18 @@ class TestRunPoints:
     def test_every_point_matches_its_own_run(self, case, sensing_mode, channels, monkeypatch):
         monkeypatch.setattr(simulate, "_BLOCK", 1000)  # two blocks per replication
         for points, cfg in self.campaign_points(case, sensing_mode, channels):
+            rule = kernel.sensing([p.detector for p in points], sensing_mode)
             for rep in range(cfg.replications):
-                batch = simulate._replication_counts(points[0], kernel.sensing(points, sensing_mode),
-                                                     cfg, rep)
+                batch = simulate._replication_counts(points[0], rule, cfg, rep)
                 for g, scn in enumerate(points):
-                    alone = simulate._replication_counts(scn, kernel.sensing([scn], sensing_mode), cfg,
-                                                         rep)
+                    alone = simulate._replication_counts(scn, kernel.sensing([scn.detector], sensing_mode),
+                                                         cfg, rep)
                     assert (batch[g] == alone[0]).all()
 
     def test_reports_equal_run_simulation(self):
         points, cfg = next(self.campaign_points("1", "event", 1))
-        for scn, report in zip(points, simulate.run_points(points, cfg)):
+        reports = simulate.run_points(points[0], [p.detector for p in points], cfg)
+        for scn, report in zip(points, reports):
             alone = run_simulation(scn, cfg)
             assert report_counters(report) == report_counters(alone)
             assert report.replication_loss_rates == alone.replication_loss_rates
@@ -980,10 +981,11 @@ class TestRunPoints:
         # run_points and run_simulation share the pooling, so each point is
         # checked against the per-point reference on its own tallies
         points, cfg = next(self.campaign_points("1", "event", 1))
-        rule = kernel.sensing(points, "event")
+        detectors = [p.detector for p in points]
+        rule = kernel.sensing(detectors, "event")
         tallies = [simulate._replication_counts(points[0], rule, cfg, rep)
                    for rep in range(cfg.replications)]
-        for g, report in enumerate(simulate.run_points(points, cfg)):
+        for g, report in enumerate(simulate.run_points(points[0], detectors, cfg)):
             assert_same_report(report, pooled_reference(cfg.slots, [t[g] for t in tallies]))
 
     @staticmethod
@@ -996,7 +998,8 @@ class TestRunPoints:
         rates = kernel.detector_rates
         monkeypatch.setattr(kernel, "detector_rates",
                             lambda det, mode: calls.append(mode) or rates(det, mode))
-        simulate.run_points(points, SimConfig(slots=300, replications=2, sensing_mode=mode))
+        simulate.run_points(points[0], [p.detector for p in points],
+                            SimConfig(slots=300, replications=2, sensing_mode=mode))
         return calls, len(points)
 
     def test_detector_rates_worked_out_once_per_run(self, monkeypatch):
@@ -1010,17 +1013,6 @@ class TestRunPoints:
         calls, points = self.rate_calls(monkeypatch, "signal")
         assert calls == ["signal"] * points
 
-    @pytest.mark.parametrize("change", [
-        {"spectrum": TwoStateChain(0.5, 0.6)},
-        {"energy": TwoStateChain(0.3, 0.5)},
-        {"battery_levels": 11},
-        {"slot_duration": 0.2},
-    ], ids=["spectrum", "energy", "levels", "slot"])
-    def test_rejects_points_that_differ_outside_the_detector(self, change):
-        scn = scenario()
-        with pytest.raises(ValueError, match="outside its detector"):
-            simulate.run_points([scn, replace(scn, **change)], SimConfig(slots=10, replications=1))
-
     @pytest.mark.parametrize("sensing_mode", ["event", "signal"])
     def test_points_differing_in_sample_count_share_a_run(self, sensing_mode):
         # every verdict is one uniform against the point's rate, so the
@@ -1031,7 +1023,8 @@ class TestRunPoints:
                   for n in (50, 400, 2000)]
         assert [p.detector.sample_count for p in points] == [50, 400, 2000]
         cfg = SimConfig(slots=5000, replications=2, seed=66, sensing_mode=sensing_mode)
-        for scn, report in zip(points, simulate.run_points(points, cfg)):
+        reports = simulate.run_points(points[0], [p.detector for p in points], cfg)
+        for scn, report in zip(points, reports):
             alone = run_simulation(scn, cfg)
             assert report_counters(report) == report_counters(alone)
             assert (report.battery_transition_counts == alone.battery_transition_counts).all()
@@ -1039,16 +1032,18 @@ class TestRunPoints:
 
     def test_loaded_scenario_runs_beside_the_same_one_built_in_code(self):
         # a chain is its two stays, so the config's chains are the same law
-        # as the ones built here and the two points share one run
+        # as the ones built here, and the built point's detector on the
+        # loaded chains gives the built point's own run
         loaded = load_config(str(REPO / "configs" / "case1.cfg")).scenario
         built = replace(loaded, spectrum=TwoStateChain(0.5, 0.7), energy=TwoStateChain(0.7, 0.5))
         cfg = SimConfig(slots=2000, replications=2, seed=67)
         names = {f.name for f in fields(simulate.SimReport)} | DERIVED
-        for scn, report in zip((loaded, built), simulate.run_points([loaded, built], cfg)):
+        reports = simulate.run_points(loaded, [loaded.detector, built.detector], cfg)
+        for scn, report in zip((loaded, built), reports):
             alone = run_simulation(scn, cfg)
             assert_same_report(report, {name: getattr(alone, name) for name in names})
         assert built == loaded
 
     def test_rejects_no_points(self):
         with pytest.raises(ValueError, match="at least one"):
-            simulate.run_points([], SimConfig(slots=10, replications=1))
+            simulate.run_points(scenario(), [], SimConfig(slots=10, replications=1))

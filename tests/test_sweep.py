@@ -1,6 +1,7 @@
 """Sweep campaigns, emitters and reproducibility."""
 
 import csv
+import io
 import json
 import math
 import tempfile
@@ -250,6 +251,8 @@ class TestCommonRandomNumbers:
     chain paths, which only holds while a sweep variable moves the detector."""
 
     def test_sweep_variables_move_only_the_detector(self):
+        # run_sweep runs a variant on its first point's chains and battery
+        # with every point's detector, so any other override would be dropped
         for variable in SWEEP_VARIABLES:
             assert OVERRIDE_FIELDS[variable][0] == "detector", variable
 
@@ -366,6 +369,21 @@ def test_json_bytes_are_indent_two(rows):
         path = Path(tmp) / "rows.json"
         emit_json(rows, path)
         assert path.read_bytes() == (json.dumps([_json_record(r) for r in rows], indent=2) + "\n").encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_ROWS)
+def test_csv_bytes_are_csv_writer(rows):
+    # the one joined string is what csv.writer writes: no cell needs quoting
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(f.name for f in fields(SweepResultRow))
+    writer.writerows([format(getattr(r, f.name), ".9g") if f.type is float else getattr(r, f.name)
+                      for f in fields(SweepResultRow)] for r in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        emit_csv(rows, path)
+        assert path.read_bytes() == out.getvalue().encode()
 
 
 class TestPlotScript:
