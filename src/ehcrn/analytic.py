@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ehcrn.chains import TwoStateChain, steady_state
+from ehcrn.chains import TwoStateChain, _is_integer, _is_real, steady_state
 from ehcrn.errors import NumericsError
 from ehcrn.gaussian import q_tail, q_tail_inverse
 
@@ -66,7 +66,7 @@ class DetectorConfig:
     ``sensing_duration`` is in seconds, ``sampling_rate`` in Hz;
     ``noise_power`` and ``threshold`` are linear powers on the same scale;
     ``primary_snr`` is the linear ratio of primary signal power to noise
-    power as seen at the sensing node.
+    power as seen at the sensing node; all five are positive finite reals.
     """
 
     sensing_duration: float
@@ -78,7 +78,7 @@ class DetectorConfig:
     def __post_init__(self):
         for name in ("sensing_duration", "sampling_rate", "noise_power", "threshold", "primary_snr"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (_is_real(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
         if _sample_count(self.sensing_duration, self.sampling_rate) < 1:
             raise ValueError(
@@ -214,13 +214,13 @@ def access_prob_from_rates(pf: float, pd: float, pi_idle: float) -> float:
 class BatteryModel:
     """An L-level battery driven by per-slot access and harvest events.
 
-    ``access_prob`` (delta) and ``harvest_prob`` (e_on) may sit on their
-    boundaries, where the geometric law degenerates and the stationary
-    quantities take their finite limits: delta == 1 confines the battery
-    to levels {0, 1} with pi_0 = 1 - e_on (alpha = 0); delta == 0 pins it
-    at the top (alpha = inf); e_on == 0 pins it at empty and e_on == 1
-    keeps it away from empty.  The harvest quantum equals the transmit
-    quantum.
+    ``levels`` is L, an integer >= 2; ``access_prob`` (delta) and
+    ``harvest_prob`` (e_on), reals in [0, 1], may sit on their boundaries,
+    where the geometric law degenerates and the stationary quantities take
+    their finite limits: delta == 1 confines the battery to levels {0, 1}
+    with pi_0 = 1 - e_on (alpha = 0); delta == 0 pins it at the top
+    (alpha = inf); e_on == 0 pins it at empty and e_on == 1 keeps it away
+    from empty.  The harvest quantum equals the transmit quantum.
     """
 
     levels: int
@@ -228,12 +228,11 @@ class BatteryModel:
     harvest_prob: float
 
     def __post_init__(self):
-        if not (isinstance(self.levels, int) and self.levels >= 2):
+        if not (_is_integer(self.levels) and self.levels >= 2):
             raise ValueError(f"levels must be an integer >= 2, got {self.levels!r}")
-        if not 0.0 <= self.access_prob <= 1.0:
-            raise ValueError(f"access probability must lie in [0, 1], got {self.access_prob!r}")
-        if not 0.0 <= self.harvest_prob <= 1.0:
-            raise ValueError(f"harvest probability must lie in [0, 1], got {self.harvest_prob!r}")
+        for name, p in (("access", self.access_prob), ("harvest", self.harvest_prob)):
+            if not (_is_real(p) and 0.0 <= p <= 1.0):
+                raise ValueError(f"{name} probability must lie in [0, 1], got {p!r}")
 
     @property
     def alpha(self) -> float:
@@ -463,7 +462,8 @@ class Scenario:
 
     ``spectrum`` is the idle/occupied chain (state A = idle), ``energy``
     the harvest arrival chain (state A = harvesting), ``battery_levels``
-    the battery size L, ``slot_duration`` the slot length in seconds.
+    the battery size L (an integer >= 2, stored as ``int``) and
+    ``slot_duration`` the slot length in seconds (a positive finite real).
     """
 
     spectrum: TwoStateChain
@@ -473,10 +473,11 @@ class Scenario:
     slot_duration: float
 
     def __post_init__(self):
-        if not (isinstance(self.battery_levels, int) and self.battery_levels >= 2):
+        if not (_is_integer(self.battery_levels) and self.battery_levels >= 2):
             raise ValueError(f"battery_levels must be an integer >= 2, got {self.battery_levels!r}")
-        if not self.slot_duration > 0:
-            raise ValueError(f"slot_duration must be positive, got {self.slot_duration!r}")
+        object.__setattr__(self, "battery_levels", int(self.battery_levels))
+        if not (_is_real(self.slot_duration) and self.slot_duration > 0):
+            raise ValueError(f"slot_duration must be a positive finite number, got {self.slot_duration!r}")
         tau = self.detector.sensing_duration
         if tau > self.slot_duration:
             raise ValueError(

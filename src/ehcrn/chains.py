@@ -7,6 +7,7 @@ The simulator encodes state A as 0 and state B as 1 and advances the chains
 with :func:`ehcrn.kernel.chain_path`.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -17,8 +18,8 @@ import numpy as np
 class TwoStateChain:
     """A correlated binary Markov process.
 
-    ``stay_a`` is the probability of remaining in state A on the next
-    slot, ``stay_b`` the probability of remaining in state B; the two stays
+    ``stay_a`` and ``stay_b`` are the probabilities, reals in [0, 1], of
+    remaining in state A and in state B on the next slot; the two stays
     are the whole law, so chains with equal stays are equal.
     """
 
@@ -27,7 +28,7 @@ class TwoStateChain:
 
     def __post_init__(self):
         for name, p in (("stay_a", self.stay_a), ("stay_b", self.stay_b)):
-            if not 0.0 <= float(p) <= 1.0:
+            if not (_is_real(p) and 0.0 <= p <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
         if self.stay_a == 1.0 and self.stay_b == 1.0:
             raise ValueError(
@@ -95,5 +96,12 @@ class RandomStream:
 
 
 def _is_integer(value) -> bool:
-    """An integer, Python's or numpy's, that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """An integer, Python's or numpy's, that is not a bool; exact ``int`` is tested first."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
+def _is_real(value) -> bool:
+    """A finite integer or float, Python's or numpy's, that is not a bool; exact ``float`` first."""
+    if type(value) is float or isinstance(value, (float, np.floating)):
+        return math.isfinite(value)
+    return _is_integer(value)

@@ -13,6 +13,8 @@ any simulation in this package.
 import math
 from statistics import NormalDist
 
+from ehcrn.chains import _is_integer
+
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -86,7 +88,7 @@ def student_t_quantile(p: float, df: int) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
-    if not (isinstance(df, int) and not isinstance(df, bool) and df >= 1):
+    if not (_is_integer(df) and df >= 1):
         raise ValueError(f"df must be a positive integer, got {df!r}")
     if p < 0.5:
         return -student_t_quantile(1.0 - p, df)

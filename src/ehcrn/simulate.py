@@ -61,7 +61,7 @@ import numpy as np
 
 from ehcrn import kernel
 from ehcrn.analytic import SENSING_LAWS, Scenario
-from ehcrn.chains import RandomStream
+from ehcrn.chains import RandomStream, _is_integer
 from ehcrn.gaussian import student_t_quantile
 
 __all__ = [
@@ -83,9 +83,10 @@ _T975 = lru_cache(maxsize=64)(partial(student_t_quantile, 0.975))
 class SimConfig:
     """Simulation controls.
 
-    ``slots`` is the number of slots per replication; replications run on
-    distinct random substreams and are pooled.  ``sensing_mode`` is a key
-    of ``SENSING_LAWS`` (see module docstring).  ``initial_battery`` is
+    ``slots`` (per replication), ``replications`` and ``num_pu_channels``
+    are integers, stored as ``int``; replications run on distinct random
+    substreams and are pooled.  ``sensing_mode`` is a key of
+    ``SENSING_LAWS`` (see module docstring).  ``initial_battery`` is
     ``"full"`` or a level in [0, L-1]; ``initial_states`` draws the chain
     starts from their stationary laws (``steady-draw``, unbiased
     without burn-in) or pins them to idle / not-harvesting (``fixed``).
@@ -100,34 +101,21 @@ class SimConfig:
     num_pu_channels: int = 1
 
     def __post_init__(self):
-        if not (_is_int(self.slots) and self.slots >= 1):
-            raise ValueError(f"slots must be a positive integer, got {self.slots!r}")
-        if not (_is_int(self.replications) and self.replications >= 1):
-            raise ValueError(f"replications must be a positive integer, got {self.replications!r}")
-        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
+        for name in ("slots", "replications", "num_pu_channels"):
+            v = getattr(self, name)
+            if not (_is_integer(v) and v >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, int(v))  # a numpy count then computes as Python's
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.sensing_mode not in SENSING_LAWS:
             raise ValueError(f"sensing_mode must be {' or '.join(map(repr, SENSING_LAWS))}, "
                              f"got {self.sensing_mode!r}")
         if self.initial_states not in ("steady-draw", "fixed"):
-            raise ValueError(
-                f"initial_states must be 'steady-draw' or 'fixed', got {self.initial_states!r}"
-            )
-        if self.initial_battery != "full" and not (
-            _is_int(self.initial_battery) and self.initial_battery >= 0
-        ):
-            raise ValueError(
-                f"initial_battery must be 'full' or a non-negative level, got {self.initial_battery!r}"
-            )
-        if not (_is_int(self.num_pu_channels) and self.num_pu_channels >= 1):
-            raise ValueError(
-                f"num_pu_channels must be a positive integer, got {self.num_pu_channels!r}"
-            )
-
-
-def _is_int(value) -> bool:
-    """An int that is not a bool (``bool`` subclasses ``int``)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+            raise ValueError(f"initial_states must be 'steady-draw' or 'fixed', got {self.initial_states!r}")
+        level = self.initial_battery
+        if level != "full" and not (_is_integer(level) and level >= 0):
+            raise ValueError(f"initial_battery must be 'full' or a non-negative level, got {level!r}")
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from ehcrn.sweep import (
     apply_overrides,
     run_sweep,
 )
+from ehcrn.validate import random_batteries
 
 REPO = Path(__file__).resolve().parents[1]
 SNR_M15_DB = 10.0 ** (-1.5)
@@ -67,15 +68,14 @@ def report(n, text):
 
 def test_criterion_1_closed_form_vs_numeric_oracle():
     """Battery closed form equals the linear-solver stationary law."""
-    rng = np.random.default_rng(20240101)
     start = time.perf_counter()
     worst_pi0 = worst_vec = 0.0
     branches = {"down": 0, "up": 0, "balanced": 0}
-    for i in range(200):
-        levels = int(rng.integers(2, 201))
-        delta = float(rng.uniform(0.01, 0.99))
-        e_on = delta if i % 10 == 0 else float(rng.uniform(0.01, 0.99))
-        battery = BatteryModel(levels, delta, e_on)
+    instances = 0
+    # seed 20240101, L from 2 to 200, balanced (delta == e_on) every tenth
+    for battery in random_batteries():
+        instances += 1
+        delta, e_on = battery.access_prob, battery.harvest_prob
         if e_on == delta:
             branches["balanced"] += 1
         elif e_on < delta:
@@ -86,6 +86,7 @@ def test_criterion_1_closed_form_vs_numeric_oracle():
         worst_pi0 = max(worst_pi0, abs(outage_prob(battery) - numeric[0]))
         worst_vec = max(worst_vec, float(np.max(np.abs(battery_steady_state(battery) - numeric))))
     elapsed = time.perf_counter() - start
+    assert instances == 200
     assert all(branches[k] > 0 for k in branches), branches
     assert worst_pi0 <= 1e-10, f"outage disagreement {worst_pi0:.3e}"
     assert worst_vec <= 1e-10, f"stationary vector disagreement {worst_vec:.3e}"

@@ -104,6 +104,8 @@ class TestDetectorConfig:
             detector(snr=-0.5)
         with pytest.raises(ValueError):
             detector(tau=1e-7)  # under one sample
+        with pytest.raises(ValueError, match="sensing_duration"):
+            detector(tau=True)  # a bool is not a number
 
 
 def gaussian_rates(**kwargs):
@@ -268,6 +270,14 @@ class TestBatteryModel:
             BatteryModel(3, 1.1, 0.5)
         with pytest.raises(ValueError):
             BatteryModel(3, 0.5, -0.1)
+        for bad in (True, "0.5"):  # neither a bool nor text is a probability
+            with pytest.raises(ValueError, match="access probability"):
+                BatteryModel(5, bad, 0.5)
+
+    @pytest.mark.parametrize("levels", [np.int64(5), np.int8(5), np.uint16(5)])
+    def test_takes_numpy_integer_levels(self, levels):
+        battery, plain = BatteryModel(levels, 0.3, 0.6), BatteryModel(5, 0.3, 0.6)
+        assert battery == plain and outage_prob(battery) == outage_prob(plain)
 
     def test_matrix_hand_point(self):
         mat = battery_transition_matrix(BatteryModel(3, 0.5, 0.5))
@@ -665,6 +675,18 @@ class TestScenario:
         with pytest.warns(UserWarning, match="tenth"):
             Scenario(TwoStateChain(0.5, 0.7), TwoStateChain(0.7, 0.5),
                      detector(tau=0.05), 10, 0.1)
+
+    @pytest.mark.parametrize("slot", [0.0, -0.1, True, math.inf, math.nan, "0.1"])
+    def test_rejects_a_bad_slot_duration(self, slot):
+        with pytest.raises(ValueError, match="^slot_duration must be a positive finite number"):
+            replace(case1_base_scenario(), slot_duration=slot)
+
+    @pytest.mark.parametrize("levels", [np.int64(100), np.int16(100), np.uint8(100)])
+    def test_numpy_battery_levels_are_stored_as_int(self, levels):
+        # stored as int, so a narrow numpy type cannot overflow in the kernel's bin arithmetic
+        scn = replace(case1_base_scenario(), battery_levels=levels)
+        assert type(scn.battery_levels) is int and scn == case1_base_scenario()
+        assert operating_point(scn) == operating_point(case1_base_scenario())
 
     def test_stationary_properties(self):
         scn = case1_base_scenario()

@@ -17,12 +17,11 @@ probs = st.floats(min_value=0.0, max_value=1.0)
 
 
 def test_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        TwoStateChain(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        TwoStateChain(0.5, 1.2)
-    with pytest.raises(ValueError):
-        TwoStateChain(math.nan, 0.5)
+    # a stay is a real in [0, 1]: not nan, and neither text nor a bool
+    for stays, name in [((-0.1, 0.5), "stay_a"), ((0.5, 1.2), "stay_b"), ((math.nan, 0.5), "stay_a"),
+                        (("0.5", 0.5), "stay_a"), ((True, 0.5), "stay_a"), ((0.5, False), "stay_b")]:
+        with pytest.raises(ValueError, match=name):
+            TwoStateChain(*stays)
 
 
 def test_rejects_double_absorbing():

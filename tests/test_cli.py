@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from ehcrn import cli, gaussian, simulate
 from ehcrn.analytic import SENSING_LAWS
 from ehcrn.cli import ANALYZE_HEADER, main
+from ehcrn.errors import NumericsError
 
 REPO = Path(__file__).resolve().parents[1]
 CASE1 = str(REPO / "configs" / "case1.cfg")
@@ -432,6 +433,14 @@ class TestExitCodes:
         bad = tmp_path / "bad.cfg"
         bad.write_text("[spectrum]\nq_i = 1.0\n")
         assert main(["analyze", "--config", str(bad)]) == 2
+
+    def test_numeric_error_is_3(self, monkeypatch, capsys):
+        def fail(bundle):
+            raise NumericsError("stationary solve failed (Singular matrix)")
+
+        monkeypatch.setattr(cli, "run_validation", fail)
+        assert main(["validate", "--config", CASE1]) == 3
+        assert capsys.readouterr().err == "ehcrn: numeric error: stationary solve failed (Singular matrix)\n"
 
 
 class TestOneProcess:

@@ -190,8 +190,13 @@ class TestErrors:
          "detector: primary_snr_db 4000.0 overflows a float"),
         ("seed = 9", "seed = 9\nsensing_mode = both",
          "sim: sensing_mode must be 'event' or 'signal', got 'both'"),
+        ("q_i = 0.5", "q_i = nan", "spectrum.q_i: value must be finite, got 'nan'"),
+        ("levels = 100", "levels = 7.5", "battery.levels: expected an integer, got '7.5'"),
+        ("slots = 5000", "slots = 1e6", "sim.slots: expected an integer, got '1e6'"),
+        ("seed = 9", "seed = 9\n[sweep]\nvariable = primary_snr_db\ngrid = -20, -10\nvariant_1 = a: p_on",
+         "sweep.variant_1: expected key=value, got 'p_on'"),
     ], ids=["degenerate-spectrum", "p_on", "sensing_duration", "slot_duration", "levels", "target_pf",
-            "snr-overflow", "sensing_mode"])
+            "snr-overflow", "sensing_mode", "nan", "fractional-levels", "float-slots", "variant-token"])
     def test_full_message(self, tmp_path, old, new, message):
         text = VALID.replace("q_i = 0.5", "q_i = 1.0") if old == "q_o = 0.7" else VALID
         with pytest.raises(ConfigError) as info:
@@ -351,6 +356,12 @@ def test_apply_overrides_without_changes_returns_its_scenario(tmp_path):
     base = load_config(write(tmp_path, VALID)).scenario
     assert apply_overrides(base, None, {}) == (base, None)
     assert apply_overrides(base, None, {})[0] is base
+
+
+def test_apply_overrides_rejects_an_unknown_key(tmp_path):
+    base = load_config(write(tmp_path, VALID)).scenario
+    with pytest.raises(ValueError, match="^unknown override key 'bogus'$"):
+        apply_overrides(base, None, {"bogus": 1})
 
 
 @pytest.mark.parametrize("target", [None, 0.02], ids=["no-target", "target"])

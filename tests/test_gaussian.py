@@ -121,6 +121,10 @@ def test_student_t_quantile_domain_errors(p, df):
         student_t_quantile(p, df)
 
 
+def test_student_t_quantile_takes_a_numpy_integer_df():
+    assert student_t_quantile(0.975, np.int64(3)) == student_t_quantile(0.975, 3)
+
+
 def test_report_quantile_cache_keeps_the_df_check():
     # a report solves t(0.975, R - 1) once per R through a cache keyed on the
     # int df, which would take 1.0 for 1; the public function still rejects it

@@ -436,6 +436,18 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match=field):
             SimConfig(**{field: value})
 
+    def test_numpy_integers_run_as_python_ints(self):
+        # the counts are stored as int, so no narrow numpy type reaches the
+        # kernel's arithmetic; the seed and the start level are read through int()
+        given = SimConfig(slots=np.int16(3000), replications=np.uint8(3), seed=np.uint64(5),
+                          initial_battery=np.int64(4), num_pu_channels=np.uint8(3))
+        plain = SimConfig(slots=3000, replications=3, seed=5, initial_battery=4, num_pu_channels=3)
+        assert given == plain
+        assert {type(getattr(given, n)) for n in ("slots", "replications", "num_pu_channels")} == {int}
+        want = run_simulation(scenario(), plain)
+        names = {f.name for f in fields(simulate.SimReport)} | DERIVED
+        assert_same_report(run_simulation(scenario(), given), {name: getattr(want, name) for name in names})
+
 
 # Counter slots of the oracle, one per SimReport field in COUNTER_FIELDS.
 DELIVERED, OUTAGE, NONACCESS, COLLIDED, IDLE, ALARM_IDLE, ALARM_OCC = range(7)
