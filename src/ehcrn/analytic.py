@@ -63,10 +63,10 @@ def _sample_count(sensing_duration: float, sampling_rate: float) -> int:
 class DetectorConfig:
     """Energy detector parameters.
 
-    ``sensing_duration`` is in seconds, ``sampling_rate`` in Hz;
-    ``noise_power`` and ``threshold`` are linear powers on the same scale;
-    ``primary_snr`` is the linear ratio of primary signal power to noise
-    power as seen at the sensing node; all five are positive finite reals.
+    ``sensing_duration`` is in seconds, ``sampling_rate`` in Hz; ``noise_power`` and
+    ``threshold`` are linear powers on the same scale; ``primary_snr`` is the linear
+    ratio of primary signal power to noise power as seen at the sensing node; all
+    five are positive finite reals, stored as ``float``.
     """
 
     sensing_duration: float
@@ -80,6 +80,8 @@ class DetectorConfig:
             v = getattr(self, name)
             if not (_is_real(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+            if type(v) is not float:
+                object.__setattr__(self, name, float(v))
         if _sample_count(self.sensing_duration, self.sampling_rate) < 1:
             raise ValueError(
                 "sensing_duration * sampling_rate must give at least one sample, "
@@ -215,7 +217,7 @@ class BatteryModel:
     """An L-level battery driven by per-slot access and harvest events.
 
     ``levels`` is L, an integer >= 2; ``access_prob`` (delta) and
-    ``harvest_prob`` (e_on), reals in [0, 1], may sit on their boundaries,
+    ``harvest_prob`` (e_on), reals in [0, 1] stored as floats, may sit on their boundaries,
     where the geometric law degenerates and the stationary quantities take
     their finite limits: delta == 1 confines the battery to levels {0, 1}
     with pi_0 = 1 - e_on (alpha = 0); delta == 0 pins it at the top
@@ -233,6 +235,8 @@ class BatteryModel:
         for name, p in (("access", self.access_prob), ("harvest", self.harvest_prob)):
             if not (_is_real(p) and 0.0 <= p <= 1.0):
                 raise ValueError(f"{name} probability must lie in [0, 1], got {p!r}")
+            if type(p) is not float:
+                object.__setattr__(self, f"{name}_prob", float(p))
 
     @property
     def alpha(self) -> float:
@@ -462,8 +466,8 @@ class Scenario:
 
     ``spectrum`` is the idle/occupied chain (state A = idle), ``energy``
     the harvest arrival chain (state A = harvesting), ``battery_levels``
-    the battery size L (an integer >= 2, stored as ``int``) and
-    ``slot_duration`` the slot length in seconds (a positive finite real).
+    the battery size L (an integer >= 2, stored as ``int``) and ``slot_duration``
+    the slot length in seconds (a positive finite real, stored as ``float``).
     """
 
     spectrum: TwoStateChain
@@ -478,6 +482,8 @@ class Scenario:
         object.__setattr__(self, "battery_levels", int(self.battery_levels))
         if not (_is_real(self.slot_duration) and self.slot_duration > 0):
             raise ValueError(f"slot_duration must be a positive finite number, got {self.slot_duration!r}")
+        if type(self.slot_duration) is not float:
+            object.__setattr__(self, "slot_duration", float(self.slot_duration))
         tau = self.detector.sensing_duration
         if tau > self.slot_duration:
             raise ValueError(

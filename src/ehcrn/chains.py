@@ -9,6 +9,7 @@ with :func:`ehcrn.kernel.chain_path`.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +19,9 @@ import numpy as np
 class TwoStateChain:
     """A correlated binary Markov process.
 
-    ``stay_a`` and ``stay_b`` are the probabilities, reals in [0, 1], of
-    remaining in state A and in state B on the next slot; the two stays
-    are the whole law, so chains with equal stays are equal.
+    ``stay_a`` and ``stay_b`` are the probabilities, reals in [0, 1] stored as
+    ``float``, of remaining in state A and in state B on the next slot; the two
+    stays are the whole law, so chains with equal stays are equal.
     """
 
     stay_a: float
@@ -30,6 +31,8 @@ class TwoStateChain:
         for name, p in (("stay_a", self.stay_a), ("stay_b", self.stay_b)):
             if not (_is_real(p) and 0.0 <= p <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
+            if type(p) is not float:
+                object.__setattr__(self, name, float(p))
         if self.stay_a == 1.0 and self.stay_b == 1.0:
             raise ValueError(
                 "degenerate chain: both self-transition probabilities are 1, so both states are "
@@ -101,7 +104,7 @@ def _is_integer(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    """A finite integer or float, Python's or numpy's, that is not a bool; exact ``float`` first."""
+    """A finite integer or float, Python's or numpy's, not a bool, within a double's range."""
     if type(value) is float or isinstance(value, (float, np.floating)):
         return math.isfinite(value)
-    return _is_integer(value)
+    return _is_integer(value) and -sys.float_info.max <= value <= sys.float_info.max

@@ -9,9 +9,9 @@ Subcommands::
                    [--format csv|json] [--plots]
     ehcrn validate --config FILE                 oracle-equivalence suite
 
-Exit codes: 0 success, 2 configuration error, 3 numeric/oracle failure,
-4 I/O error.  A sweep runs its variants one after another in row order,
-each variant's grid points as one simulation on the variant's seed.
+Exit codes: 0 success, 2 configuration error, 3 numeric/oracle failure or
+out of memory, 4 I/O error.  A sweep runs its variants one after another in
+row order, each variant's grid points as one simulation on the variant's seed.
 
 ``sweep --case`` takes the names in ``sweep.CASES`` plus ``custom``, and
 ``sweep.campaign`` builds the campaign; ``_SIMULATE_FLAGS`` says which
@@ -26,7 +26,7 @@ from pathlib import Path
 
 from ehcrn.analytic import SENSING_LAWS, operating_point
 from ehcrn.configio import load_config
-from ehcrn.errors import ConfigError, NumericsError
+from ehcrn.errors import ConfigError, NumericsError, as_config_error
 from ehcrn.simulate import run_simulation
 from ehcrn.sweep import (
     CASES,
@@ -93,10 +93,8 @@ def _cmd_simulate(args) -> int:
     overrides = {
         field: getattr(args, flag) for flag, field in _SIMULATE_FLAGS if getattr(args, flag) is not None
     }
-    try:
+    with as_config_error():
         sim = replace(bundle.sim, **overrides)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     report = run_simulation(bundle.scenario, sim)
     op = operating_point(bundle.scenario)
     print(f"slots                      {report.slots} ({sim.replications} replication(s))")
@@ -161,8 +159,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"ehcrn: config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericsError, ValueError, ArithmeticError) as exc:
-        print(f"ehcrn: numeric error: {exc}", file=sys.stderr)
+    except (NumericsError, ValueError, ArithmeticError, MemoryError) as exc:
+        kind = "out of memory" if isinstance(exc, MemoryError) else "numeric error"
+        print(f"ehcrn: {kind}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"ehcrn: i/o error: {exc}", file=sys.stderr)

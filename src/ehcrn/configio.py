@@ -11,7 +11,9 @@ and their defaults live there alone), ``OVERRIDE_FIELDS`` names the
 override keys that ``apply_overrides``, beside it, turns into scenario
 fields for config files and sweeps alike, ``SWEEP_VARIABLES`` the sweep
 variables, and ``SweepDef`` checks, when it is built, what makes a sweep
-definition valid.
+definition valid.  ``_number`` parses every number, and a value the model
+rejects leaves through one door, ``errors.as_config_error``, as a
+``ConfigError`` that names the part of the config that set it.
 """
 
 import configparser
@@ -21,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 
 from ehcrn.analytic import DetectorConfig, Scenario, threshold_for_target_pf
 from ehcrn.chains import TwoStateChain
-from ehcrn.errors import ConfigError
+from ehcrn.errors import ConfigError, as_config_error
 from ehcrn.simulate import SimConfig, initial_level
 
 __all__ = ["OVERRIDE_FIELDS", "SWEEP_VARIABLES", "LoadedConfig", "SweepDef", "apply_overrides",
@@ -185,21 +187,15 @@ def apply_overrides(scenario: Scenario, target_pf, overrides: dict):
         raise ValueError(f"{exc} (from {keys})" if keys else str(exc)) from None
 
 
-def _float(section, key, raw):
+def _number(where, raw, integer=False):
+    """``raw`` as an ``int`` or a finite ``float``, else a ``ConfigError`` naming ``where``."""
     try:
-        v = float(raw)
+        v = int(raw) if integer else float(raw)
     except ValueError:
-        raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from None
-    if not math.isfinite(v):
-        raise ConfigError(f"{section}.{key}: value must be finite, got {raw!r}")
+        raise ConfigError(f"{where}: expected {'an integer' if integer else 'a number'}, got {raw!r}") from None
+    if not (integer or math.isfinite(v)):
+        raise ConfigError(f"{where}: value must be finite, got {raw!r}")
     return v
-
-
-def _int(section, key, raw):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: expected an integer, got {raw!r}") from None
 
 
 def _sim_value(field, raw):
@@ -208,7 +204,7 @@ def _sim_value(field, raw):
     integer."""
     if field.type is str or raw == field.default:
         return raw
-    return _int("sim", field.name, raw)
+    return _number(f"sim.{field.name}", raw, integer=True)
 
 
 def _parse_variant(key: str, raw: str):
@@ -222,18 +218,16 @@ def _parse_variant(key: str, raw: str):
             raise ConfigError(f"sweep.{key}: expected key=value, got {token!r}")
         if name in overrides:
             raise ConfigError(f"sweep: {key} sets {name!r} more than once")
-        overrides[name] = _int("sweep", key, value) if name == "levels" else _float("sweep", key, value)
+        overrides[name] = _number(f"sweep.{key}", value, integer=name == "levels")
     return label.strip(), overrides
 
 
 def _parse_sweep(section) -> SweepDef:
     variable = section["variable"].strip()
-    grid = tuple(_float("sweep", "grid", tok) for tok in section["grid"].split(","))
+    grid = tuple(_number("sweep.grid", tok) for tok in section["grid"].split(","))
     variants = tuple(_parse_variant(k, section[k]) for k in section if _VARIANT_KEY.fullmatch(k))
-    try:
+    with as_config_error("sweep"):
         return SweepDef(variable, grid, variants)
-    except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
 
 
 def load_config(path: str) -> LoadedConfig:
@@ -282,37 +276,29 @@ def load_config(path: str) -> LoadedConfig:
     # override keys then replace its placeholders (chains, battery size,
     # primary SNR and threshold) as in a sweep variant, so errors name their
     # part.  Only [detector] may hold target_pf, which the config reports.
-    num = {section: {key: (_int if key == "levels" else _float)(section, key, raw)
+    num = {section: {key: _number(f"{section}.{key}", raw, integer=key == "levels")
                      for key, raw in parser[section].items()}
            for section in ("spectrum", "energy", "battery", "detector")}
     det = num["detector"]
-    try:
+    with as_config_error("detector"):
         detector = DetectorConfig(det["sensing_duration"], det["sampling_rate"], det["noise_power"],
                                   threshold=det.get("threshold", det["noise_power"]), primary_snr=1.0)
-    except ValueError as exc:
-        raise ConfigError(f"detector: {exc}") from exc
-    try:
+    with as_config_error("scenario"):
         scenario = Scenario(
             TwoStateChain(0.5, 0.5), TwoStateChain(0.5, 0.5), detector, battery_levels=2,
-            slot_duration=_float("sim", "slot_duration", parser["sim"]["slot_duration"]),
+            slot_duration=_number("sim.slot_duration", parser["sim"]["slot_duration"]),
         )
-    except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}") from exc
     for section, values in num.items():
         overrides = {key: v for key, v in values.items() if key in OVERRIDE_FIELDS}
-        try:
+        with as_config_error("scenario" if section == "battery" else section):
             scenario = apply_overrides(scenario, None, overrides)[0]
-        except ValueError as exc:
-            raise ConfigError(f"{'scenario' if section == 'battery' else section}: {exc}") from exc
 
     # Only the keys the file sets: the defaults live in SimConfig alone.
     given = {f.name: _sim_value(f, parser["sim"][f.name])
              for f in fields(SimConfig) if f.name in parser["sim"]}
-    try:
+    with as_config_error("sim"):
         sim = SimConfig(**given)
         initial_level(scenario, sim)
-    except ValueError as exc:
-        raise ConfigError(f"sim: {exc}") from exc
 
     sweep = _parse_sweep(parser["sweep"]) if "sweep" in parser else None
     return LoadedConfig(scenario=scenario, sim=sim, target_pf=det.get("target_pf"), sweep=sweep)

@@ -33,7 +33,7 @@ from pathlib import Path
 from ehcrn.analytic import Scenario, operating_point
 from ehcrn.chains import RandomStream
 from ehcrn.configio import SWEEP_VARIABLES, LoadedConfig, SweepDef, apply_overrides
-from ehcrn.errors import ConfigError
+from ehcrn.errors import ConfigError, as_config_error
 from ehcrn.simulate import SimConfig, initial_level, run_points
 
 __all__ = [
@@ -148,10 +148,8 @@ def campaign(bundle: LoadedConfig, case: str) -> SweepSpec:
         )
     else:
         sweep = CASES[case]
-    try:
+    with as_config_error("sweep"):
         return SweepSpec(sweep.variable, sweep.grid, sweep.variants, bundle.scenario, bundle.sim)
-    except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepResultRow]:

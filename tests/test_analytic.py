@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
@@ -106,6 +107,8 @@ class TestDetectorConfig:
             detector(tau=1e-7)  # under one sample
         with pytest.raises(ValueError, match="sensing_duration"):
             detector(tau=True)  # a bool is not a number
+        with pytest.raises(ValueError, match="^sampling_rate"):
+            detector(fs=10**400)  # an integer too large for a double
 
 
 def gaussian_rates(**kwargs):
@@ -676,7 +679,8 @@ class TestScenario:
             Scenario(TwoStateChain(0.5, 0.7), TwoStateChain(0.7, 0.5),
                      detector(tau=0.05), 10, 0.1)
 
-    @pytest.mark.parametrize("slot", [0.0, -0.1, True, math.inf, math.nan, "0.1"])
+    @pytest.mark.parametrize("slot", [0.0, -0.1, True, math.inf, math.nan, "0.1",
+                                      pytest.param(10**400, id="10**400")])
     def test_rejects_a_bad_slot_duration(self, slot):
         with pytest.raises(ValueError, match="^slot_duration must be a positive finite number"):
             replace(case1_base_scenario(), slot_duration=slot)
@@ -687,6 +691,21 @@ class TestScenario:
         scn = replace(case1_base_scenario(), battery_levels=levels)
         assert type(scn.battery_levels) is int and scn == case1_base_scenario()
         assert operating_point(scn) == operating_point(case1_base_scenario())
+
+    def test_float32_reals_are_stored_as_float(self):
+        # A float32 field would make the closed forms compute, and overflow, in float32.
+        def build(real):
+            det = DetectorConfig(real(0.002), real(1e6), real(1.0), real(1.05), real(SNR_M15_DB))
+            return Scenario(TwoStateChain(real(0.5), real(0.7)), TwoStateChain(real(0.95), real(0.1)),
+                            det, battery_levels=100, slot_duration=real(0.1))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scn = build(np.float32)
+            op = operating_point(scn)
+        assert type(scn.slot_duration) is float and type(scn.energy.stay_a) is float
+        assert type(scn.detector.primary_snr) is float and type(op.packet_loss) is float
+        assert op == operating_point(build(lambda v: float(np.float32(v))))
 
     def test_stationary_properties(self):
         scn = case1_base_scenario()

@@ -86,6 +86,7 @@ class TestSimulate:
 
     def test_bad_override_is_config_error(self, small_cfg, capsys):
         assert main(["simulate", "--config", small_cfg, "--slots", "-5"]) == 2
+        assert capsys.readouterr().err == "ehcrn: config error: slots must be a positive integer, got -5\n"
 
 
 class TestSweepCommand:
@@ -441,6 +442,25 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_validation", fail)
         assert main(["validate", "--config", CASE1]) == 3
         assert capsys.readouterr().err == "ehcrn: numeric error: stationary solve failed (Singular matrix)\n"
+
+    def test_out_of_memory_is_3(self, monkeypatch, capsys):
+        def fail(bundle):
+            raise MemoryError("Unable to allocate 7.11 PiB")
+
+        monkeypatch.setattr(cli, "run_validation", fail)
+        assert main(["validate", "--config", CASE1]) == 3
+        assert capsys.readouterr().err == "ehcrn: out of memory: Unable to allocate 7.11 PiB\n"
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_a_battery_too_large_to_allocate_is_3(self, command, tmp_path, capsys):
+        # 10^16 levels need arrays of 71 PiB and more, beyond any 64-bit user
+        # address space, so numpy refuses them before it touches any memory.
+        config = tmp_path / "huge.cfg"
+        text = Path(CASE1).read_text().replace("levels = 100\n", "levels = 10000000000000000\n")
+        config.write_text(text.replace("slots = 1000000\n", "slots = 512\n"))
+        assert main([command, "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ehcrn: out of memory: Unable to allocate ") and err.count("\n") == 1
 
 
 class TestOneProcess:

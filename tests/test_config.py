@@ -195,8 +195,17 @@ class TestErrors:
         ("slots = 5000", "slots = 1e6", "sim.slots: expected an integer, got '1e6'"),
         ("seed = 9", "seed = 9\n[sweep]\nvariable = primary_snr_db\ngrid = -20, -10\nvariant_1 = a: p_on",
          "sweep.variant_1: expected key=value, got 'p_on'"),
+        ("seed = 9", "seed = 9\n[sweep]\nvariable = primary_snr_db\ngrid = -10\nvariant_1 = a: p_on=0.5",
+         "sweep: grid needs at least 2 values, got 1"),
+        ("seed = 9", "seed = 9\n[sweep]\nvariable = primary_snr_db\ngrid = -20, x\nvariant_1 = a: p_on=0.5",
+         "sweep.grid: expected a number, got ' x'"),
+        ("seed = 9", "seed = 9\n[sweep]\nvariable = primary_snr_db\ngrid = -20, -10\nvariant_1 = a: levels=7.5",
+         "sweep.variant_1: expected an integer, got '7.5'"),
+        ("seed = 9", "seed = 9\n[sweep]\nvariable = primary_snr_db\ngrid = -20, -10\nvariant_1 = a: p_on=inf",
+         "sweep.variant_1: value must be finite, got 'inf'"),
     ], ids=["degenerate-spectrum", "p_on", "sensing_duration", "slot_duration", "levels", "target_pf",
-            "snr-overflow", "sensing_mode", "nan", "fractional-levels", "float-slots", "variant-token"])
+            "snr-overflow", "sensing_mode", "nan", "fractional-levels", "float-slots", "variant-token",
+            "short-grid", "grid-token", "variant-fractional-levels", "variant-inf"])
     def test_full_message(self, tmp_path, old, new, message):
         text = VALID.replace("q_i = 0.5", "q_i = 1.0") if old == "q_o = 0.7" else VALID
         with pytest.raises(ConfigError) as info:
