@@ -48,6 +48,14 @@ One short warm-up run precedes the REPEATS blocks of each mode. The
 median and quartiles over the blocks are recorded in ms, with Mslot/s
 from the median total.
 
+A ``closed_form`` section times the closed-form layer, which never runs
+the kernel, in thread CPU time with the median and quartiles over REPEATS
+repeats after one warm-up: ``operating_point`` in µs per call on the stock
+case-1 and case-2 scenarios and ``threshold_for_target_pf`` in µs per call
+(each repeat averages CALLS calls), and one ``closed_form_vs_numeric``
+call (the 200-chain battery certificate) and one ``run_validation`` call
+on each stock config in ms.
+
 Usage:
     python scripts/bench_kernel.py --out BENCH.json --label NAME
 
@@ -70,12 +78,13 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from ehcrn import kernel, simulate  # noqa: E402
+from ehcrn import analytic, kernel, simulate, validate  # noqa: E402
 from ehcrn.configio import apply_overrides, load_config  # noqa: E402
 from ehcrn.sweep import CASE_ONE_GRID_DB, CASE_TWO_GRID  # noqa: E402
 
 BLOCK = 1 << 20
 REPEATS = 9
+CALLS = 2000  # calls per repeat of a µs-per-call closed-form figure
 # mode -> (config under configs/, sensing mode, channels, (swept key, grid) or None
 # for the configured point, overrides of the configured scenario)
 MODES = {"event-1ch": ("case1", "event", 1, None, {}),
@@ -191,6 +200,37 @@ def measure(config, mode, channels, grid, overrides):
     return out
 
 
+def _cpu_quartiles(fn, repeats, calls, scale, digits):
+    """Quartiles over ``repeats`` of the thread CPU time of ``calls`` calls of
+    ``fn``, per call and times ``scale``, after one warm-up call."""
+    fn()
+    runs = []
+    for _ in range(repeats):
+        start = time.thread_time()
+        for _ in range(calls):
+            fn()
+        runs.append(scale * (time.thread_time() - start) / calls)
+    return _quartiles(runs, digits)
+
+
+def closed_form(repeats=REPEATS, calls=CALLS):
+    """The closed_form section: see the module docstring."""
+    bundles = {c: load_config(str(ROOT / "configs" / f"{c}.cfg")) for c in ("case1", "case2")}
+    det = bundles["case1"].scenario.detector
+    out = {"calls": calls}
+    for c, bundle in bundles.items():
+        out[f"operating_point_us_{c}"] = _cpu_quartiles(
+            lambda s=bundle.scenario: analytic.operating_point(s), repeats, calls, 1e6, 3)
+    out["threshold_us"] = _cpu_quartiles(
+        lambda: analytic.threshold_for_target_pf(0.01, det), repeats, calls, 1e6, 3)
+    out["closed_form_vs_numeric_ms"] = _cpu_quartiles(
+        validate.closed_form_vs_numeric, repeats, 1, 1e3, 3)
+    for c, bundle in bundles.items():
+        out[f"run_validation_ms_{c}"] = _cpu_quartiles(
+            lambda b=bundle: validate.run_validation(b), repeats, 1, 1e3, 3)
+    return out
+
+
 def environment():
     cpu = ""
     try:
@@ -217,16 +257,21 @@ def main() -> int:
         ) + f" ms  battery/chains={row['battery_per_chains']['median']:.3f}"
             f"  chains/draws={row['chains_per_draws']['median']:.3f}"
             f"  {row['ms_per_point']:.2f} ms/point  {row['mslot_per_s']:.2f} Mslot/s", flush=True)
+    closed = closed_form()
+    print(f"{args.label:>10} {'closed_form':>14} " + " ".join(
+        f"{key}={value['median']}" for key, value in closed.items() if key != "calls"), flush=True)
 
     path = Path(args.out)
     record = json.loads(path.read_text()) if path.exists() else {
         "what": "ms per 2^20-slot block of run_simulation (run_points for a grid mode) "
                 "on configs/case1.cfg (case2.cfg for the 29-point mode), thread CPU time "
-                "on one core; median and quartiles over the repeats",
+                "on one core; median and quartiles over the repeats; closed_form: µs per "
+                "call or ms per call of the closed-form layer, the same way",
         "runs": [],
     }
     record["runs"].append({"label": args.label, "repeats": REPEATS,
-                           "environment": environment(), "modes": modes})
+                           "environment": environment(), "modes": modes,
+                           "closed_form": closed})
     path.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -53,12 +53,6 @@ __all__ = [
 ]
 
 
-def _sample_count(sensing_duration: float, sampling_rate: float) -> int:
-    # Round down, but forgive products like 0.003 * 1e6 that land one ulp
-    # below the intended integer.
-    return int(math.floor(sensing_duration * sampling_rate * (1.0 + 1e-12)))
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
     """Energy detector parameters.
@@ -66,7 +60,8 @@ class DetectorConfig:
     ``sensing_duration`` is in seconds, ``sampling_rate`` in Hz; ``noise_power`` and
     ``threshold`` are linear powers on the same scale; ``primary_snr`` is the linear
     ratio of primary signal power to noise power as seen at the sensing node; all
-    five are positive finite reals, stored as ``float``.
+    five are positive finite reals, stored as ``float``.  ``sample_count`` is
+    the number of averaged samples N, the floor of duration * rate.
     """
 
     sensing_duration: float
@@ -78,20 +73,22 @@ class DetectorConfig:
     def __post_init__(self):
         for name in ("sensing_duration", "sampling_rate", "noise_power", "threshold", "primary_snr"):
             v = getattr(self, name)
-            if not (_is_real(v) and v > 0):
+            x = v if type(v) is float else float(v) if _is_real(v) else math.nan
+            if not 0.0 < x < math.inf:
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
-            if type(v) is not float:
-                object.__setattr__(self, name, float(v))
-        if _sample_count(self.sensing_duration, self.sampling_rate) < 1:
+            if x is not v:
+                object.__setattr__(self, name, x)
+        # Round down, but forgive products like 0.003 * 1e6 that land one ulp
+        # below the intended integer.
+        n = int(math.floor(self.sensing_duration * self.sampling_rate * (1.0 + 1e-12)))
+        if n < 1:
             raise ValueError(
                 "sensing_duration * sampling_rate must give at least one sample, "
                 f"got {self.sensing_duration * self.sampling_rate!r}"
             )
-
-    @property
-    def sample_count(self) -> int:
-        """Number of averaged samples N (floor of duration * rate)."""
-        return _sample_count(self.sensing_duration, self.sampling_rate)
+        # An instance attribute, not a field: set by every construction,
+        # replace() included, and kept by copy and pickle with the fields.
+        object.__setattr__(self, "sample_count", n)
 
     def variance(self, occupied) -> float:
         """Variance v of a sample: N0 when idle, (SNR + 1) N0 when occupied."""
@@ -233,10 +230,11 @@ class BatteryModel:
         if not (_is_integer(self.levels) and self.levels >= 2):
             raise ValueError(f"levels must be an integer >= 2, got {self.levels!r}")
         for name, p in (("access", self.access_prob), ("harvest", self.harvest_prob)):
-            if not (_is_real(p) and 0.0 <= p <= 1.0):
+            x = p if type(p) is float else float(p) if _is_real(p) else math.nan
+            if not 0.0 <= x <= 1.0:
                 raise ValueError(f"{name} probability must lie in [0, 1], got {p!r}")
-            if type(p) is not float:
-                object.__setattr__(self, f"{name}_prob", float(p))
+            if x is not p:
+                object.__setattr__(self, f"{name}_prob", x)
 
     @property
     def alpha(self) -> float:
@@ -282,10 +280,13 @@ def battery_diagonals(b: BatteryModel | list[BatteryModel]) -> tuple[np.ndarray,
     e_on = np.array([m.harvest_prob for m in models]).reshape(-1, 1)
     down, up = delta * (1.0 - e_on), (1.0 - delta) * e_on
     mid = np.array([math.fsum((1.0, -d, -u)) for d, u in zip(down.flat, up.flat)]).reshape(-1, 1)
-    inner = col[:-1] < top
-    downs, ups = np.where(inner, down, 1.0), np.where(inner, up, 0.0)
+    inner = col[:-1] < top  # the levels below each top; stay's last column never is
+    downs, ups, stay = np.ones(inner.shape), np.zeros(inner.shape), np.zeros((len(models), col.size))
+    np.copyto(downs, down, where=inner)
+    np.copyto(ups, up, where=inner)
+    np.copyto(stay[:, :-1], mid, where=inner)
+    stay[np.arange(len(models)), top[:, 0]] = 1.0 - down[:, 0]
     ups[:, 0] = e_on[:, 0]
-    stay = np.where(col < top, mid, np.where(col == top, 1.0 - down, 0.0))
     stay[:, 0] = 1.0 - e_on[:, 0]
     return (downs[0], stay[0], ups[0]) if single else (downs, stay, ups)
 
@@ -360,11 +361,13 @@ def battery_steady_state(b: BatteryModel | list[BatteryModel]) -> np.ndarray:
         else:  # log alpha as in outage_prob
             slope[k] = math.log1p(d) if abs(d) < 0.5 else math.log(m.alpha)
             shift[k] = math.log(1.0 - delta)
-    logw = col * slope[:, None] - shift[:, None]
-    logw[:, 0] = 0.0
-    logw[col > top] = -np.inf
-    w = np.exp(logw - logw.max(axis=-1, keepdims=True))
-    vec = w / w.sum(axis=-1, keepdims=True)
+    vec = np.multiply(col, slope[:, None])  # the log-weights, normalised in place
+    vec -= shift[:, None]
+    vec[:, 0] = 0.0
+    np.copyto(vec, -np.inf, where=col > top)
+    vec -= vec.max(axis=-1, keepdims=True)
+    np.exp(vec, out=vec)
+    vec /= vec.sum(axis=-1, keepdims=True)
     if fixed:
         rows, cols, values = zip(*fixed)
         vec[list(rows)] = 0.0
@@ -427,23 +430,30 @@ def birth_death_steady_state(down: np.ndarray, stay: np.ndarray, up: np.ndarray)
             a zero down entry (not irreducible), a residual above 1e-12 or a negative entry.
     """
     down, stay, up = (np.asarray(v, dtype=float) for v in (down, stay, up))
-    rows = stay.copy()
-    rows[..., :-1] += up
-    rows[..., 1:] += down
-    _raise_first(~(np.abs(rows - 1.0) <= 1e-9), "matrix is not row-stochastic in batch row {row}")
+    # Each temporary is as large as the batch, so there are two, worked in
+    # place: pi (first each row sum's distance from 1, then the log-weights)
+    # and flow, with ``part`` (one column fewer) for every partial term.
+    pi = stay.copy()
+    pi[..., :-1] += up
+    pi[..., 1:] += down
+    pi -= 1.0
+    _raise_first(~(np.abs(pi, out=pi) <= 1e-9), "matrix is not row-stochastic in batch row {row}")
     _raise_first(down == 0.0, "a down entry is 0 in batch row {row}; "
                  "the chain is likely not irreducible")
-    del rows  # each temporary is as large as the batch: keep few alive at once
-    logw = np.zeros(stay.shape)
+    part, logw = np.abs(down), pi[..., 1:]
+    pi[..., 0] = 0.0
     with np.errstate(divide="ignore"):
-        np.cumsum(np.log(np.abs(up)) - np.log(np.abs(down)), axis=-1, out=logw[..., 1:])
-    pi = np.exp(logw - logw.max(axis=-1, keepdims=True), out=logw)
+        np.log(np.abs(up, out=logw), out=logw)
+        logw -= np.log(part, out=part)
+    np.cumsum(logw, axis=-1, out=logw)
+    pi -= pi.max(axis=-1, keepdims=True)
+    np.exp(pi, out=pi)
     flip = np.logical_xor.accumulate((up < 0) != (down < 0), axis=-1)
     np.negative(pi[..., 1:], out=pi[..., 1:], where=flip)
     pi /= pi.sum(axis=-1, keepdims=True)
-    flow = pi * stay
-    flow[..., 1:] += pi[..., :-1] * up
-    flow[..., :-1] += pi[..., 1:] * down
+    flow = np.multiply(pi, stay)
+    flow[..., 1:] += np.multiply(pi[..., :-1], up, out=part)
+    flow[..., :-1] += np.multiply(pi[..., 1:], down, out=part)
     flow -= pi
     residual, lowest = np.max(np.abs(flow, out=flow), axis=-1), pi.min(axis=-1)
     _raise_first(~((residual <= 1e-12) & (lowest >= -1e-10))[..., None],
@@ -480,10 +490,12 @@ class Scenario:
         if not (_is_integer(self.battery_levels) and self.battery_levels >= 2):
             raise ValueError(f"battery_levels must be an integer >= 2, got {self.battery_levels!r}")
         object.__setattr__(self, "battery_levels", int(self.battery_levels))
-        if not (_is_real(self.slot_duration) and self.slot_duration > 0):
-            raise ValueError(f"slot_duration must be a positive finite number, got {self.slot_duration!r}")
-        if type(self.slot_duration) is not float:
-            object.__setattr__(self, "slot_duration", float(self.slot_duration))
+        v = self.slot_duration
+        x = v if type(v) is float else float(v) if _is_real(v) else math.nan
+        if not 0.0 < x < math.inf:
+            raise ValueError(f"slot_duration must be a positive finite number, got {v!r}")
+        if x is not v:
+            object.__setattr__(self, "slot_duration", x)
         tau = self.detector.sensing_duration
         if tau > self.slot_duration:
             raise ValueError(
@@ -523,13 +535,11 @@ def operating_point(scenario: Scenario) -> OperatingPoint:
     """Evaluate every closed-form quantity for the scenario, with the
     detector rates of the Gaussian ("event") law."""
     pf, pd = detector_rates(scenario.detector, "event")
-    pi_idle = scenario.pi_idle
-    e_on = scenario.e_on
+    pi_idle = steady_state(scenario.spectrum)[0]
+    e_on = steady_state(scenario.energy)[0]
     delta = access_prob_from_rates(pf, pd, pi_idle)
     battery = BatteryModel(scenario.battery_levels, delta, e_on)
     pi0 = outage_prob(battery)
-    loss = 1.0 - (1.0 - pi0) * (1.0 - pf) * pi_idle
-    return OperatingPoint(
-        pf=pf, pd=pd, delta=delta, pi_idle=pi_idle, e_on=e_on,
-        alpha=battery.alpha, outage=pi0, packet_loss=loss,
-    )
+    # pf, pd, delta, pi_idle, e_on, alpha, outage, packet_loss
+    return OperatingPoint(pf, pd, delta, pi_idle, e_on, battery.alpha, pi0,
+                          1.0 - (1.0 - pi0) * (1.0 - pf) * pi_idle)

@@ -29,10 +29,11 @@ class TwoStateChain:
 
     def __post_init__(self):
         for name, p in (("stay_a", self.stay_a), ("stay_b", self.stay_b)):
-            if not (_is_real(p) and 0.0 <= p <= 1.0):
+            x = p if type(p) is float else float(p) if _is_real(p) else math.nan
+            if not 0.0 <= x <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
-            if type(p) is not float:
-                object.__setattr__(self, name, float(p))
+            if x is not p:
+                object.__setattr__(self, name, x)
         if self.stay_a == 1.0 and self.stay_b == 1.0:
             raise ValueError(
                 "degenerate chain: both self-transition probabilities are 1, so both states are "

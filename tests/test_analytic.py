@@ -1,9 +1,11 @@
 """Closed-form detector, access and battery quantities against oracles."""
 
+import copy
 import math
+import pickle
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import islice
 
@@ -29,7 +31,9 @@ from ehcrn.analytic import (
     threshold_for_target_pf,
 )
 from ehcrn import validate
+from ehcrn.analytic import _raise_first
 from ehcrn.chains import TwoStateChain
+from ehcrn.configio import apply_overrides
 from ehcrn.errors import NumericsError
 from ehcrn.validate import closed_form_vs_numeric, random_batteries
 
@@ -92,11 +96,117 @@ def loop_transition_matrix(b):
     return mat
 
 
+# The bodies of battery_diagonals, battery_steady_state and
+# birth_death_steady_state before they worked in place: each temporary a
+# new array, the padding set by np.where and boolean-index stores.  They
+# are the bit-for-bit oracle of the in-place forms.
+
+def reference_batch(b):
+    models = [b] if isinstance(b, BatteryModel) else list(b)
+    top = np.array([m.levels - 1 for m in models], dtype=int).reshape(-1, 1)
+    return models, isinstance(b, BatteryModel), top, np.arange(int(top.max(initial=1)) + 1)
+
+
+def reference_battery_diagonals(b):
+    models, single, top, col = reference_batch(b)
+    delta = np.array([m.access_prob for m in models]).reshape(-1, 1)
+    e_on = np.array([m.harvest_prob for m in models]).reshape(-1, 1)
+    down, up = delta * (1.0 - e_on), (1.0 - delta) * e_on
+    mid = np.array([math.fsum((1.0, -d, -u)) for d, u in zip(down.flat, up.flat)]).reshape(-1, 1)
+    inner = col[:-1] < top
+    downs, ups = np.where(inner, down, 1.0), np.where(inner, up, 0.0)
+    ups[:, 0] = e_on[:, 0]
+    stay = np.where(col < top, mid, np.where(col == top, 1.0 - down, 0.0))
+    stay[:, 0] = 1.0 - e_on[:, 0]
+    return (downs[0], stay[0], ups[0]) if single else (downs, stay, ups)
+
+
+def reference_battery_steady_state(b):
+    models, single, top, col = reference_batch(b)
+    slope, shift, fixed = np.zeros(len(models)), np.zeros(len(models)), []
+    for k, m in enumerate(models):
+        delta, e_on = m.access_prob, m.harvest_prob
+        if e_on in (0.0, 1.0) or delta == 0.0:
+            fixed.append((k, 0 if e_on == 0.0 else m.levels - 1, 1.0))
+        elif (d := m._alpha_minus_one()) <= -1.0:
+            fixed += [(k, 0, 1.0 - e_on), (k, 1, e_on)]
+        else:
+            slope[k] = math.log1p(d) if abs(d) < 0.5 else math.log(m.alpha)
+            shift[k] = math.log(1.0 - delta)
+    logw = col * slope[:, None] - shift[:, None]
+    logw[:, 0] = 0.0
+    logw[col > top] = -np.inf
+    w = np.exp(logw - logw.max(axis=-1, keepdims=True))
+    vec = w / w.sum(axis=-1, keepdims=True)
+    if fixed:
+        rows, cols, values = zip(*fixed)
+        vec[list(rows)] = 0.0
+        vec[rows, cols] = values
+    return vec[0] if single else vec
+
+
+def reference_birth_death_steady_state(down, stay, up):
+    down, stay, up = (np.asarray(v, dtype=float) for v in (down, stay, up))
+    rows = stay.copy()
+    rows[..., :-1] += up
+    rows[..., 1:] += down
+    _raise_first(~(np.abs(rows - 1.0) <= 1e-9), "matrix is not row-stochastic in batch row {row}")
+    _raise_first(down == 0.0, "a down entry is 0 in batch row {row}; "
+                 "the chain is likely not irreducible")
+    logw = np.zeros(stay.shape)
+    with np.errstate(divide="ignore"):
+        np.cumsum(np.log(np.abs(up)) - np.log(np.abs(down)), axis=-1, out=logw[..., 1:])
+    pi = np.exp(logw - logw.max(axis=-1, keepdims=True), out=logw)
+    flip = np.logical_xor.accumulate((up < 0) != (down < 0), axis=-1)
+    np.negative(pi[..., 1:], out=pi[..., 1:], where=flip)
+    pi /= pi.sum(axis=-1, keepdims=True)
+    flow = pi * stay
+    flow[..., 1:] += pi[..., :-1] * up
+    flow[..., :-1] += pi[..., 1:] * down
+    flow -= pi
+    residual, lowest = np.max(np.abs(flow, out=flow), axis=-1), pi.min(axis=-1)
+    _raise_first(~((residual <= 1e-12) & (lowest >= -1e-10))[..., None],
+                 "stationary solve is unreliable: residual {residual:.3e}, "
+                 "min entry {lowest:.3e} in batch row {row}", residual=residual, lowest=lowest)
+    return pi
+
+
+# Batteries on and next to the boundaries of [0, 1]^2, with L = 2 among them.
+MIXED_BOUNDARY_MODELS = [
+    BatteryModel(6, 0.4, 0.0), BatteryModel(3, 0.4, 1.0),
+    BatteryModel(5, 0.0, 0.3), BatteryModel(4, 1.0, 0.3),
+    BatteryModel(7, 1.0 - 2.0**-53, 0.01), BatteryModel(2, 0.3, 0.3),
+    BatteryModel(9, 0.02, 0.98), BatteryModel(2, 0.0, 0.0),
+]
+
+
 class TestDetectorConfig:
     def test_sample_count(self):
         assert detector().sample_count == 2000
         # one-ulp-under product still rounds to the intended integer
         assert detector(tau=0.003).sample_count == 3000
+
+    def test_stored_sample_count_follows_the_fields(self):
+        det = detector(tau=0.003)
+        scenario = replace(case1_base_scenario(), detector=det)
+        derived = [
+            replace(det, sensing_duration=0.0025), replace(det, sampling_rate=2.5e5),
+            apply_overrides(scenario, 0.05, {"primary_snr_db": -10.0})[0].detector,
+            apply_overrides(scenario, None, {"normalized_threshold": 1.2})[0].detector,
+            copy.copy(det), copy.deepcopy(det), pickle.loads(pickle.dumps(det)),
+        ]
+        assert [d.sample_count for d in derived] == [
+            math.floor(d.sensing_duration * d.sampling_rate * (1.0 + 1e-12)) for d in derived
+        ] == [2500, 750, 3000, 3000, 3000, 3000, 3000]
+
+    def test_sample_count_is_not_a_field(self):
+        det = detector()
+        assert [f.name for f in fields(DetectorConfig)] == [
+            "sensing_duration", "sampling_rate", "noise_power", "threshold", "primary_snr"]
+        assert det == detector() and det != detector(tau=0.003)
+        assert hash(det) == hash(detector()) == hash(tuple(getattr(det, f.name) for f in fields(det)))
+        assert repr(det) == ("DetectorConfig(sensing_duration=0.002, sampling_rate=1000000.0, "
+                             f"noise_power=1.0, threshold=1.0, primary_snr={SNR_M15_DB!r})")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -457,12 +567,7 @@ class TestBatteryBatch:
             assert np.max(np.abs(row[:battery.levels] - battery_steady_state(battery))) <= 2.3e-16
 
     def test_mixed_boundary_models(self):
-        models = [
-            BatteryModel(6, 0.4, 0.0), BatteryModel(3, 0.4, 1.0),
-            BatteryModel(5, 0.0, 0.3), BatteryModel(4, 1.0, 0.3),
-            BatteryModel(7, 1.0 - 2.0**-53, 0.01), BatteryModel(2, 0.3, 0.3),
-            BatteryModel(9, 0.02, 0.98), BatteryModel(2, 0.0, 0.0),
-        ]
+        models = MIXED_BOUNDARY_MODELS
         vec = self.assert_rows_match(models)
         for k in (0, 1, 2, 3, 4, 7):  # the boundary rows are set, not normalised
             n = models[k].levels
@@ -485,6 +590,74 @@ class TestBatteryBatch:
             monkeypatch.setattr(validate, name, spy)
         closed_form_vs_numeric()
         assert calls == {"battery_diagonals": 1, "battery_steady_state": 1}
+
+
+class TestInPlaceOracle:
+    """The in-place battery diagonals, vector and solver give the bytes of
+    the reference bodies, on the machine that runs the test."""
+
+    @staticmethod
+    def assert_same_bytes(b):
+        for new, old in zip(battery_diagonals(b), reference_battery_diagonals(b)):
+            assert new.shape == old.shape and new.tobytes() == old.tobytes()
+        new, old = battery_steady_state(b), reference_battery_steady_state(b)
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+    @staticmethod
+    def solve(solver, diagonals):
+        """The solver's bytes, or its NumericsError message."""
+        try:
+            return solver(*diagonals).tobytes()
+        except NumericsError as exc:
+            return str(exc)
+
+    def assert_same_solve(self, diagonals):
+        new = self.solve(birth_death_steady_state, diagonals)
+        assert new == self.solve(reference_birth_death_steady_state, diagonals)
+        return new
+
+    def test_random_batch(self):
+        models = list(random_batteries())
+        self.assert_same_bytes(models)
+        diagonals = battery_diagonals(models)
+        assert isinstance(self.assert_same_solve(diagonals), bytes)
+        assert isinstance(self.assert_same_solve([v.reshape(4, 50, -1) for v in diagonals]), bytes)
+
+    def test_each_single_battery(self):
+        for battery in random_batteries():
+            self.assert_same_bytes(battery)
+            assert isinstance(self.assert_same_solve(battery_diagonals(battery)), bytes)
+
+    def test_mixed_boundary_models(self):
+        self.assert_same_bytes(MIXED_BOUNDARY_MODELS)
+        down, stay, up = battery_diagonals(MIXED_BOUNDARY_MODELS)
+        assert self.assert_same_solve((down, stay, up)).startswith("a down entry is 0 in batch row 1;")
+        solvable = down.all(axis=-1)
+        assert solvable.sum() == 5
+        assert isinstance(self.assert_same_solve((down[solvable], stay[solvable], up[solvable])), bytes)
+        for battery in MIXED_BOUNDARY_MODELS:
+            self.assert_same_bytes(battery)
+            self.assert_same_solve(battery_diagonals(battery))
+
+    def test_rejections_give_the_same_message(self):
+        # the certificate's message carries the residual and the lowest entry
+        def perturbed(row, stay_step, up_step):
+            down, stay, up = battery_diagonals(list(islice(random_batteries(), 5)))
+            stay[row, 0] += stay_step
+            up[row, 0] += up_step
+            return down, stay, up
+
+        for diagonals, start, row in (
+                (perturbed(3, 1e-6, 0.0), "matrix is not row-stochastic", 3),
+                (perturbed(4, 5e-10, 0.0), "stationary solve is unreliable: residual", 4),
+                (perturbed(2, 1.0, -1.0), "stationary solve is unreliable: residual", 2)):  # up < 0
+            message = self.assert_same_solve(diagonals)
+            assert message.startswith(start) and message.endswith(f"in batch row {row}")
+
+    @given(st.lists(batteries, min_size=1, max_size=8))
+    def test_matches_reference_property(self, models):
+        self.assert_same_bytes(models)
+        self.assert_same_solve(battery_diagonals(models))
 
 
 class TestNumericSolver:
@@ -666,6 +839,44 @@ class TestBirthDeathSolver:
     def test_validate_worst_differences(self):
         worst_pi0, worst_vec = closed_form_vs_numeric()
         assert worst_pi0 <= 1e-12 and worst_vec <= 1e-12
+
+
+# The four types that store their reals as float: a function that makes one
+# with ``value`` as one of its reals, that real's attribute, and its
+# rejection message.
+REAL_CHECKS = {
+    "TwoStateChain": (lambda v: TwoStateChain(v, 0.5), "stay_a",
+                      "stay_a must lie in [0, 1], got {!r}"),
+    "BatteryModel": (lambda v: BatteryModel(5, 0.3, v), "harvest_prob",
+                     "harvest probability must lie in [0, 1], got {!r}"),
+    "DetectorConfig": (lambda v: detector(noise=v), "noise_power",
+                       "noise_power must be a positive finite number, got {!r}"),
+    "Scenario": (lambda v: replace(case1_base_scenario(), slot_duration=v), "slot_duration",
+                 "slot_duration must be a positive finite number, got {!r}"),
+}
+
+
+class TestRealChecks:
+    @pytest.mark.parametrize("kind", list(REAL_CHECKS))
+    @pytest.mark.parametrize("value", [np.float32("nan"), np.float64("inf"), True],
+                             ids=["float32-nan", "float64-inf", "True"])
+    def test_message_shows_the_value_as_given(self, kind, value):
+        build, _, message = REAL_CHECKS[kind]
+        with pytest.raises(ValueError) as info:
+            build(value)
+        assert str(info.value) == message.format(value)
+
+    @pytest.mark.parametrize("kind", list(REAL_CHECKS))
+    def test_negative_zero(self, kind):
+        # a probability may be -0.0, which is stored as given; a positive real may not
+        build, attribute, message = REAL_CHECKS[kind]
+        if "[0, 1]" in message:
+            stored = getattr(build(-0.0), attribute)
+            assert type(stored) is float and stored == 0.0 and math.copysign(1.0, stored) == -1.0
+        else:
+            with pytest.raises(ValueError) as info:
+                build(-0.0)
+            assert str(info.value) == message.format(-0.0)
 
 
 class TestScenario:

@@ -63,3 +63,15 @@ def test_bench_kernel_times_every_advance_call(monkeypatch):
     ms = bench._block_ms(bundle.scenario, [bundle.scenario.detector], cfg)
     assert ms["advance_rest"] > 0
     assert min(ms.values()) >= 0
+
+
+def test_bench_kernel_closed_form_section(monkeypatch):
+    bench = load_bench_kernel(monkeypatch)
+    out = bench.closed_form(repeats=2, calls=3)
+    assert out.pop("calls") == 3
+    assert set(out) == {"operating_point_us_case1", "operating_point_us_case2", "threshold_us",
+                        "closed_form_vs_numeric_ms", "run_validation_ms_case1",
+                        "run_validation_ms_case2"}
+    for figure in out.values():
+        assert set(figure) == {"median", "q1", "q3"}
+        assert 0 <= figure["q1"] <= figure["median"] <= figure["q3"]
