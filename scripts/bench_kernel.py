@@ -54,7 +54,10 @@ repeats after one warm-up: ``operating_point`` in µs per call on the stock
 case-1 and case-2 scenarios and ``threshold_for_target_pf`` in µs per call
 (each repeat averages CALLS calls), and one ``closed_form_vs_numeric``
 call (the 200-chain battery certificate) and one ``run_validation`` call
-on each stock config in ms.
+on each stock config in ms.  ``validate.random_batteries`` builds its 200
+instances once per process, so these last two time calls with the
+instances already built; ``random_batteries_ms`` times that one-off
+build on its own, through the uncached ``random_batteries.__wrapped__``.
 
 Usage:
     python scripts/bench_kernel.py --out BENCH.json --label NAME
@@ -223,6 +226,8 @@ def closed_form(repeats=REPEATS, calls=CALLS):
             lambda s=bundle.scenario: analytic.operating_point(s), repeats, calls, 1e6, 3)
     out["threshold_us"] = _cpu_quartiles(
         lambda: analytic.threshold_for_target_pf(0.01, det), repeats, calls, 1e6, 3)
+    out["random_batteries_ms"] = _cpu_quartiles(
+        validate.random_batteries.__wrapped__, repeats, 1, 1e3, 3)
     out["closed_form_vs_numeric_ms"] = _cpu_quartiles(
         validate.closed_form_vs_numeric, repeats, 1, 1e3, 3)
     for c, bundle in bundles.items():

@@ -61,7 +61,8 @@ class DetectorConfig:
     ``threshold`` are linear powers on the same scale; ``primary_snr`` is the linear
     ratio of primary signal power to noise power as seen at the sensing node; all
     five are positive finite reals, stored as ``float``.  ``sample_count`` is
-    the number of averaged samples N, the floor of duration * rate.
+    the number of averaged samples N, the floor of duration * rate, which
+    must be finite and at least 1.
     """
 
     sensing_duration: float
@@ -80,7 +81,13 @@ class DetectorConfig:
                 object.__setattr__(self, name, x)
         # Round down, but forgive products like 0.003 * 1e6 that land one ulp
         # below the intended integer.
-        n = int(math.floor(self.sensing_duration * self.sampling_rate * (1.0 + 1e-12)))
+        count = self.sensing_duration * self.sampling_rate * (1.0 + 1e-12)
+        if count == math.inf:
+            raise ValueError(
+                "sensing_duration * sampling_rate must give a finite sample count, "
+                f"got {self.sensing_duration!r} * {self.sampling_rate!r}"
+            )
+        n = int(math.floor(count))
         if n < 1:
             raise ValueError(
                 "sensing_duration * sampling_rate must give at least one sample, "

@@ -8,6 +8,7 @@ import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,10 +34,11 @@ from ehcrn.analytic import (
 from ehcrn import validate
 from ehcrn.analytic import _raise_first
 from ehcrn.chains import TwoStateChain
-from ehcrn.configio import apply_overrides
+from ehcrn.configio import apply_overrides, load_config
 from ehcrn.errors import NumericsError
-from ehcrn.validate import closed_form_vs_numeric, random_batteries
+from ehcrn.validate import closed_form_vs_numeric, random_batteries, run_validation
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SNR_M15_DB = 10.0 ** (-1.5)  # -15 dB as a linear ratio
 
 # Frozen oracle values.
@@ -171,6 +173,17 @@ def reference_birth_death_steady_state(down, stay, up):
     return pi
 
 
+def reference_random_batteries():
+    """validate.random_batteries before it was built once per process: a
+    generator that draws the 200 instances anew on every call."""
+    rng = np.random.default_rng(20240101)
+    for i in range(200):
+        levels = int(rng.integers(2, 200 + 1))
+        delta = float(rng.uniform(0.01, 0.99))
+        e_on = delta if i % 10 == 0 else float(rng.uniform(0.01, 0.99))
+        yield BatteryModel(levels, delta, e_on)
+
+
 # Batteries on and next to the boundaries of [0, 1]^2, with L = 2 among them.
 MIXED_BOUNDARY_MODELS = [
     BatteryModel(6, 0.4, 0.0), BatteryModel(3, 0.4, 1.0),
@@ -207,6 +220,17 @@ class TestDetectorConfig:
         assert hash(det) == hash(detector()) == hash(tuple(getattr(det, f.name) for f in fields(det)))
         assert repr(det) == ("DetectorConfig(sensing_duration=0.002, sampling_rate=1000000.0, "
                              f"noise_power=1.0, threshold=1.0, primary_snr={SNR_M15_DB!r})")
+
+    @pytest.mark.parametrize("tau, fs", [
+        (1e10, 1e300),  # the product itself overflows
+        (1.0, 1.7976931348614168e308),  # finite, until the (1 + 1e-12) factor
+    ], ids=["product", "factor"])
+    def test_overflowing_sample_count(self, tau, fs):
+        assert tau * fs * (1.0 + 1e-12) == math.inf
+        with pytest.raises(ValueError) as info:
+            detector(tau=tau, fs=fs)
+        assert str(info.value) == ("sensing_duration * sampling_rate must give a finite sample "
+                                   f"count, got {tau!r} * {fs!r}")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -590,6 +614,40 @@ class TestBatteryBatch:
             monkeypatch.setattr(validate, name, spy)
         closed_form_vs_numeric()
         assert calls == {"battery_diagonals": 1, "battery_steady_state": 1}
+
+
+class TestSharedRandomBatteries:
+    """validate.random_batteries builds the reference's 200 instances once
+    per process; every check that uses them still runs in full."""
+
+    @staticmethod
+    def bits(models):
+        return [tuple(v.hex() if type(v) is float else v
+                      for v in (getattr(m, f.name) for f in fields(m))) for m in models]
+
+    def test_same_instances_as_the_reference(self):
+        built, want = random_batteries(), tuple(reference_random_batteries())
+        assert type(built) is tuple and len(built) == 200
+        assert self.bits(built) == self.bits(want)
+        assert built == want
+
+    def test_built_once(self):
+        assert random_batteries() is random_batteries()
+
+    def test_cold_and_warm_certificates_agree(self):
+        random_batteries.cache_clear()
+        cold = closed_form_vs_numeric()
+        assert random_batteries.cache_info().currsize == 1
+        warm = closed_form_vs_numeric()
+        assert [x.hex() for x in cold] == [x.hex() for x in warm]
+
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    def test_run_validation_repeats(self, case):
+        bundle = load_config(str(CONFIGS / f"{case}.cfg"))
+        random_batteries.cache_clear()
+        first = run_validation(bundle)
+        assert len(first) == 5 and all(r.passed for r in first)
+        assert run_validation(bundle) == first
 
 
 class TestInPlaceOracle:

@@ -365,6 +365,17 @@ class TestValidateVerdicts:
         assert peak < 20e6, f"validate at L = 4000 peaked at {peak / 1e6:.1f} MB"
 
 
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_overflowing_sample_count_is_config_error(command, tmp_path):
+    # 1e10 s * 1e300 Hz overflows to inf samples: a config error, not a numeric one
+    path = tmp_path / "overflow.cfg"
+    path.write_text(stock(1, sensing_duration="1e10", sampling_rate="1e300"), encoding="utf-8")
+    code, out, err = run_quietly([command, "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err == ("ehcrn: config error: detector: sensing_duration * sampling_rate must give a "
+                   "finite sample count, got 10000000000.0 * 1e+300\n")
+
+
 def _stay():
     return st.one_of(st.sampled_from([0.0, 1.0, 1e-9, 1.0 - 1e-9]), st.floats(0.0, 1.0))
 
