@@ -13,8 +13,10 @@ Exit codes: 0 success, 2 configuration error, 3 numeric/oracle failure or
 out of memory, 4 I/O error.  A sweep runs its variants one after another in
 row order, each variant's grid points as one simulation on the variant's seed.
 
-``sweep --case`` takes the names in ``sweep.CASES`` plus ``custom``, and
-``sweep.campaign`` builds the campaign; ``_SIMULATE_FLAGS`` says which
+``main`` alone loads ``--config`` and dispatches, inside the ``try`` that
+maps errors to exit codes, to ``run(args, bundle)``, the handler each
+subparser names.  ``sweep --case`` takes ``sweep.CASES`` plus ``custom``,
+and ``sweep.campaign`` builds the campaign; ``_SIMULATE_FLAGS`` says which
 ``SimConfig`` field each ``simulate`` flag overrides.
 """
 
@@ -59,9 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="print the analytic operating point as a CSV row")
+    p.set_defaults(run=_cmd_analyze)
     p.add_argument("--config", required=True, help="scenario config file")
 
     p = sub.add_parser("simulate", help="run the slot-level Monte-Carlo simulation")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--config", required=True, help="scenario config file")
     p.add_argument("--slots", type=int, help="slots per replication (overrides config)")
     p.add_argument("--seed", type=int, help="base seed (overrides config)")
@@ -69,6 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, help="replication count (overrides config)")
 
     p = sub.add_parser("sweep", help="run a sweep campaign and write result files")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--case", required=True, choices=(*CASES, "custom"))
     p.add_argument("--config", required=True, help="base scenario config file")
     p.add_argument("--out", required=True, help="output directory")
@@ -76,20 +81,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plots", action="store_true", help="also write a gnuplot script")
 
     p = sub.add_parser("validate", help="run the oracle-equivalence suite")
+    p.set_defaults(run=_cmd_validate)
     p.add_argument("--config", required=True, help="scenario config file")
     return parser
 
 
-def _cmd_analyze(args) -> int:
-    bundle = load_config(args.config)
+def _cmd_analyze(args, bundle) -> int:
     op = operating_point(bundle.scenario)
     print(ANALYZE_HEADER)
     print(",".join(format_float(getattr(op, name)) for _, name in _ANALYZE_COLUMNS))
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    bundle = load_config(args.config)
+def _cmd_simulate(args, bundle) -> int:
     overrides = {
         field: getattr(args, flag) for flag, field in _SIMULATE_FLAGS if getattr(args, flag) is not None
     }
@@ -113,8 +117,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    spec = campaign(load_config(args.config), args.case)
+def _cmd_sweep(args, bundle) -> int:
+    spec = campaign(bundle, args.case)
     stem = "custom" if args.case == "custom" else f"case{args.case}"
     rows = run_sweep(spec)
     out = Path(args.out)
@@ -128,15 +132,14 @@ def _cmd_sweep(args) -> int:
         written.append(json_path)
     if args.plots:
         plot_path = out / f"{stem}.gp"
-        emit_plot_script(rows, plot_path, sweep_variable=spec.variable)
+        emit_plot_script(rows, plot_path, sweep_variable=spec.sweep.variable)
         written.append(plot_path)
     for path in written:
         print(path)
     return 0
 
 
-def _cmd_validate(args) -> int:
-    bundle = load_config(args.config)
+def _cmd_validate(args, bundle) -> int:
     results = run_validation(bundle)
     failed = False
     for res in results:
@@ -148,14 +151,8 @@ def _cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "analyze": _cmd_analyze,
-        "simulate": _cmd_simulate,
-        "sweep": _cmd_sweep,
-        "validate": _cmd_validate,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args, load_config(args.config))
     except ConfigError as exc:
         print(f"ehcrn: config error: {exc}", file=sys.stderr)
         return 2

@@ -234,10 +234,10 @@ def load_config(path: str) -> LoadedConfig:
     """Parse and validate a config file into model objects.
 
     Raises:
-        ConfigError: missing file, syntax errors (with line numbers from
-            the parser), unknown sections/keys, missing required keys, a
-            malformed [sweep] section (``SweepDef``), or any model
-            invariant violation (reported with the field name).
+        ConfigError: a missing or non-UTF-8 file, syntax errors (with line
+            numbers from the parser), unknown sections/keys, missing
+            required keys, a malformed [sweep] section (``SweepDef``), or
+            any model invariant violation (reported with the field name).
     """
     parser = configparser.ConfigParser(
         delimiters=("=",),
@@ -249,7 +249,7 @@ def load_config(path: str) -> LoadedConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh, source=str(path))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"parse error in {path!r}: {exc}") from exc

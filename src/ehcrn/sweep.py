@@ -9,7 +9,7 @@ variable moves only the detector, so the points share their draws and
 chain paths (common random numbers), which makes the simulated curve
 smooth along the grid.  Each point's counts are those it gets alone on
 that seed, so any row can be reproduced alone from its ``seed`` column.
-A ``SweepDef`` checks itself when built; a ``SweepSpec`` is one plus the
+A ``SweepDef`` checks itself when built; a ``SweepSpec`` holds one with the
 base scenario and controls, and builds, and so checks, every point and
 seed once (``runs``).
 
@@ -103,27 +103,27 @@ _JSON_RECORD = json.JSONEncoder(separators=(",\n    ", ": ")).encode
 
 
 @dataclass(frozen=True)
-class SweepSpec(SweepDef):
-    """A sweep definition plus the base scenario and controls it runs on.
+class SweepSpec:
+    """A checked sweep definition with the base scenario and controls it runs on.
     ``runs``, built and so checked at construction, holds per variant its label,
     its scenario at each grid value and ``sim`` on ``derive_seed(sim.seed, vi)``.
     A variant keeps the base's threshold, which a config's ``target_pf`` fixed at
     load time, unless it sets ``target_pf`` or ``normalized_threshold`` itself."""
 
+    sweep: SweepDef
     base: Scenario
     sim: SimConfig
     runs: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        super().__post_init__()
         runs = []
-        for vi, (label, overrides) in enumerate(self.variants):
+        for vi, (label, overrides) in enumerate(self.sweep.variants):
             try:
                 scn, _ = apply_overrides(self.base, None, overrides)
                 initial_level(scn, self.sim)
             except ValueError as exc:
                 raise ValueError(f"variant {label!r}: {exc}") from None
-            points = tuple(apply_overrides(scn, None, {self.variable: value})[0] for value in self.grid)
+            points = tuple(apply_overrides(scn, None, {self.sweep.variable: value})[0] for value in self.sweep.grid)
             runs.append((label, points, replace(self.sim, seed=RandomStream.derive_seed(self.sim.seed, vi))))
         object.__setattr__(self, "runs", tuple(runs))
 
@@ -149,7 +149,7 @@ def campaign(bundle: LoadedConfig, case: str) -> SweepSpec:
     else:
         sweep = CASES[case]
     with as_config_error("sweep"):
-        return SweepSpec(sweep.variable, sweep.grid, sweep.variants, bundle.scenario, bundle.sim)
+        return SweepSpec(sweep, bundle.scenario, bundle.sim)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepResultRow]:
@@ -161,7 +161,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepResultRow]:
     rows = []
     for label, points, sim in spec.runs:
         reports = run_points(points[0], [p.detector for p in points], sim)
-        for value, scenario, report in zip(spec.grid, points, reports):
+        for value, scenario, report in zip(spec.sweep.grid, points, reports):
             op = operating_point(scenario)
             rows.append(SweepResultRow(
                 variant=label,

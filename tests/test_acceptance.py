@@ -31,7 +31,7 @@ from ehcrn.analytic import (
     threshold_for_target_pf,
 )
 from ehcrn.chains import RandomStream, TwoStateChain
-from ehcrn.configio import load_config
+from ehcrn.configio import SweepDef, load_config
 from ehcrn.simulate import SimConfig, measure_signal_rate, run_replication, run_simulation
 from ehcrn.sweep import (
     CASE_ONE_GRID_DB,
@@ -101,13 +101,11 @@ def test_criterion_2_monte_carlo_agreement():
     sim = SimConfig(slots=MC_SLOTS, replications=MC_REPLICATIONS, seed=MC_SEED)
     campaigns = (
         ("case1", SweepSpec(
-            variable="primary_snr_db", grid=CASE_ONE_POINTS,
-            base=case_bundle("case1.cfg").scenario, variants=CASE_ONE_VARIANTS,
-            sim=sim)),
+            SweepDef(variable="primary_snr_db", grid=CASE_ONE_POINTS, variants=CASE_ONE_VARIANTS),
+            base=case_bundle("case1.cfg").scenario, sim=sim)),
         ("case2", SweepSpec(
-            variable="normalized_threshold", grid=CASE_TWO_POINTS,
-            base=case_bundle("case2.cfg").scenario, variants=CASE_TWO_VARIANTS,
-            sim=sim)),
+            SweepDef(variable="normalized_threshold", grid=CASE_TWO_POINTS, variants=CASE_TWO_VARIANTS),
+            base=case_bundle("case2.cfg").scenario, sim=sim)),
     )
     worst = ("", 0.0, 0.0)
     checked = 0

@@ -446,6 +446,19 @@ class TestExitCodes:
         bad.write_text("[spectrum]\nq_i = 1.0\n")
         assert main(["analyze", "--config", str(bad)]) == 2
 
+    # main loads the config for every subcommand, so each one reports it alike
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep --case 1 --out {out}", "validate"],
+                             ids=["analyze", "simulate", "sweep", "validate"])
+    def test_non_utf8_config_is_2(self, command, tmp_path, capsys):
+        config = tmp_path / "latin.cfg"
+        config.write_bytes(b"[spectrum]\nq_i = 0.5\xff\n")
+        argv = command.format(out=tmp_path / "out").split() + ["--config", str(config)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"ehcrn: config error: cannot read config file {str(config)!r}: 'utf-8' codec "
+                                "can't decode byte 0xff in position 20: invalid start byte\n")
+
     def test_numeric_error_is_3(self, monkeypatch, capsys):
         def fail(bundle):
             raise NumericsError("stationary solve failed (Singular matrix)")

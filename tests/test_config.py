@@ -145,6 +145,14 @@ class TestErrors:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/path.cfg")
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "t.cfg"
+        path.write_bytes(b"[spectrum]\nq_i = 0.5\xff\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert str(info.value) == (f"cannot read config file {str(path)!r}: 'utf-8' codec can't decode "
+                                   "byte 0xff in position 20: invalid start byte")
+
     def test_empty_file_names_first_missing_field(self, tmp_path):
         with pytest.raises(ConfigError, match=r"spectrum\.q_i"):
             load_config(write(tmp_path, ""))
@@ -256,9 +264,9 @@ class TestErrors:
         with pytest.raises(ConfigError, match="label"):
             load_config(write(tmp_path, text))
 
-    # Checked at load since a SweepDef checks itself when built (and a
-    # SweepSpec is one), so every subcommand rejects these, not only
-    # ``ehcrn sweep``.
+    # Checked at load since a SweepDef checks itself when built (a SweepSpec
+    # holds the checked one and does not check it again), so every
+    # subcommand rejects these, not only ``ehcrn sweep``.
     # A variant may not set both threshold keys (the later one would win),
     # nor a key the grid point sets (every point would overwrite it).
     @pytest.mark.parametrize("variable, grid, variants, match", [

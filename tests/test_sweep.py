@@ -82,16 +82,42 @@ class TestSweepSpec:
     def test_case_builders(self):
         repo = Path(__file__).resolve().parents[1]
         one = campaign(load_config(str(repo / "configs" / "case1.cfg")), "1")
-        assert one.variable == "primary_snr_db"
-        assert one.grid == CASE_ONE_GRID_DB
-        assert len(one.variants) == 3
+        assert one.sweep.variable == "primary_snr_db"
+        assert one.sweep.grid == CASE_ONE_GRID_DB
+        assert len(one.sweep.variants) == 3
         two = campaign(load_config(str(repo / "configs" / "case2.cfg")), "2")
-        assert two.variable == "normalized_threshold"
-        assert two.grid == CASE_TWO_GRID
-        assert len(two.variants) == 3
-        # a SweepDef plus its base and controls, in that positional order
-        assert isinstance(one, SweepDef)
-        assert [f.name for f in fields(SweepSpec)] == ["variable", "grid", "variants", "base", "sim", "runs"]
+        assert two.sweep.variable == "normalized_threshold"
+        assert two.sweep.grid == CASE_TWO_GRID
+        assert len(two.sweep.variants) == 3
+        # holds a SweepDef with its base and controls, in that positional order
+        assert not isinstance(one, SweepDef)
+        assert [f.name for f in fields(SweepSpec)] == ["sweep", "base", "sim", "runs"]
+
+    def test_definition_is_checked_once(self, tmp_path, monkeypatch):
+        # a SweepDef checks itself when built; a SweepSpec holds the one it is given
+        calls = []
+        check = SweepDef.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            check(self)
+
+        monkeypatch.setattr(SweepDef, "__post_init__", counted)
+        path = tmp_path / "tiny.cfg"
+        path.write_text(TINY, encoding="utf-8")
+        bundle = load_config(str(path))
+        assert len(calls) == 1
+        campaign(bundle, "custom")
+        assert len(calls) == 1
+        one = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "case1.cfg"))
+        before = len(calls)
+        campaign(one, "1")
+        assert len(calls) == before
+
+    def test_holds_the_definition_it_is_given(self, tiny_bundle):
+        assert campaign(tiny_bundle, "custom").sweep is tiny_bundle.sweep
+        one = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "case1.cfg"))
+        assert campaign(one, "1").sweep is sweep.CASES["1"]
 
     def test_case_one_requires_target(self, tmp_path):
         text = TINY.replace("target_pf = 0.01", "normalized_threshold = 1.05")
@@ -110,16 +136,14 @@ class TestSweepSpec:
     def test_grid_must_increase(self, tiny_bundle):
         spec = campaign(tiny_bundle, "custom")
         with pytest.raises(ValueError, match="increasing"):
-            SweepSpec(variable=spec.variable, grid=(1.0, 1.0), base=spec.base,
-                      variants=spec.variants, sim=spec.sim)
+            SweepDef(variable=spec.sweep.variable, grid=(1.0, 1.0), variants=spec.sweep.variants)
 
     @pytest.mark.parametrize("label", ["bad label", "bad,label", "bad\tlabel", 'bad"label', "bad\\label"],
                              ids=["space", "comma", "tab", "quote", "backslash"])
     def test_labels_must_be_clean(self, tiny_bundle, label):
         spec = campaign(tiny_bundle, "custom")
         with pytest.raises(ValueError, match="label"):
-            SweepSpec(variable=spec.variable, grid=spec.grid, base=spec.base,
-                      variants=((label, {"p_on": 0.5}),), sim=spec.sim)
+            SweepDef(variable=spec.sweep.variable, grid=spec.sweep.grid, variants=((label, {"p_on": 0.5}),))
 
     @pytest.mark.parametrize("case", ["1", "2"])
     def test_runs_hold_every_point_and_seed(self, case):
@@ -129,10 +153,10 @@ class TestSweepSpec:
         repo = Path(__file__).resolve().parents[1]
         bundle = load_config(str(repo / "configs" / f"case{case}.cfg"))
         spec = campaign(bundle, case)
-        assert len(spec.runs) == len(spec.variants)
-        for vi, ((label, overrides), run) in enumerate(zip(spec.variants, spec.runs)):
+        assert len(spec.runs) == len(spec.sweep.variants)
+        for vi, ((label, overrides), run) in enumerate(zip(spec.sweep.variants, spec.runs)):
             variant, _ = apply_overrides(spec.base, bundle.target_pf, overrides)
-            points = tuple(apply_overrides(variant, None, {spec.variable: v})[0] for v in spec.grid)
+            points = tuple(apply_overrides(variant, None, {spec.sweep.variable: v})[0] for v in spec.sweep.grid)
             sim = replace(spec.sim, seed=RandomStream.derive_seed(spec.sim.seed, vi))
             assert run == (label, points, sim)
 
@@ -140,7 +164,7 @@ class TestSweepSpec:
         spec = campaign(tiny_bundle, "custom")
         moved = replace(spec, sim=replace(spec.sim, seed=spec.sim.seed + 1))
         assert [sim.seed for _, _, sim in moved.runs] == [
-            RandomStream.derive_seed(spec.sim.seed + 1, vi) for vi in range(len(spec.variants))]
+            RandomStream.derive_seed(spec.sim.seed + 1, vi) for vi in range(len(spec.sweep.variants))]
         assert "runs" not in repr(spec)
 
     @pytest.mark.parametrize("variable, grid", [
@@ -151,8 +175,7 @@ class TestSweepSpec:
         # strictly increasing holds vacuously around a NaN; the point itself is invalid
         spec = campaign(tiny_bundle, "custom")
         with pytest.raises(ValueError, match="nan"):
-            SweepSpec(variable=variable, grid=grid, base=spec.base,
-                      variants=spec.variants, sim=spec.sim)
+            SweepSpec(SweepDef(variable, grid, spec.sweep.variants), spec.base, spec.sim)
         bundle = replace(tiny_bundle, sweep=SweepDef(variable, grid, tiny_bundle.sweep.variants))
         with pytest.raises(ConfigError, match="nan"):
             campaign(bundle, "custom")
@@ -163,8 +186,8 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=message):
             apply_overrides(spec.base, tiny_bundle.target_pf, {"levels": 7.9})
         with pytest.raises(ValueError, match=message):
-            SweepSpec(variable=spec.variable, grid=spec.grid, base=spec.base,
-                      variants=(("fractional", {"levels": 7.9}),), sim=spec.sim)
+            SweepSpec(SweepDef(spec.sweep.variable, spec.sweep.grid, (("fractional", {"levels": 7.9}),)),
+                      spec.base, spec.sim)
 
 
 class TestApplyOverrides:
