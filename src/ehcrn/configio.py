@@ -247,7 +247,7 @@ def load_config(path: str) -> LoadedConfig:
         strict=True,
     )
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             parser.read_file(fh, source=str(path))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc

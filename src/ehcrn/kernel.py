@@ -12,18 +12,19 @@ the chain paths are worked out once and shared, and the verdicts
 battery levels and the tally of all G points in one array step each.
 
 The battery level is a random walk of harvests and transmissions held in
-[0, top].  The kernel reflects the walk at the cap (the walk minus its
-running excess over top, the mirror form) and then at empty (plus that
-path's running deficit below empty, the lower form, Lindley's recursion).
-A row whose reflected path stays at or below top has its level; only the
-rows whose level overflows the cap after it has met empty do not, and
-they take one batched doubling scan of the slots' clamp maps, as the
-chain paths do of their step maps.  The kernel reads the chains and L
-from the one ``Scenario`` the points share, and their detectors' rates
-under the run's sensing law as one :class:`Sensing` (:func:`sensing`),
-and gives every point the same counts, bit for bit, as stepping its
-slots one at a time by the rules in :mod:`ehcrn.simulate`; the tests
-hold that per-slot loop, with constants of its own, as the reference.
+[0, top].  The kernel reflects the walk at the cap and then at empty with
+one push (:func:`_push`): the walk minus the running maximum of its
+excess over top, then plus the running deficit of its lift below empty
+(Lindley's recursion).  A row whose reflected path stays at or below top
+has its level; only the rows whose level overflows the cap after it has
+met empty do not, and they take one batched doubling scan of the slots'
+clamp maps, as the chain paths do of their step maps.  The kernel reads
+the chains and L from the one ``Scenario`` the points share, and their
+detectors' rates under the run's sensing law as one :class:`Sensing`
+(:func:`sensing`), and gives every point the same counts, bit for bit,
+as stepping its slots one at a time by the rules in
+:mod:`ehcrn.simulate`; the tests hold that per-slot loop, with constants
+of its own, as the reference.
 """
 
 from typing import NamedTuple
@@ -137,19 +138,20 @@ def battery_levels(access, harvest, start, top):
     the harvest lands after it, capped at ``top``.
 
     Every row starts from one running sum, the walk P[t] = start +
-    sum_{s<t} (h[s] - a[s]).  A row whose walk passes the cap is reflected
-    at ``top`` (:func:`_mirror_form`, R = P - U with the running excess U),
-    and a row whose path then spends a unit it lacks is reflected at empty
-    by Lindley's recursion (:func:`_lower_form`, adding the running deficit
-    Lam): R = P - U + Lam, with U growing only where the mirrored path
-    P - U is at ``top`` and Lam only where R spends a unit it lacks.
-    Where U grows, R = top + Lam; so a row whose R stays at or below
-    ``top`` has Lam = 0 wherever U grows, each push grows only while R sits
-    at its own end, and R is the two-sided reflection of the walk on
-    [0, top], which is unique (Kruk, Lehoczky, Ramanan & Shreve 2007): the
-    levels.  The rows whose R passes ``top``, the ones whose per-slot path
-    overflows the cap after it has met empty, take one doubling scan of
-    clamp maps, all of them at once, instead (:func:`_clamp_map_scan`).
+    sum_{s<t} (h[s] - a[s]).  One push (:func:`_push`) reflects it at
+    either end: a row whose walk passes the cap is pushed down by the
+    running maximum U of its excess over ``top``, and a row whose path then
+    spends a unit it lacks is pushed up by the running deficit Lam of its
+    lift below empty (Lindley's recursion): R = P - U + Lam, with U growing
+    only where the pushed-down path P - U is at ``top`` and Lam only where
+    R spends a unit it lacks.  Where U grows, R = top + Lam; so a row whose
+    R stays at or below ``top`` has Lam = 0 wherever U grows, each push
+    grows only while R sits at its own end, and R is the two-sided
+    reflection of the walk on [0, top], which is unique (Kruk, Lehoczky,
+    Ramanan & Shreve 2007): the levels.  The rows whose R passes ``top``,
+    the ones whose per-slot path overflows the cap after it has met empty,
+    take one doubling scan of clamp maps, all of them at once, instead
+    (:func:`_clamp_map_scan`).
     """
     g, n = access.shape
     a = access.view(np.int8)
@@ -157,43 +159,34 @@ def battery_levels(access, harvest, start, top):
     levels[:, 0] = start
     np.subtract(harvest.view(np.int8), a, out=levels[:, 1:])
     np.cumsum(levels, axis=1, out=levels)
-    _reflect(levels, levels.max(axis=1) > top, _mirror_form, top)
+    excess = levels[:, 1:] - top
+    _reflect(levels, excess.max(axis=1) > 0, _push, excess, np.maximum)
     lift = levels[:, :-1] - a
-    _reflect(levels, lift.min(axis=1) < 0, _lower_form, lift)
+    _reflect(levels, lift.min(axis=1) < 0, _push, lift, np.minimum)
     _reflect(levels, levels.max(axis=1) > top, _clamp_map_scan, a, harvest, top)
     return levels
 
 
 def _reflect(levels, rows, form, arg, *rest):
     """Apply ``form(y, arg, *rest)`` in place to the rows of ``levels`` that
-    the bool ``rows`` picks; an array ``arg`` is picked with them."""
+    the bool ``rows`` picks, with the same rows of the array ``arg``."""
     picked = np.count_nonzero(rows)
     if picked == len(rows):
         form(levels, arg, *rest)
     elif picked:
         y = levels[rows]
-        form(y, arg[rows] if isinstance(arg, np.ndarray) else arg, *rest)
+        form(y, arg[rows], *rest)
         levels[rows] = y
 
 
-def _lower_form(y, lift):
-    """Reflect the paths ``y`` (rows of levels) at empty, in place, by
-    Lindley's recursion: y[t + 1] -= min(0, min_{s<=t} (y[s] - a[s])).
-
-    ``lift`` holds y[:, :-1] - a on entry and is overwritten.
-    """
-    np.minimum(lift[:, 0], 0, out=lift[:, 0])  # the 0 folded into the first term
-    np.minimum.accumulate(lift, axis=1, out=lift)
-    y[:, 1:] -= lift
-
-
-def _mirror_form(y, top):
-    """Reflect the paths ``y`` (rows of levels, y[:, 0] <= top) at ``top``,
-    in place: y[t] -= max(0, max_{s<=t} y[s] - top) for t >= 1."""
-    cut = y[:, 1:] - top
-    np.maximum(cut[:, 0], 0, out=cut[:, 0])
-    np.maximum.accumulate(cut, axis=1, out=cut)
-    y[:, 1:] -= cut
+def _push(y, excess, extreme):
+    """Reflect the paths ``y`` (rows of levels) at one end, in place:
+    y[t + 1] -= extreme(0, extreme_{s<=t} excess[s]), with ``extreme``
+    np.maximum and ``excess`` y[:, 1:] - top at the cap, and np.minimum and
+    the lift y[:, :-1] - a at empty.  ``excess`` is overwritten."""
+    extreme(excess[:, 0], 0, out=excess[:, 0])  # the 0 folded into the first term
+    extreme.accumulate(excess, axis=1, out=excess)
+    y[:, 1:] -= excess
 
 
 def _clamp_map_scan(y, a, harvest, top):

@@ -68,6 +68,15 @@ class TestAnalyze:
         assert float(cells[0]) == pytest.approx(0.01, abs=1e-9)  # pf at target
         assert 0.0 <= float(cells[-1]) <= 1.0
 
+    def test_byte_order_mark(self, tmp_path, capsys):
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(CASE1).read_bytes())
+        assert main(["analyze", "--config", CASE1]) == 0
+        stock = capsys.readouterr().out
+        assert len(stock.splitlines()) == 2
+        assert main(["analyze", "--config", str(bom)]) == 0
+        assert capsys.readouterr().out == stock
+
 
 class TestSimulate:
     def test_overrides_and_report(self, small_cfg, capsys):

@@ -52,6 +52,15 @@ class TestBundledConfigs:
         assert sim.slots == 1_000_000 and sim.replications == 4
         assert bundle.target_pf == 0.01
 
+    def test_byte_order_mark(self, tmp_path):
+        # a UTF-8 file that starts with a byte-order mark, as some editors save it
+        stock = REPO / "configs" / "case1.cfg"
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + stock.read_bytes())
+        bom, bundle = load_config(str(path)), load_config(str(stock))
+        assert (bom.scenario, bom.sim, bom.target_pf, bom.sweep) == (
+            bundle.scenario, bundle.sim, bundle.target_pf, bundle.sweep)
+
     def test_case2(self):
         bundle = load_config(str(REPO / "configs" / "case2.cfg"))
         assert bundle.target_pf is None

@@ -677,6 +677,26 @@ def spy_on_clamp_map_scan(patch):
     return calls
 
 
+def spy_on_push(patch, harvest):
+    """Record each call of the kernel's one-end push as the name of its
+    extreme and the rows it serves, (access row, start level) each, in row
+    order; ``harvest`` is the call's harvest row."""
+    calls = []
+    push = kernel._push
+
+    def spy(y, excess, extreme):
+        if extreme is np.maximum:  # y is still the walk of h - a
+            a = harvest.view(np.int8) - np.diff(y, axis=1)
+        else:  # excess is the lift y[:, :-1] - a
+            a = y[:, :-1] - excess
+        calls.append((extreme.__name__,
+                      [(row.astype(bool).tolist(), int(first)) for row, first in zip(a, y[:, 0])]))
+        return push(y, excess, extreme)
+
+    patch.setattr(kernel, "_push", spy)
+    return calls
+
+
 class TestBatteryLevels:
     """The batched battery scan against the per-slot clamp loop."""
 
@@ -733,6 +753,20 @@ class TestBatteryLevels:
         served = [0, 1, 2, 4]
         kernel.battery_levels(access[served], harvest, start[served], top)
         assert len(scanned) == 1  # no call when no row falls back
+
+    def test_only_rows_that_reach_an_end_are_pushed(self, monkeypatch):
+        # one push at the cap for the rows whose walk passes it, then one at
+        # empty for the rows whose path spends a unit it lacks: row 0 (walk)
+        # reaches neither, row 1 (lower) only empty and row 2 (mirror) only
+        # the cap
+        access, harvest, start, top = MIXED_ROWS
+        pushed = spy_on_push(monkeypatch, harvest)
+        kernel.battery_levels(access, harvest, start, top)
+
+        def rows(*picked):
+            return [(access[i].tolist(), int(start[i])) for i in picked]
+
+        assert pushed == [("maximum", rows(2, 4)), ("minimum", rows(1, 3, 4, 5))]
 
     @given(battery_inputs())
     def test_clamp_scan_serves_the_rows_that_overflow_after_empty(self, inputs):
