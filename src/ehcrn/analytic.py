@@ -220,7 +220,7 @@ def access_prob_from_rates(pf: float, pd: float, pi_idle: float) -> float:
 class BatteryModel:
     """An L-level battery driven by per-slot access and harvest events.
 
-    ``levels`` is L, an integer >= 2; ``access_prob`` (delta) and
+    ``levels`` is L, an integer >= 2 stored as ``int``; ``access_prob`` (delta) and
     ``harvest_prob`` (e_on), reals in [0, 1] stored as floats, may sit on their boundaries,
     where the geometric law degenerates and the stationary quantities take
     their finite limits: delta == 1 confines the battery to levels {0, 1}
@@ -236,6 +236,8 @@ class BatteryModel:
     def __post_init__(self):
         if not (_is_integer(self.levels) and self.levels >= 2):
             raise ValueError(f"levels must be an integer >= 2, got {self.levels!r}")
+        if type(self.levels) is not int:
+            object.__setattr__(self, "levels", int(self.levels))
         for name, p in (("access", self.access_prob), ("harvest", self.harvest_prob)):
             x = p if type(p) is float else float(p) if _is_real(p) else math.nan
             if not 0.0 <= x <= 1.0:

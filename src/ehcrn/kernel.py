@@ -12,17 +12,16 @@ the chain paths are worked out once and shared, and the verdicts
 battery levels and the tally of all G points in one array step each.
 
 The battery level is a random walk of harvests and transmissions held in
-[0, top].  The kernel reflects the walk at the cap and then at empty with
-one push (:func:`_push`): the walk minus the running maximum of its
-excess over top, then plus the running deficit of its lift below empty
-(Lindley's recursion).  A row whose reflected path stays at or below top
-has its level; only the rows whose level overflows the cap after it has
-met empty do not, and they take one batched doubling scan of the slots'
-clamp maps, as the chain paths do of their step maps.  The kernel reads
-the chains and L from the one ``Scenario`` the points share, and their
-detectors' rates under the run's sensing law as one :class:`Sensing`
-(:func:`sensing`), and gives every point the same counts, bit for bit,
-as stepping its slots one at a time by the rules in
+[0, top], reflected at the cap and then at empty by one push (:func:`_push`)
+against a bound all points share: minus the running maximum of its excess
+over top, then plus the running deficit of the pushed path below the
+slot's harvest (Lindley's recursion).  Only the rows whose level overflows
+the cap after it has met empty take one batched doubling scan of the
+slots' clamp maps instead, as the chain paths do of their step maps.  The
+kernel reads the chains and L from the one ``Scenario`` the points share,
+and their detectors' rates under the run's sensing law as one
+:class:`Sensing` (:func:`sensing`), and gives every point the same counts,
+bit for bit, as stepping its slots one at a time by the rules in
 :mod:`ehcrn.simulate`; the tests hold that per-slot loop, with constants
 of its own, as the reference.
 """
@@ -138,52 +137,49 @@ def battery_levels(access, harvest, start, top):
     the harvest lands after it, capped at ``top``.
 
     Every row starts from one running sum, the walk P[t] = start +
-    sum_{s<t} (h[s] - a[s]).  One push (:func:`_push`) reflects it at
-    either end: a row whose walk passes the cap is pushed down by the
-    running maximum U of its excess over ``top``, and a row whose path then
-    spends a unit it lacks is pushed up by the running deficit Lam of its
-    lift below empty (Lindley's recursion): R = P - U + Lam, with U growing
-    only where the pushed-down path P - U is at ``top`` and Lam only where
-    R spends a unit it lacks.  Where U grows, R = top + Lam; so a row whose
-    R stays at or below ``top`` has Lam = 0 wherever U grows, each push
-    grows only while R sits at its own end, and R is the two-sided
-    reflection of the walk on [0, top], which is unique (Kruk, Lehoczky,
-    Ramanan & Shreve 2007): the levels.  The rows whose R passes ``top``,
-    the ones whose per-slot path overflows the cap after it has met empty,
-    take one doubling scan of clamp maps, all of them at once, instead
-    (:func:`_clamp_map_scan`).
+    sum_{s<t} (h[s] - a[s]), and one push (:func:`_push`) reflects it at
+    each end it reaches: down by the running maximum U of its excess over
+    ``top``, then up by the running deficit Lam of y = P - U below the
+    harvests (Lindley's recursion): R = P - U + Lam.  y[t + 1] - h[t] =
+    y[t] - a[t] - (U[t + 1] - U[t]) differs from the lift y[t] - a[t] only
+    where U grows, y[t + 1] = top and both are >= top - 1 >= 0; so Lam is
+    the lift's deficit below empty, growing only where R spends a unit it
+    lacks, and R = top + Lam where U grows.  A row whose R stays at or below
+    ``top`` thus has Lam = 0 wherever U grows, each push grows only at its
+    own end, and R is the two-sided reflection of the walk on [0, top],
+    unique (Kruk, Lehoczky, Ramanan & Shreve 2007): the levels.  Rows whose
+    R passes ``top`` (their per-slot path overflows the cap after meeting
+    empty) take one doubling scan of clamp maps (:func:`_clamp_map_scan`).
     """
-    g, n = access.shape
-    a = access.view(np.int8)
-    levels = np.empty((g, n + 1), np.int16 if top + n < 1 << 15 else np.int32)
+    a, h = access.view(np.int8), harvest.view(np.int8)
+    levels = np.empty((len(a), len(h) + 1), np.int16 if top + len(h) < 1 << 15 else np.int32)
     levels[:, 0] = start
-    np.subtract(harvest.view(np.int8), a, out=levels[:, 1:])
+    np.subtract(h, a, out=levels[:, 1:])
     np.cumsum(levels, axis=1, out=levels)
-    excess = levels[:, 1:] - top
-    _reflect(levels, excess.max(axis=1) > 0, _push, excess, np.maximum)
-    lift = levels[:, :-1] - a
-    _reflect(levels, lift.min(axis=1) < 0, _push, lift, np.minimum)
-    _reflect(levels, levels.max(axis=1) > top, _clamp_map_scan, a, harvest, top)
+    _reflect(levels, levels.max(axis=1) > top, _push, top, np.maximum)
+    _reflect(levels, (levels[:, 1:] < h).any(axis=1), _push, h, np.minimum)
+    over = levels.max(axis=1) > top
+    _reflect(levels, over, _clamp_map_scan, a[over], harvest, top)
     return levels
 
 
-def _reflect(levels, rows, form, arg, *rest):
-    """Apply ``form(y, arg, *rest)`` in place to the rows of ``levels`` that
-    the bool ``rows`` picks, with the same rows of the array ``arg``."""
+def _reflect(levels, rows, form, *args):
+    """Apply ``form(y, *args)`` in place to the rows y of ``levels`` that
+    the bool ``rows`` picks; ``args`` are not picked, as a push's bound fits every row."""
     picked = np.count_nonzero(rows)
     if picked == len(rows):
-        form(levels, arg, *rest)
+        form(levels, *args)
     elif picked:
         y = levels[rows]
-        form(y, arg[rows], *rest)
+        form(y, *args)
         levels[rows] = y
 
 
-def _push(y, excess, extreme):
+def _push(y, bound, extreme):
     """Reflect the paths ``y`` (rows of levels) at one end, in place:
-    y[t + 1] -= extreme(0, extreme_{s<=t} excess[s]), with ``extreme``
-    np.maximum and ``excess`` y[:, 1:] - top at the cap, and np.minimum and
-    the lift y[:, :-1] - a at empty.  ``excess`` is overwritten."""
+    y[t + 1] -= extreme(0, extreme_{s<=t} (y[s + 1] - bound[s])), at the cap
+    with np.maximum and ``top``, at empty with np.minimum and the harvests."""
+    excess = y[:, 1:] - bound
     extreme(excess[:, 0], 0, out=excess[:, 0])  # the 0 folded into the first term
     extreme.accumulate(excess, axis=1, out=excess)
     y[:, 1:] -= excess

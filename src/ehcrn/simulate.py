@@ -83,11 +83,11 @@ _T975 = lru_cache(maxsize=64)(partial(student_t_quantile, 0.975))
 class SimConfig:
     """Simulation controls.
 
-    ``slots`` (per replication), ``replications`` and ``num_pu_channels``
-    are integers, stored as ``int``; replications run on distinct random
-    substreams and are pooled.  ``sensing_mode`` is a key of
+    ``slots`` (per replication), ``replications``, ``num_pu_channels`` and
+    ``seed`` are integers, stored as ``int``; replications run on distinct
+    random substreams and are pooled.  ``sensing_mode`` is a key of
     ``SENSING_LAWS`` (see module docstring).  ``initial_battery`` is
-    ``"full"`` or a level in [0, L-1]; ``initial_states`` draws the chain
+    ``"full"`` or an ``int`` level in [0, L-1]; ``initial_states`` draws the chain
     starts from their stationary laws (``steady-draw``, unbiased
     without burn-in) or pins them to idle / not-harvesting (``fixed``).
     """
@@ -108,6 +108,7 @@ class SimConfig:
             object.__setattr__(self, name, int(v))  # a numpy count then computes as Python's
         if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.sensing_mode not in SENSING_LAWS:
             raise ValueError(f"sensing_mode must be {' or '.join(map(repr, SENSING_LAWS))}, "
                              f"got {self.sensing_mode!r}")
@@ -116,6 +117,7 @@ class SimConfig:
         level = self.initial_battery
         if level != "full" and not (_is_integer(level) and level >= 0):
             raise ValueError(f"initial_battery must be 'full' or a non-negative level, got {level!r}")
+        object.__setattr__(self, "initial_battery", level if level == "full" else int(level))
 
 
 @dataclass(frozen=True)
@@ -216,11 +218,10 @@ def initial_level(scenario: Scenario, cfg: SimConfig) -> int:
     Raises ValueError if ``cfg.initial_battery`` is above the top level L - 1.
     """
     top = scenario.battery_levels - 1
-    if cfg.initial_battery == "full":
-        return top
-    if cfg.initial_battery > top:
-        raise ValueError(f"initial_battery {cfg.initial_battery} exceeds the top level {top}")
-    return int(cfg.initial_battery)
+    level = top if cfg.initial_battery == "full" else cfg.initial_battery
+    if level > top:
+        raise ValueError(f"initial_battery {level} exceeds the top level {top}")
+    return level
 
 
 def _initial_states(scenario: Scenario, cfg: SimConfig, rng: RandomStream):

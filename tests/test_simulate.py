@@ -12,10 +12,12 @@ from scipy.special import gammaincc
 from scipy.stats import t as student_t
 
 from ehcrn.analytic import (
+    BatteryModel,
     DetectorConfig,
     Scenario,
     access_prob_from_rates,
     detector_rates,
+    outage_prob,
 )
 from ehcrn import kernel, simulate
 from ehcrn.chains import RandomStream, TwoStateChain
@@ -448,6 +450,14 @@ class TestSimConfigValidation:
         names = {f.name for f in fields(simulate.SimReport)} | DERIVED
         assert_same_report(run_simulation(scenario(), given), {name: getattr(want, name) for name in names})
 
+    def test_count_fields_are_stored_as_int(self):
+        # a numpy count is stored as int, so the closed forms it reaches give
+        # a float (outage_prob through its alpha == 1 branch here)
+        battery = BatteryModel(np.int64(5), 0.3, 0.3)
+        assert type(battery.levels) is int and type(outage_prob(battery)) is float
+        assert type(SimConfig(seed=np.uint64(5)).seed) is int
+        assert type(SimConfig(initial_battery=np.int64(3)).initial_battery) is int
+
 
 # Counter slots of the oracle, one per SimReport field in COUNTER_FIELDS.
 DELIVERED, OUTAGE, NONACCESS, COLLIDED, IDLE, ALARM_IDLE, ALARM_OCC = range(7)
@@ -677,24 +687,30 @@ def spy_on_clamp_map_scan(patch):
     return calls
 
 
-def spy_on_push(patch, harvest):
-    """Record each call of the kernel's one-end push as the name of its
-    extreme and the rows it serves, (access row, start level) each, in row
-    order; ``harvest`` is the call's harvest row."""
+def spy_on_reflect(patch):
+    """Record each call of the kernel's row picker as (form, picked row
+    indices, the arguments it hands the form), a push named by its
+    extreme."""
     calls = []
-    push = kernel._push
+    reflect = kernel._reflect
 
-    def spy(y, excess, extreme):
-        if extreme is np.maximum:  # y is still the walk of h - a
-            a = harvest.view(np.int8) - np.diff(y, axis=1)
-        else:  # excess is the lift y[:, :-1] - a
-            a = y[:, :-1] - excess
-        calls.append((extreme.__name__,
-                      [(row.astype(bool).tolist(), int(first)) for row, first in zip(a, y[:, 0])]))
-        return push(y, excess, extreme)
+    def spy(levels, rows, form, *args):
+        name = args[-1].__name__ if form is kernel._push else form.__name__
+        calls.append((name, np.flatnonzero(rows).tolist(), args))
+        return reflect(levels, rows, form, *args)
 
-    patch.setattr(kernel, "_push", spy)
+    patch.setattr(kernel, "_reflect", spy)
     return calls
+
+
+def cap_pushed(access, harvest, start, top):
+    """The walks of :func:`ehcrn.kernel.battery_levels` pushed down at the
+    cap only: start + cumsum(h - a) minus the running maximum of its
+    excess over ``top`` (0 where it has none)."""
+    walk = np.cumsum(np.column_stack([start, harvest.astype(int) - access.astype(int)]), axis=1)
+    excess = np.maximum.accumulate(np.maximum(walk[:, 1:] - top, 0), axis=1)
+    walk[:, 1:] -= excess
+    return walk
 
 
 class TestBatteryLevels:
@@ -756,17 +772,34 @@ class TestBatteryLevels:
 
     def test_only_rows_that_reach_an_end_are_pushed(self, monkeypatch):
         # one push at the cap for the rows whose walk passes it, then one at
-        # empty for the rows whose path spends a unit it lacks: row 0 (walk)
-        # reaches neither, row 1 (lower) only empty and row 2 (mirror) only
-        # the cap
+        # empty for the rows whose path falls below a harvest, then the
+        # fallback: row 0 (walk) reaches neither end, row 1 (lower) only
+        # empty and row 2 (mirror) only the cap
         access, harvest, start, top = MIXED_ROWS
-        pushed = spy_on_push(monkeypatch, harvest)
+        calls = spy_on_reflect(monkeypatch)
         kernel.battery_levels(access, harvest, start, top)
+        assert [call[:2] for call in calls] == [("maximum", [2, 4]), ("minimum", [1, 3, 4, 5]),
+                                                ("_clamp_map_scan", [3, 5])]
+        # neither push gets a (G, n) array: the cap gets top and empty the
+        # (n,) harvest row; only the fallback gets transmit attempts
+        (_, _, cap), (_, _, empty), (_, _, fallback) = calls
+        assert cap == (top, np.maximum)
+        assert empty[0].shape == harvest.shape and empty[0].tolist() == harvest.tolist()
+        assert empty[1:] == (np.minimum,)
+        assert fallback[0].astype(bool).tolist() == access[[3, 5]].tolist()
 
-        def rows(*picked):
-            return [(access[i].tolist(), int(start[i])) for i in picked]
-
-        assert pushed == [("maximum", rows(2, 4)), ("minimum", rows(1, 3, 4, 5))]
+    @given(battery_inputs())
+    @example(MIXED_ROWS)
+    # touches empty without spending a unit it lacks: not pushed
+    @example((np.array([[0, 1, 0]], bool), np.array([0, 0, 1], bool), np.array([1]), 2))
+    def test_empty_push_picks_the_rows_whose_lift_falls_below_empty(self, inputs):
+        # the rows whose cap-pushed path y spends a unit it lacks, y[t] < a[t]
+        access, harvest, start, top = inputs
+        with pytest.MonkeyPatch.context() as patch:
+            calls = spy_on_reflect(patch)
+            kernel.battery_levels(access, harvest, start, top)
+        lift = cap_pushed(access, harvest, start, top)[:, :-1] - access
+        assert calls[1][:2] == ("minimum", np.flatnonzero(lift.min(axis=1) < 0).tolist())
 
     @given(battery_inputs())
     def test_clamp_scan_serves_the_rows_that_overflow_after_empty(self, inputs):
