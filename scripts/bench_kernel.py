@@ -52,12 +52,16 @@ A ``closed_form`` section times the closed-form layer, which never runs
 the kernel, in thread CPU time with the median and quartiles over REPEATS
 repeats after one warm-up: ``operating_point`` in µs per call on the stock
 case-1 and case-2 scenarios and ``threshold_for_target_pf`` in µs per call
-(each repeat averages CALLS calls), and one ``closed_form_vs_numeric``
-call (the 200-chain battery certificate) and one ``run_validation`` call
-on each stock config in ms.  ``validate.random_batteries`` builds its 200
-instances once per process, so these last two time calls with the
-instances already built; ``random_batteries_ms`` times that one-off
-build on its own, through the uncached ``random_batteries.__wrapped__``.
+(each repeat averages CALLS calls), and in ms one ``closed_form_vs_numeric``
+call (the 200-chain battery certificate), one batched
+``birth_death_steady_state`` call on the diagonals of its 200 batteries
+(``birth_death_ms``, the solver alone), one ``run_validation`` call on
+each stock config and one ``cli.main(["analyze", ...])`` call on each
+stock config (``analyze_ms_*``, config load included, stdout captured).
+``validate.random_batteries`` builds its 200 instances once per process,
+so the certificate and ``run_validation`` are timed with the instances
+already built; ``random_batteries_ms`` times that one-off build on its
+own, through the uncached ``random_batteries.__wrapped__``.
 
 Usage:
     python scripts/bench_kernel.py --out BENCH.json --label NAME
@@ -68,6 +72,8 @@ side: run the copy of this script inside each tree.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -81,7 +87,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from ehcrn import analytic, kernel, simulate, validate  # noqa: E402
+from ehcrn import analytic, cli, kernel, simulate, validate  # noqa: E402
 from ehcrn.configio import apply_overrides, load_config  # noqa: E402
 from ehcrn.sweep import CASE_ONE_GRID_DB, CASE_TWO_GRID  # noqa: E402
 
@@ -230,10 +236,23 @@ def closed_form(repeats=REPEATS, calls=CALLS):
         validate.random_batteries.__wrapped__, repeats, 1, 1e3, 3)
     out["closed_form_vs_numeric_ms"] = _cpu_quartiles(
         validate.closed_form_vs_numeric, repeats, 1, 1e3, 3)
+    diagonals = analytic.battery_diagonals(validate.random_batteries())
+    out["birth_death_ms"] = _cpu_quartiles(
+        lambda: analytic.birth_death_steady_state(*diagonals), repeats, 1, 1e3, 3)
     for c, bundle in bundles.items():
         out[f"run_validation_ms_{c}"] = _cpu_quartiles(
             lambda b=bundle: validate.run_validation(b), repeats, 1, 1e3, 3)
+    for c in bundles:
+        out[f"analyze_ms_{c}"] = _cpu_quartiles(
+            lambda c=c: _analyze(str(ROOT / "configs" / f"{c}.cfg")), repeats, 1, 1e3, 3)
     return out
+
+
+def _analyze(config):
+    """One ``ehcrn analyze`` call on ``config``, in process, its stdout discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(["analyze", "--config", config]) != 0:
+            raise RuntimeError(f"ehcrn analyze failed on {config}")
 
 
 def environment():

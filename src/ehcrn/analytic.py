@@ -193,6 +193,13 @@ def gamma_tail(n: float, x: float) -> float:
             return math.exp(log_front + math.log(fraction))
 
 
+# The largest sample count N for which threshold_for_target_pf keeps its
+# round trip: past it, 1 + Qinv(target) / sqrt(N) keeps too few digits of
+# the excess, and the event false-alarm rate misses the target by more
+# than 1e-9 (2.0e-9 at N = 2**53).
+TARGET_PF_MAX_SAMPLES = 2**52
+
+
 def threshold_for_target_pf(target: float, det: DetectorConfig) -> float:
     """Detection threshold (linear power) that yields the given false-alarm rate.
 
@@ -200,9 +207,17 @@ def threshold_for_target_pf(target: float, det: DetectorConfig) -> float:
     eps = noise_power * (1 + Qinv(target) / sqrt(N)).  The exact ("signal")
     law overshoots the target, the more the fewer the samples: 0.01 gives
     0.03592, 0.01852, 0.01391 and 0.01088 at N = 1, 20, 100 and 2000.
+
+    Raises ValueError unless 0 < target < 1 and N <= TARGET_PF_MAX_SAMPLES
+    (2**52), above which the stored threshold no longer carries the target.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target false-alarm probability must lie in (0, 1), got {target!r}")
+    if det.sample_count > TARGET_PF_MAX_SAMPLES:
+        raise ValueError(
+            f"a target false-alarm probability needs at most 2**52 samples, got "
+            f"{det.sample_count}; set normalized_threshold instead"
+        )
     return det.noise_power * (1.0 + q_tail_inverse(target) / math.sqrt(det.sample_count))
 
 
@@ -248,17 +263,24 @@ class BatteryModel:
     @property
     def alpha(self) -> float:
         """Geometric ratio (1 - delta) e_on / (delta (1 - e_on)) of the chain."""
-        if self.harvest_prob == 1.0 or self.access_prob == 0.0:
-            return math.inf
-        return (1.0 - self.access_prob) * self.harvest_prob / (
-            self.access_prob * (1.0 - self.harvest_prob)
-        )
+        return _alpha(self.access_prob, self.harvest_prob)
 
     def _alpha_minus_one(self) -> float:
-        # (1-d)e - d(1-e) simplifies to e - d, which avoids cancellation.
-        return (self.harvest_prob - self.access_prob) / (
-            self.access_prob * (1.0 - self.harvest_prob)
-        )
+        return _alpha_minus_one(self.access_prob, self.harvest_prob)
+
+
+# The battery formulas on plain floats, shared by the BatteryModel API and
+# operating_point: delta and e_on in [0, 1], levels an int >= 2.
+
+def _alpha(delta: float, e_on: float) -> float:
+    if e_on == 1.0 or delta == 0.0:
+        return math.inf
+    return (1.0 - delta) * e_on / (delta * (1.0 - e_on))
+
+
+def _alpha_minus_one(delta: float, e_on: float) -> float:
+    # (1-d)e - d(1-e) simplifies to e - d, which avoids cancellation.
+    return (e_on - delta) / (delta * (1.0 - e_on))
 
 
 def _battery_batch(b):
@@ -328,24 +350,32 @@ def outage_prob(b: BatteryModel) -> float:
     battery never moves, every level absorbs, and pi_0 = 1 by convention
     (the never-harvesting limit).  At delta == e_on == 1 every level >= 1
     absorbs, level 0 is left at once, and pi_0 = 0 for every stationary law.
+
+    The formula is written once, in ``_outage(levels, delta, e_on)`` on
+    plain floats, which :func:`operating_point` also calls; it takes alpha
+    and alpha - 1 from ``_alpha`` and ``_alpha_minus_one``, as
+    :attr:`BatteryModel.alpha` does.
     """
-    if b.harvest_prob == 0.0:
+    return _outage(b.levels, b.access_prob, b.harvest_prob)
+
+
+def _outage(levels: int, delta: float, e_on: float) -> float:
+    if e_on == 0.0:
         return 1.0
-    if b.harvest_prob == 1.0 or b.access_prob == 0.0:
+    if e_on == 1.0 or delta == 0.0:
         return 0.0
-    delta = b.access_prob
-    d = b._alpha_minus_one()
+    d = _alpha_minus_one(delta, e_on)
     if d <= -1.0:
         # delta == 1, or so near it that alpha - 1 rounds to -1
-        return 1.0 - b.harvest_prob
+        return 1.0 - e_on
     if d == 0.0:
-        return (1.0 - delta) / (b.levels - delta)
-    alpha = b.alpha
+        return (1.0 - delta) / (levels - delta)
+    alpha = _alpha(delta, e_on)
     lg = math.log1p(d) if abs(d) < 0.5 else math.log(alpha)
-    if b.levels * lg > 700.0:
+    if levels * lg > 700.0:
         # alpha^L overflows a double; pi_0 has underflowed to zero.
         return 0.0
-    return (1.0 - delta) / ((1.0 - delta) + alpha * math.expm1((b.levels - 1) * lg) / d) + 0.0
+    return (1.0 - delta) / ((1.0 - delta) + alpha * math.expm1((levels - 1) * lg) / d) + 0.0
 
 
 def battery_steady_state(b: BatteryModel | list[BatteryModel]) -> np.ndarray:
@@ -433,6 +463,9 @@ def birth_death_steady_state(down: np.ndarray, stay: np.ndarray, up: np.ndarray)
     The diagonals may have leading batch axes, shapes (..., L - 1), (..., L)
     and (..., L - 1), solved along the last axis.  Pad a chain shorter than
     the batch with down = 1, stay = 0, up = 0: those levels get exactly 0.
+    A level's sign flips with each negative ratio below it; that sign pass
+    runs only when some up or down entry is negative, since otherwise it
+    could not change a byte.
 
     Raises:
         NumericsError: naming the first batch row (flat index) with a row sum off 1,
@@ -457,8 +490,10 @@ def birth_death_steady_state(down: np.ndarray, stay: np.ndarray, up: np.ndarray)
     np.cumsum(logw, axis=-1, out=logw)
     pi -= pi.max(axis=-1, keepdims=True)
     np.exp(pi, out=pi)
-    flip = np.logical_xor.accumulate((up < 0) != (down < 0), axis=-1)
-    np.negative(pi[..., 1:], out=pi[..., 1:], where=flip)
+    negative = (up < 0) != (down < 0)
+    if negative.any():
+        flip = np.logical_xor.accumulate(negative, axis=-1)
+        np.negative(pi[..., 1:], out=pi[..., 1:], where=flip)
     pi /= pi.sum(axis=-1, keepdims=True)
     flow = np.multiply(pi, stay)
     flow[..., 1:] += np.multiply(pi[..., :-1], up, out=part)
@@ -542,13 +577,23 @@ class OperatingPoint:
 
 def operating_point(scenario: Scenario) -> OperatingPoint:
     """Evaluate every closed-form quantity for the scenario, with the
-    detector rates of the Gaussian ("event") law."""
+    detector rates of the Gaussian ("event") law.
+
+    The outage and alpha come from ``_outage`` and ``_alpha``, the
+    formulas of :func:`outage_prob` and :attr:`BatteryModel.alpha`, on the
+    numbers derived here: no ``BatteryModel`` is built.
+    """
     pf, pd = detector_rates(scenario.detector, "event")
     pi_idle = steady_state(scenario.spectrum)[0]
     e_on = steady_state(scenario.energy)[0]
     delta = access_prob_from_rates(pf, pd, pi_idle)
-    battery = BatteryModel(scenario.battery_levels, delta, e_on)
-    pi0 = outage_prob(battery)
+    # No BatteryModel check could fire here: L comes from a checked
+    # Scenario, pi_idle and e_on are stationary probabilities, and
+    # delta = (1 - pf) pi_idle + (1 - pd) (1 - pi_idle) rounds into [0, 1]:
+    # pf and pd lie in [0, 1], rounding is monotone, so each product is at
+    # most its stationary factor, and pi_idle + (1 - pi_idle) rounds to at
+    # most 1.
+    pi0 = _outage(scenario.battery_levels, delta, e_on)
     # pf, pd, delta, pi_idle, e_on, alpha, outage, packet_loss
-    return OperatingPoint(pf, pd, delta, pi_idle, e_on, battery.alpha, pi0,
+    return OperatingPoint(pf, pd, delta, pi_idle, e_on, _alpha(delta, e_on), pi0,
                           1.0 - (1.0 - pi0) * (1.0 - pf) * pi_idle)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaincc
 
 from ehcrn.analytic import (
@@ -32,7 +32,7 @@ from ehcrn.analytic import (
     threshold_for_target_pf,
 )
 from ehcrn import validate
-from ehcrn.analytic import _raise_first
+from ehcrn.analytic import TARGET_PF_MAX_SAMPLES, _raise_first
 from ehcrn.chains import TwoStateChain
 from ehcrn.configio import apply_overrides, load_config
 from ehcrn.errors import NumericsError
@@ -379,6 +379,27 @@ class TestThresholdFromTarget:
         with pytest.raises(ValueError):
             threshold_for_target_pf(target, detector())
 
+    # 1 s at these rates gives N = 2**52 and 2**52 + 1: the product's 1e-12
+    # forgiveness adds 4503.6 samples at this scale.
+    AT_BOUND, ABOVE_BOUND = 2.0**52 - 4504, 2.0**52 - 4503
+
+    @pytest.mark.parametrize("noise", [1e-6, 1.0, 1e6])
+    def test_round_trip_at_the_sample_bound(self, noise):
+        det = detector(tau=1.0, fs=self.AT_BOUND, noise=noise)
+        assert det.sample_count == TARGET_PF_MAX_SAMPLES == 2**52
+        targets = [10.0**e for e in range(-12, 0)] + [0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99]
+        for target in targets:
+            eps = threshold_for_target_pf(target, det)
+            assert abs(detector_rates(replace(det, threshold=eps), "event")[0] - target) <= 1e-9
+
+    def test_rejects_above_the_sample_bound(self):
+        det = detector(tau=1.0, fs=self.ABOVE_BOUND)
+        assert det.sample_count == 2**52 + 1
+        with pytest.raises(ValueError) as info:
+            threshold_for_target_pf(0.01, det)
+        assert str(info.value) == ("a target false-alarm probability needs at most 2**52 samples, "
+                                   "got 4503599627370497; set normalized_threshold instead")
+
 
 class TestAccessProb:
     def test_perfect_sensing(self):
@@ -717,6 +738,32 @@ class TestInPlaceOracle:
         self.assert_same_bytes(models)
         self.assert_same_solve(battery_diagonals(models))
 
+    @staticmethod
+    def negated(negate):
+        """Diagonals of three batteries, the first drifting down so hard that
+        its upper levels are below 1e-30, with the (diagonal, column) entries
+        of its row in ``negate`` negated and each changed row's stay making
+        up the difference: the chain passes the certificate with signed levels."""
+        down, stay, up = battery_diagonals([BatteryModel(30, 0.9, 0.1), BatteryModel(12, 0.5, 0.5),
+                                            BatteryModel(25, 0.3, 0.6)])
+        for name, k in negate:
+            entries, level = (down, k + 1) if name == "down" else (up, k)
+            stay[0, level] += 2.0 * entries[0, k]
+            entries[0, k] *= -1.0
+        return down, stay, up
+
+    def signs(self, diagonals):
+        pi = np.frombuffer(self.assert_same_solve(diagonals)).reshape(3, -1)
+        assert (pi[1:] >= 0.0).all()
+        return np.flatnonzero(pi[0] < 0.0).tolist()
+
+    def test_negative_down_entry(self):
+        # the only negative entry is in down: every level above it flips
+        assert self.signs(self.negated([("down", 19)])) == list(range(20, 30))
+
+    def test_two_negatives_in_one_row_toggle_back(self):
+        assert self.signs(self.negated([("up", 15), ("down", 19)])) == list(range(16, 20))
+
 
 class TestNumericSolver:
     def test_symmetric_two_state(self):
@@ -1023,3 +1070,65 @@ class TestPacketLoss:
         op = operating_point(scn)
         lower = 1.0 - (1.0 - op.pf) * op.pi_idle
         assert lower - 1e-12 <= op.packet_loss <= 1.0
+
+
+def _stay():
+    return st.one_of(st.sampled_from([0.0, 1.0, 1e-9, 1.0 - 1e-9]), st.floats(0.0, 1.0))
+
+
+def point(spectrum, energy, threshold=1.05, snr=SNR_M15_DB, levels=100):
+    """A scenario from its two chains' stays and its detector's threshold and SNR."""
+    return Scenario(TwoStateChain(*spectrum), TwoStateChain(*energy),
+                    detector(threshold=threshold, snr=snr), levels, 0.1)
+
+
+stays = st.tuples(_stay(), _stay()).filter(lambda s: s != (1.0, 1.0))  # one state may absorb
+points = st.builds(point, stays, stays,
+                   st.one_of(st.sampled_from([1e-3, 10.0]), st.floats(0.8, 1.3)),
+                   st.one_of(st.sampled_from([1e-6, 1e6]), st.floats(1e-4, 10.0)),
+                   st.integers(2, 1000))
+
+
+# One scenario per branch of the outage formula, with the condition that
+# selects the branch.  The detectors at the extremes give pf or pd of
+# exactly 0 or 1: a threshold of 1e-3 senses every slot busy, one of 10
+# every slot idle, and an SNR of 1e6 detects every occupied slot.
+OUTAGE_BRANCHES = {
+    "e_on 0": (point((0.5, 0.7), (0.3, 1.0)), lambda op: op.e_on == 0.0),
+    "e_on 1": (point((0.5, 0.7), (1.0, 0.3)), lambda op: op.e_on == 1.0),
+    "delta 0": (point((0.5, 0.7), (0.7, 0.5), threshold=1e-3),
+                lambda op: op.pf == op.pd == 1.0 and op.delta == 0.0),
+    "alpha - 1 <= -1": (point((0.5, 0.7), (0.7, 0.5), threshold=10.0),
+                        lambda op: op.pf == op.pd == 0.0 and op.delta == 1.0),
+    "delta == e_on": (point((0.6, 0.3), (0.6, 0.3), threshold=2.0, snr=1e6),
+                      lambda op: (op.pf, op.pd) == (0.0, 1.0) and op.delta == op.e_on),
+    "L log alpha > 700": (point((0.01, 0.99), (0.99, 0.01), threshold=2.0, snr=1e6),
+                          lambda op: 100 * math.log(op.alpha) > 700.0 and op.outage == 0.0),
+    "interior": (case1_base_scenario(), lambda op: 0.0 < op.outage < 1.0),
+}
+
+
+class TestOneOutageFormula:
+    """operating_point and the BatteryModel API share one outage formula."""
+
+    @pytest.mark.parametrize("name", list(OUTAGE_BRANCHES))
+    def test_branch_example_reaches_its_branch(self, name):
+        scn, reaches = OUTAGE_BRANCHES[name]
+        assert reaches(operating_point(scn))
+
+    @settings(max_examples=200)
+    @given(points)
+    @example(OUTAGE_BRANCHES["e_on 0"][0])
+    @example(OUTAGE_BRANCHES["e_on 1"][0])
+    @example(OUTAGE_BRANCHES["delta 0"][0])
+    @example(OUTAGE_BRANCHES["alpha - 1 <= -1"][0])
+    @example(OUTAGE_BRANCHES["delta == e_on"][0])
+    @example(OUTAGE_BRANCHES["L log alpha > 700"][0])
+    @example(OUTAGE_BRANCHES["interior"][0])
+    def test_operating_point_matches_the_battery_model(self, scn):
+        # BatteryModel rejects a delta outside [0, 1], so this also checks
+        # that operating_point could skip that check
+        op = operating_point(scn)
+        battery = BatteryModel(scn.battery_levels, op.delta, op.e_on)
+        assert op.outage.hex() == outage_prob(battery).hex()
+        assert op.alpha.hex() == battery.alpha.hex()

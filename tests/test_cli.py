@@ -385,6 +385,33 @@ def test_overflowing_sample_count_is_config_error(command, tmp_path):
                    "finite sample count, got 10000000000.0 * 1e+300\n")
 
 
+# 0.002 s * 1e32 Hz: far more samples than a target_pf threshold can carry.
+TOO_MANY_SAMPLES = ("a target false-alarm probability needs at most 2**52 samples, got "
+                    "200000000000200041205998813184; set normalized_threshold instead "
+                    "(from target_pf=0.01)\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_target_pf_beyond_the_sample_bound_is_config_error(command, tmp_path):
+    # the stored threshold cannot carry Qinv(0.01) / sqrt(N) here: analyze printed pf 0.0112
+    path = tmp_path / "many.cfg"
+    path.write_text(stock(1, sampling_rate="1e32"), encoding="utf-8")
+    code, out, err = run_quietly([command, "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "ehcrn: config error: detector: " + TOO_MANY_SAMPLES
+
+
+def test_target_pf_variant_beyond_the_sample_bound_is_config_error(tmp_path):
+    path = tmp_path / "many.cfg"
+    path.write_text(stock(2, sampling_rate="1e32") + "[sweep]\nvariable = primary_snr_db\n"
+                    "grid = -20, -10\nvariant_1 = a: target_pf=0.01\n", encoding="utf-8")
+    assert run_quietly(["analyze", "--config", str(path)])[0] == 0  # normalized_threshold loads
+    code, out, err = run_quietly(["sweep", "--case", "custom", "--config", str(path),
+                                  "--out", str(tmp_path / "out")])
+    assert (code, out) == (2, "")
+    assert err == "ehcrn: config error: sweep: variant 'a': " + TOO_MANY_SAMPLES
+
+
 def _stay():
     return st.one_of(st.sampled_from([0.0, 1.0, 1e-9, 1.0 - 1e-9]), st.floats(0.0, 1.0))
 

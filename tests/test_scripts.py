@@ -70,8 +70,9 @@ def test_bench_kernel_closed_form_section(monkeypatch):
     out = bench.closed_form(repeats=2, calls=3)
     assert out.pop("calls") == 3
     assert set(out) == {"operating_point_us_case1", "operating_point_us_case2", "threshold_us",
-                        "random_batteries_ms", "closed_form_vs_numeric_ms", "run_validation_ms_case1",
-                        "run_validation_ms_case2"}
+                        "random_batteries_ms", "closed_form_vs_numeric_ms", "birth_death_ms",
+                        "run_validation_ms_case1", "run_validation_ms_case2", "analyze_ms_case1",
+                        "analyze_ms_case2"}
     for figure in out.values():
         assert set(figure) == {"median", "q1", "q3"}
         assert 0 <= figure["q1"] <= figure["median"] <= figure["q3"]
