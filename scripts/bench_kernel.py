@@ -51,7 +51,11 @@ from the median total.
 A ``closed_form`` section times the closed-form layer, which never runs
 the kernel, in thread CPU time with the median and quartiles over REPEATS
 repeats after one warm-up: ``operating_point`` in µs per call on the stock
-case-1 and case-2 scenarios and ``threshold_for_target_pf`` in µs per call
+case-1 and case-2 scenarios, ``threshold_for_target_pf``, one
+``OperatingPoint(...)`` record built from its eight floats
+(``operating_point_record_us``), ``replace(detector, threshold=...)``
+(``detector_replace_us``) and ``replace(scenario, detector=...)``
+(``scenario_replace_us``) on the case-1 scenario, each in µs per call
 (each repeat averages CALLS calls), and in ms one ``closed_form_vs_numeric``
 call (the 200-chain battery certificate), one batched
 ``birth_death_steady_state`` call on the diagonals of its 200 batteries
@@ -79,7 +83,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +236,14 @@ def closed_form(repeats=REPEATS, calls=CALLS):
             lambda s=bundle.scenario: analytic.operating_point(s), repeats, calls, 1e6, 3)
     out["threshold_us"] = _cpu_quartiles(
         lambda: analytic.threshold_for_target_pf(0.01, det), repeats, calls, 1e6, 3)
+    scenario = bundles["case1"].scenario
+    values = astuple(analytic.operating_point(scenario))
+    out["operating_point_record_us"] = _cpu_quartiles(
+        lambda: analytic.OperatingPoint(*values), repeats, calls, 1e6, 3)
+    out["detector_replace_us"] = _cpu_quartiles(
+        lambda: replace(det, threshold=1.05 * det.noise_power), repeats, calls, 1e6, 3)
+    out["scenario_replace_us"] = _cpu_quartiles(
+        lambda: replace(scenario, detector=det), repeats, calls, 1e6, 3)
     out["random_batteries_ms"] = _cpu_quartiles(
         validate.random_batteries.__wrapped__, repeats, 1, 1e3, 3)
     out["closed_form_vs_numeric_ms"] = _cpu_quartiles(

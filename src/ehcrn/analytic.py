@@ -25,11 +25,10 @@ probability is
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from ehcrn.chains import TwoStateChain, _is_integer, _is_real, steady_state
+from ehcrn.chains import TwoStateChain, _is_integer, _is_real, frozen, steady_state
 from ehcrn.errors import NumericsError
 from ehcrn.gaussian import q_tail, q_tail_inverse
 
@@ -53,7 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class DetectorConfig:
     """Energy detector parameters.
 
@@ -78,7 +77,7 @@ class DetectorConfig:
             if not 0.0 < x < math.inf:
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
             if x is not v:
-                object.__setattr__(self, name, x)
+                self.__dict__[name] = x
         # Round down, but forgive products like 0.003 * 1e6 that land one ulp
         # below the intended integer.
         count = self.sensing_duration * self.sampling_rate * (1.0 + 1e-12)
@@ -95,7 +94,7 @@ class DetectorConfig:
             )
         # An instance attribute, not a field: set by every construction,
         # replace() included, and kept by copy and pickle with the fields.
-        object.__setattr__(self, "sample_count", n)
+        self.__dict__["sample_count"] = n
 
     def variance(self, occupied) -> float:
         """Variance v of a sample: N0 when idle, (SNR + 1) N0 when occupied."""
@@ -231,7 +230,7 @@ def access_prob_from_rates(pf: float, pd: float, pi_idle: float) -> float:
     return (1.0 - pf) * pi_idle + (1.0 - pd) * (1.0 - pi_idle)
 
 
-@dataclass(frozen=True)
+@frozen
 class BatteryModel:
     """An L-level battery driven by per-slot access and harvest events.
 
@@ -252,13 +251,13 @@ class BatteryModel:
         if not (_is_integer(self.levels) and self.levels >= 2):
             raise ValueError(f"levels must be an integer >= 2, got {self.levels!r}")
         if type(self.levels) is not int:
-            object.__setattr__(self, "levels", int(self.levels))
+            self.__dict__["levels"] = int(self.levels)
         for name, p in (("access", self.access_prob), ("harvest", self.harvest_prob)):
             x = p if type(p) is float else float(p) if _is_real(p) else math.nan
             if not 0.0 <= x <= 1.0:
                 raise ValueError(f"{name} probability must lie in [0, 1], got {p!r}")
             if x is not p:
-                object.__setattr__(self, f"{name}_prob", x)
+                self.__dict__[f"{name}_prob"] = x
 
     @property
     def alpha(self) -> float:
@@ -514,7 +513,7 @@ def _raise_first(bad: np.ndarray, message: str, **per_row):
         raise NumericsError(message.format(row=row, **{k: v.flat[row] for k, v in per_row.items()}))
 
 
-@dataclass(frozen=True)
+@frozen
 class Scenario:
     """Full description of one operating point of the link.
 
@@ -533,13 +532,14 @@ class Scenario:
     def __post_init__(self):
         if not (_is_integer(self.battery_levels) and self.battery_levels >= 2):
             raise ValueError(f"battery_levels must be an integer >= 2, got {self.battery_levels!r}")
-        object.__setattr__(self, "battery_levels", int(self.battery_levels))
+        if type(self.battery_levels) is not int:
+            self.__dict__["battery_levels"] = int(self.battery_levels)
         v = self.slot_duration
         x = v if type(v) is float else float(v) if _is_real(v) else math.nan
         if not 0.0 < x < math.inf:
             raise ValueError(f"slot_duration must be a positive finite number, got {v!r}")
         if x is not v:
-            object.__setattr__(self, "slot_duration", x)
+            self.__dict__["slot_duration"] = x
         tau = self.detector.sensing_duration
         if tau > self.slot_duration:
             raise ValueError(
@@ -549,7 +549,7 @@ class Scenario:
             warnings.warn(
                 f"sensing duration {tau} s is more than a tenth of the slot "
                 f"({self.slot_duration} s); the model assumes sensing is short",
-                stacklevel=2,
+                stacklevel=3,  # past __init__, to the line that built the Scenario
             )
 
     @property
@@ -561,7 +561,7 @@ class Scenario:
         return steady_state(self.energy)[0]
 
 
-@dataclass(frozen=True)
+@frozen
 class OperatingPoint:
     """All closed-form quantities of a scenario in one record."""
 

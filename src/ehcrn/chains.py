@@ -4,18 +4,66 @@ Both the spectrum occupancy process (idle / occupied) and the energy
 arrival process (harvesting / not harvesting) are instances of the same
 two-state chain, parameterised by the two self-transition probabilities.
 The simulator encodes state A as 0 and state B as 1 and advances the chains
-with :func:`ehcrn.kernel.chain_path`.
+with :func:`ehcrn.kernel.chain_path`.  The package's shared private helpers
+live here too: the real and integer predicates, and :func:`frozen`, which
+builds every model record.
 """
 
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+def frozen(cls):
+    """``dataclass(frozen=True)`` with an ``__init__`` that stores each field
+    in the instance ``__dict__`` directly, as ``functools.cached_property``
+    does, where the stdlib's generated ``__init__`` makes one call of the base
+    ``__setattr__`` per field, which costs several times as much.
+
+    The class is made a dataclass with ``init=False``, so ``repr``, ``==``,
+    ``hash``, ``fields``, ``replace``, pickling and ``FrozenInstanceError`` on
+    assignment are the stdlib's; its ``__init__`` is then built with ``exec``,
+    as ``dataclasses`` builds its own.  That ``__init__`` takes the ``init``
+    fields by the same names, in the same order and with the same trailing
+    defaults, calls ``__post_init__`` when the class has one, and has the
+    qualified name ``Cls.__init__``, so a wrong call raises the same
+    ``TypeError``.  A ``__post_init__`` that normalises a field writes
+    ``self.__dict__[name]`` in the same way.
+
+    Raises TypeError on a field with a ``default_factory``, a non-``init``
+    field with a default, or a field without a default after one with one.
+    """
+    cls = dataclass(frozen=True, init=False)(cls)
+    params, defaults = [], []
+    for f in fields(cls):
+        if f.default_factory is not MISSING or (not f.init and f.default is not MISSING):
+            raise TypeError(f"frozen: field {cls.__qualname__}.{f.name} needs a default it cannot store")
+        if not f.init:
+            continue
+        if f.default is not MISSING:
+            defaults.append(f.default)
+        elif defaults:
+            raise TypeError(f"frozen: non-default field {cls.__qualname__}.{f.name} follows a default")
+        params.append(f)
+    # ``__d`` cannot name a field: a class body would have mangled it.
+    lines = [f"def __init__(self, {', '.join(f.name for f in params)}):", "    __d = self.__dict__"]
+    lines += [f"    __d[{f.name!r}] = {f.name}" for f in params]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(defaults) or None
+    init.__annotations__ = {**{f.name: f.type for f in params}, "return": None}
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@frozen
 class TwoStateChain:
     """A correlated binary Markov process.
 
@@ -33,7 +81,7 @@ class TwoStateChain:
             if not 0.0 <= x <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
             if x is not p:
-                object.__setattr__(self, name, x)
+                self.__dict__[name] = x
         if self.stay_a == 1.0 and self.stay_b == 1.0:
             raise ValueError(
                 "degenerate chain: both self-transition probabilities are 1, so both states are "

@@ -19,10 +19,10 @@ rejects leaves through one door, ``errors.as_config_error``, as a
 import configparser
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 
 from ehcrn.analytic import DetectorConfig, Scenario, threshold_for_target_pf
-from ehcrn.chains import TwoStateChain
+from ehcrn.chains import TwoStateChain, frozen
 from ehcrn.errors import ConfigError, as_config_error
 from ehcrn.simulate import SimConfig, initial_level
 
@@ -74,7 +74,7 @@ _THRESHOLD_KEYS = frozenset({"target_pf", "normalized_threshold"})
 _LABEL = re.compile(r"[A-Za-z0-9_.+-]+")
 
 
-@dataclass(frozen=True)
+@frozen
 class SweepDef:
     """A sweep campaign without its scenario: the swept variable, its grid
     and the labelled variants, as (label, {override key: value}) pairs.
@@ -122,7 +122,7 @@ class SweepDef:
                 raise ValueError(f"variant {label!r}: cannot override {clash}, which the {variable} grid sets")
 
 
-@dataclass(frozen=True)
+@frozen
 class LoadedConfig:
     """Everything a config file describes."""
 

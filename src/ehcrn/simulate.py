@@ -54,14 +54,13 @@ happened; the report sorts that tally into the loss causes above.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
 from ehcrn import kernel
 from ehcrn.analytic import SENSING_LAWS, Scenario
-from ehcrn.chains import RandomStream, _is_integer
+from ehcrn.chains import RandomStream, _is_integer, frozen
 from ehcrn.gaussian import student_t_quantile
 
 __all__ = [
@@ -79,7 +78,7 @@ _BLOCK = 1 << 20
 _T975 = lru_cache(maxsize=64)(partial(student_t_quantile, 0.975))
 
 
-@dataclass(frozen=True)
+@frozen
 class SimConfig:
     """Simulation controls.
 
@@ -105,10 +104,12 @@ class SimConfig:
             v = getattr(self, name)
             if not (_is_integer(v) and v >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-            object.__setattr__(self, name, int(v))  # a numpy count then computes as Python's
+            if type(v) is not int:
+                self.__dict__[name] = int(v)  # a numpy count then computes as Python's
         if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        if type(self.seed) is not int:
+            self.__dict__["seed"] = int(self.seed)
         if self.sensing_mode not in SENSING_LAWS:
             raise ValueError(f"sensing_mode must be {' or '.join(map(repr, SENSING_LAWS))}, "
                              f"got {self.sensing_mode!r}")
@@ -117,10 +118,11 @@ class SimConfig:
         level = self.initial_battery
         if level != "full" and not (_is_integer(level) and level >= 0):
             raise ValueError(f"initial_battery must be 'full' or a non-negative level, got {level!r}")
-        object.__setattr__(self, "initial_battery", level if level == "full" else int(level))
+        if level != "full" and type(level) is not int:
+            self.__dict__["initial_battery"] = int(level)
 
 
-@dataclass(frozen=True)
+@frozen
 class SimReport:
     """Slot counts pooled over one or more replications, and the empirical
     estimators that are their ratios.

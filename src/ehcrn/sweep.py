@@ -26,12 +26,12 @@ both data emitters walk them.
 """
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import field, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
 from ehcrn.analytic import Scenario, operating_point
-from ehcrn.chains import RandomStream
+from ehcrn.chains import RandomStream, frozen
 from ehcrn.configio import SWEEP_VARIABLES, LoadedConfig, SweepDef, apply_overrides
 from ehcrn.errors import ConfigError, as_config_error
 from ehcrn.simulate import SimConfig, initial_level, run_points
@@ -74,7 +74,7 @@ CASES = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class SweepResultRow:
     """One sweep point: analytic columns are re-derivable from the row's
     parameters alone; ``seed``, shared by the rows of one variant,
@@ -102,7 +102,7 @@ CSV_HEADER = ",".join(f.name for f in _FIELDS)
 _JSON_RECORD = json.JSONEncoder(separators=(",\n    ", ": ")).encode
 
 
-@dataclass(frozen=True)
+@frozen
 class SweepSpec:
     """A checked sweep definition with the base scenario and controls it runs on.
     ``runs``, built and so checked at construction, holds per variant its label,
@@ -125,7 +125,7 @@ class SweepSpec:
                 raise ValueError(f"variant {label!r}: {exc}") from None
             points = tuple(apply_overrides(scn, None, {self.sweep.variable: value})[0] for value in self.sweep.grid)
             runs.append((label, points, replace(self.sim, seed=RandomStream.derive_seed(self.sim.seed, vi))))
-        object.__setattr__(self, "runs", tuple(runs))
+        self.__dict__["runs"] = tuple(runs)
 
 
 def campaign(bundle: LoadedConfig, case: str) -> SweepSpec:

@@ -991,9 +991,10 @@ class TestScenario:
                      detector(tau=0.2), 10, 0.1)
 
     def test_long_sensing_warns(self):
-        with pytest.warns(UserWarning, match="tenth"):
+        with pytest.warns(UserWarning, match="tenth") as record:
             Scenario(TwoStateChain(0.5, 0.7), TwoStateChain(0.7, 0.5),
                      detector(tau=0.05), 10, 0.1)
+        assert [w.filename for w in record] == [__file__]  # the caller's line, not __init__'s
 
     @pytest.mark.parametrize("slot", [0.0, -0.1, True, math.inf, math.nan, "0.1",
                                       pytest.param(10**400, id="10**400")])

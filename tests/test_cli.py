@@ -412,6 +412,18 @@ def test_target_pf_variant_beyond_the_sample_bound_is_config_error(tmp_path):
     assert err == "ehcrn: config error: sweep: variant 'a': " + TOO_MANY_SAMPLES
 
 
+def test_normalized_threshold_beyond_the_sample_bound_validates(tmp_path):
+    # no target sets this config's threshold, so validate checks that every target is refused
+    path = tmp_path / "many.cfg"
+    path.write_text(stock(2, sampling_rate="1e20", normalized_threshold="1.0", slots="2000"),
+                    encoding="utf-8")
+    code, out, err = run_quietly(["validate", "--config", str(path)])
+    assert (code, err) == (0, "")
+    assert out.count("[PASS]") == 5 and "[FAIL]" not in out
+    assert ("\n[PASS] threshold-from-target round trip: 5 of 5 targets refused, as "
+            "N = 200000000000200032 samples is above the bound of 2**52\n") in out
+
+
 def _stay():
     return st.one_of(st.sampled_from([0.0, 1.0, 1e-9, 1.0 - 1e-9]), st.floats(0.0, 1.0))
 

@@ -70,6 +70,7 @@ def test_bench_kernel_closed_form_section(monkeypatch):
     out = bench.closed_form(repeats=2, calls=3)
     assert out.pop("calls") == 3
     assert set(out) == {"operating_point_us_case1", "operating_point_us_case2", "threshold_us",
+                        "operating_point_record_us", "detector_replace_us", "scenario_replace_us",
                         "random_batteries_ms", "closed_form_vs_numeric_ms", "birth_death_ms",
                         "run_validation_ms_case1", "run_validation_ms_case2", "analyze_ms_case1",
                         "analyze_ms_case2"}
