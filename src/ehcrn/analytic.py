@@ -28,7 +28,7 @@ import warnings
 
 import numpy as np
 
-from ehcrn.chains import TwoStateChain, _is_integer, _is_real, frozen, steady_state
+from ehcrn.chains import _LEVELS, _POSITIVE_REAL, _UNIT, TwoStateChain, _counts, _reals, frozen, steady_state
 from ehcrn.errors import NumericsError
 from ehcrn.gaussian import q_tail, q_tail_inverse
 
@@ -71,13 +71,8 @@ class DetectorConfig:
     primary_snr: float
 
     def __post_init__(self):
-        for name in ("sensing_duration", "sampling_rate", "noise_power", "threshold", "primary_snr"):
-            v = getattr(self, name)
-            x = v if type(v) is float else float(v) if _is_real(v) else math.nan
-            if not 0.0 < x < math.inf:
-                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
-            if x is not v:
-                self.__dict__[name] = x
+        _reals(self, ("sensing_duration", "sampling_rate", "noise_power", "threshold", "primary_snr"),
+               _POSITIVE_REAL)
         # Round down, but forgive products like 0.003 * 1e6 that land one ulp
         # below the intended integer.
         count = self.sensing_duration * self.sampling_rate * (1.0 + 1e-12)
@@ -248,24 +243,13 @@ class BatteryModel:
     harvest_prob: float
 
     def __post_init__(self):
-        if not (_is_integer(self.levels) and self.levels >= 2):
-            raise ValueError(f"levels must be an integer >= 2, got {self.levels!r}")
-        if type(self.levels) is not int:
-            self.__dict__["levels"] = int(self.levels)
-        for name, p in (("access", self.access_prob), ("harvest", self.harvest_prob)):
-            x = p if type(p) is float else float(p) if _is_real(p) else math.nan
-            if not 0.0 <= x <= 1.0:
-                raise ValueError(f"{name} probability must lie in [0, 1], got {p!r}")
-            if x is not p:
-                self.__dict__[f"{name}_prob"] = x
+        _counts(self, ("levels",), _LEVELS)
+        _reals(self, ("access_prob", "harvest_prob"), _UNIT)
 
     @property
     def alpha(self) -> float:
         """Geometric ratio (1 - delta) e_on / (delta (1 - e_on)) of the chain."""
         return _alpha(self.access_prob, self.harvest_prob)
-
-    def _alpha_minus_one(self) -> float:
-        return _alpha_minus_one(self.access_prob, self.harvest_prob)
 
 
 # The battery formulas on plain floats, shared by the BatteryModel API and
@@ -394,10 +378,10 @@ def battery_steady_state(b: BatteryModel | list[BatteryModel]) -> np.ndarray:
         delta, e_on = m.access_prob, m.harvest_prob
         if e_on in (0.0, 1.0) or delta == 0.0:
             fixed.append((k, 0 if e_on == 0.0 else m.levels - 1, 1.0))
-        elif (d := m._alpha_minus_one()) <= -1.0:  # as in outage_prob
+        elif (d := _alpha_minus_one(delta, e_on)) <= -1.0:  # as in outage_prob
             fixed += [(k, 0, 1.0 - e_on), (k, 1, e_on)]
         else:  # log alpha as in outage_prob
-            slope[k] = math.log1p(d) if abs(d) < 0.5 else math.log(m.alpha)
+            slope[k] = math.log1p(d) if abs(d) < 0.5 else math.log(_alpha(delta, e_on))
             shift[k] = math.log(1.0 - delta)
     vec = np.multiply(col, slope[:, None])  # the log-weights, normalised in place
     vec -= shift[:, None]
@@ -530,16 +514,8 @@ class Scenario:
     slot_duration: float
 
     def __post_init__(self):
-        if not (_is_integer(self.battery_levels) and self.battery_levels >= 2):
-            raise ValueError(f"battery_levels must be an integer >= 2, got {self.battery_levels!r}")
-        if type(self.battery_levels) is not int:
-            self.__dict__["battery_levels"] = int(self.battery_levels)
-        v = self.slot_duration
-        x = v if type(v) is float else float(v) if _is_real(v) else math.nan
-        if not 0.0 < x < math.inf:
-            raise ValueError(f"slot_duration must be a positive finite number, got {v!r}")
-        if x is not v:
-            self.__dict__["slot_duration"] = x
+        _counts(self, ("battery_levels",), _LEVELS)
+        _reals(self, ("slot_duration",), _POSITIVE_REAL)
         tau = self.detector.sensing_duration
         if tau > self.slot_duration:
             raise ValueError(

@@ -5,8 +5,9 @@ arrival process (harvesting / not harvesting) are instances of the same
 two-state chain, parameterised by the two self-transition probabilities.
 The simulator encodes state A as 0 and state B as 1 and advances the chains
 with :func:`ehcrn.kernel.chain_path`.  The package's shared private helpers
-live here too: the real and integer predicates, and :func:`frozen`, which
-builds every model record.
+live here too: :func:`frozen`, which builds every model record, and the two
+rules that check every number the package takes, :func:`_reals` and
+:func:`_count` (:func:`_counts` on a record), with their kinds of number.
 """
 
 import math
@@ -76,12 +77,7 @@ class TwoStateChain:
     stay_b: float
 
     def __post_init__(self):
-        for name, p in (("stay_a", self.stay_a), ("stay_b", self.stay_b)):
-            x = p if type(p) is float else float(p) if _is_real(p) else math.nan
-            if not 0.0 <= x <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
-            if x is not p:
-                self.__dict__[name] = x
+        _reals(self, ("stay_a", "stay_b"), _UNIT)
         if self.stay_a == 1.0 and self.stay_b == 1.0:
             raise ValueError(
                 "degenerate chain: both self-transition probabilities are 1, so both states are "
@@ -112,12 +108,8 @@ class RandomStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if not (_is_integer(seed) and 0 <= seed < 2**64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-        if not (_is_integer(stream_id) and 0 <= stream_id < 2**32):
-            raise ValueError(f"stream_id must be an integer in [0, 2**32), got {stream_id!r}")
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.seed = _count("seed", seed, _SEED)
+        self.stream_id = _count("stream_id", stream_id, (0, 2**32, "must be an integer in [0, 2**32)"))
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,)))
         )
@@ -137,10 +129,9 @@ class RandomStream:
 
         Raises ValueError if the seed or a key is not a non-negative integer.
         """
-        for value in (seed, *key):
-            if not (_is_integer(value) and value >= 0):
-                raise ValueError(f"derive_seed takes non-negative integers, got {value!r}")
-        ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
+        seed = _count("seed", seed, _NON_NEGATIVE)
+        key = tuple(_count("key", k, _NON_NEGATIVE) for k in key)
+        ss = np.random.SeedSequence(seed, spawn_key=key)
         return int(ss.generate_state(1, np.uint64)[0])
 
     def __repr__(self):
@@ -157,3 +148,46 @@ def _is_real(value) -> bool:
     if type(value) is float or isinstance(value, (float, np.floating)):
         return math.isfinite(value)
     return _is_integer(value) and -sys.float_info.max <= value <= sys.float_info.max
+
+
+# Kinds of number, each (low, high, requirement): a count is an integer in
+# [low, high), a real one in [low, high] (math.ulp(0.0) is the least
+# positive double); the requirement is its message.
+_POSITIVE = (1, math.inf, "must be a positive integer")
+_NON_NEGATIVE = (0, math.inf, "must be a non-negative integer")
+_LEVELS = (2, math.inf, "must be an integer >= 2")  # a battery size L
+_SEED = (0, 2**64, "must be a 64-bit unsigned integer")
+_UNIT = (0.0, 1.0, "must lie in [0, 1]")
+_POSITIVE_REAL = (math.ulp(0.0), sys.float_info.max, "must be a positive finite number")
+
+
+def _count(name: str, value, kind) -> int:
+    """The count rule: ``value`` as ``int`` if it is of ``kind``, else ValueError naming ``name``."""
+    low, high, requirement = kind
+    if not (_is_integer(value) and low <= value < high):
+        raise ValueError(f"{name} {requirement}, got {value!r}")
+    return int(value)
+
+
+def _counts(record, names, kind) -> None:
+    """The count rule on a record's named fields, stored only when not already in-range ``int``s."""
+    d = record.__dict__
+    low, high, _ = kind
+    for name in names:
+        v = d[name]
+        if type(v) is not int or not low <= v < high:
+            d[name] = _count(name, v, kind)
+
+
+def _reals(record, names, kind) -> None:
+    """The real rule on a record's named fields: each a real of ``kind``, stored
+    only when not already an in-range ``float``; else ValueError naming it."""
+    d = record.__dict__
+    low, high, requirement = kind
+    for name in names:
+        v = d[name]
+        if type(v) is not float or not low <= v <= high:
+            x = float(v) if _is_real(v) else math.nan
+            if not low <= x <= high:
+                raise ValueError(f"{name} {requirement}, got {v!r}")
+            d[name] = x

@@ -13,7 +13,7 @@ any simulation in this package.
 import math
 from statistics import NormalDist
 
-from ehcrn.chains import _is_integer
+from ehcrn.chains import _POSITIVE, _count
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -88,8 +88,7 @@ def student_t_quantile(p: float, df: int) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
-    if not (_is_integer(df) and df >= 1):
-        raise ValueError(f"df must be a positive integer, got {df!r}")
+    df = _count("df", df, _POSITIVE)
     if p < 0.5:
         return -student_t_quantile(1.0 - p, df)
     log_norm = math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df) - 0.5 * math.log(df * math.pi)

@@ -60,7 +60,7 @@ import numpy as np
 
 from ehcrn import kernel
 from ehcrn.analytic import SENSING_LAWS, Scenario
-from ehcrn.chains import RandomStream, _is_integer, frozen
+from ehcrn.chains import _POSITIVE, _SEED, RandomStream, _counts, frozen
 from ehcrn.gaussian import student_t_quantile
 
 __all__ = [
@@ -100,26 +100,15 @@ class SimConfig:
     num_pu_channels: int = 1
 
     def __post_init__(self):
-        for name in ("slots", "replications", "num_pu_channels"):
-            v = getattr(self, name)
-            if not (_is_integer(v) and v >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-            if type(v) is not int:
-                self.__dict__[name] = int(v)  # a numpy count then computes as Python's
-        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if type(self.seed) is not int:
-            self.__dict__["seed"] = int(self.seed)
+        _counts(self, ("slots", "replications", "num_pu_channels"), _POSITIVE)
+        _counts(self, ("seed",), _SEED)
         if self.sensing_mode not in SENSING_LAWS:
             raise ValueError(f"sensing_mode must be {' or '.join(map(repr, SENSING_LAWS))}, "
                              f"got {self.sensing_mode!r}")
         if self.initial_states not in ("steady-draw", "fixed"):
             raise ValueError(f"initial_states must be 'steady-draw' or 'fixed', got {self.initial_states!r}")
-        level = self.initial_battery
-        if level != "full" and not (_is_integer(level) and level >= 0):
-            raise ValueError(f"initial_battery must be 'full' or a non-negative level, got {level!r}")
-        if level != "full" and type(level) is not int:
-            self.__dict__["initial_battery"] = int(level)
+        if self.initial_battery != "full":
+            _counts(self, ("initial_battery",), (0, math.inf, "must be 'full' or a non-negative level"))
 
 
 @frozen

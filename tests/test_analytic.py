@@ -4,11 +4,13 @@ import copy
 import math
 import pickle
 import re
+import typing
 import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,10 +34,12 @@ from ehcrn.analytic import (
     threshold_for_target_pf,
 )
 from ehcrn import validate
-from ehcrn.analytic import TARGET_PF_MAX_SAMPLES, _raise_first
-from ehcrn.chains import TwoStateChain
+from ehcrn import gaussian
+from ehcrn.analytic import TARGET_PF_MAX_SAMPLES, _alpha_minus_one, _raise_first
+from ehcrn.chains import RandomStream, TwoStateChain
 from ehcrn.configio import apply_overrides, load_config
 from ehcrn.errors import NumericsError
+from ehcrn.simulate import SimConfig
 from ehcrn.validate import closed_form_vs_numeric, random_batteries, run_validation
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -130,7 +134,7 @@ def reference_battery_steady_state(b):
         delta, e_on = m.access_prob, m.harvest_prob
         if e_on in (0.0, 1.0) or delta == 0.0:
             fixed.append((k, 0 if e_on == 0.0 else m.levels - 1, 1.0))
-        elif (d := m._alpha_minus_one()) <= -1.0:
+        elif (d := _alpha_minus_one(delta, e_on)) <= -1.0:
             fixed += [(k, 0, 1.0 - e_on), (k, 1, e_on)]
         else:
             slope[k] = math.log1p(d) if abs(d) < 0.5 else math.log(m.alpha)
@@ -429,7 +433,7 @@ class TestBatteryModel:
         with pytest.raises(ValueError):
             BatteryModel(3, 0.5, -0.1)
         for bad in (True, "0.5"):  # neither a bool nor text is a probability
-            with pytest.raises(ValueError, match="access probability"):
+            with pytest.raises(ValueError, match=r"^access_prob must lie in \[0, 1\], got "):
                 BatteryModel(5, bad, 0.5)
 
     @pytest.mark.parametrize("levels", [np.int64(5), np.int8(5), np.uint16(5)])
@@ -946,18 +950,75 @@ class TestBirthDeathSolver:
         assert worst_pi0 <= 1e-12 and worst_vec <= 1e-12
 
 
-# The four types that store their reals as float: a function that makes one
-# with ``value`` as one of its reals, that real's attribute, and its
-# rejection message.
+# Every real of the model records, keyed by its type (the first real of
+# each type) or by type.field: a function that makes one with ``value`` as
+# that real, the real's attribute, and its rejection message.
 REAL_CHECKS = {
     "TwoStateChain": (lambda v: TwoStateChain(v, 0.5), "stay_a",
                       "stay_a must lie in [0, 1], got {!r}"),
+    "TwoStateChain.stay_b": (lambda v: TwoStateChain(0.5, v), "stay_b",
+                             "stay_b must lie in [0, 1], got {!r}"),
     "BatteryModel": (lambda v: BatteryModel(5, 0.3, v), "harvest_prob",
-                     "harvest probability must lie in [0, 1], got {!r}"),
+                     "harvest_prob must lie in [0, 1], got {!r}"),
+    "BatteryModel.access_prob": (lambda v: BatteryModel(5, v, 0.6), "access_prob",
+                                 "access_prob must lie in [0, 1], got {!r}"),
     "DetectorConfig": (lambda v: detector(noise=v), "noise_power",
                        "noise_power must be a positive finite number, got {!r}"),
+    "DetectorConfig.sensing_duration": (lambda v: detector(tau=v), "sensing_duration",
+                                        "sensing_duration must be a positive finite number, got {!r}"),
+    "DetectorConfig.sampling_rate": (lambda v: detector(fs=v), "sampling_rate",
+                                     "sampling_rate must be a positive finite number, got {!r}"),
+    "DetectorConfig.threshold": (lambda v: detector(threshold=v), "threshold",
+                                 "threshold must be a positive finite number, got {!r}"),
+    "DetectorConfig.primary_snr": (lambda v: detector(snr=v), "primary_snr",
+                                   "primary_snr must be a positive finite number, got {!r}"),
     "Scenario": (lambda v: replace(case1_base_scenario(), slot_duration=v), "slot_duration",
                  "slot_duration must be a positive finite number, got {!r}"),
+}
+
+
+def derive_seed_inputs(seed, *key):
+    """The (entropy, spawn_key) that ``derive_seed(seed, *key)`` hands to ``SeedSequence``."""
+    with mock.patch("numpy.random.SeedSequence", wraps=np.random.SeedSequence) as spy:
+        RandomStream.derive_seed(seed, *key)
+    (entropy,), kwargs = spy.call_args
+    return entropy, kwargs["spawn_key"]
+
+
+def t_quantile_df(df):
+    """The df that ``student_t_quantile(0.975, df)`` hands to the t distribution function."""
+    with mock.patch("ehcrn.gaussian._t_cdf", wraps=gaussian._t_cdf) as spy:
+        gaussian.student_t_quantile(0.975, df)
+    return spy.call_args.args[1]
+
+
+# Every count, keyed by owner.name: a function that returns ``value`` as
+# its owner stores or uses it, the rejection message, and a value just
+# outside the range.
+COUNT_CHECKS = {
+    "BatteryModel.levels": (lambda v: BatteryModel(v, 0.3, 0.6).levels,
+                            "levels must be an integer >= 2, got {!r}", 1),
+    "Scenario.battery_levels": (lambda v: replace(case1_base_scenario(), battery_levels=v).battery_levels,
+                                "battery_levels must be an integer >= 2, got {!r}", 1),
+    "SimConfig.slots": (lambda v: SimConfig(slots=v).slots,
+                        "slots must be a positive integer, got {!r}", 0),
+    "SimConfig.replications": (lambda v: SimConfig(replications=v).replications,
+                               "replications must be a positive integer, got {!r}", 0),
+    "SimConfig.num_pu_channels": (lambda v: SimConfig(num_pu_channels=v).num_pu_channels,
+                                  "num_pu_channels must be a positive integer, got {!r}", 0),
+    "SimConfig.seed": (lambda v: SimConfig(seed=v).seed,
+                       "seed must be a 64-bit unsigned integer, got {!r}", 2**64),
+    "SimConfig.initial_battery": (lambda v: SimConfig(initial_battery=v).initial_battery,
+                                  "initial_battery must be 'full' or a non-negative level, got {!r}", -1),
+    "RandomStream.seed": (lambda v: RandomStream(v, 0).seed,
+                          "seed must be a 64-bit unsigned integer, got {!r}", 2**64),
+    "RandomStream.stream_id": (lambda v: RandomStream(0, v).stream_id,
+                               "stream_id must be an integer in [0, 2**32), got {!r}", 2**32),
+    "derive_seed.seed": (lambda v: derive_seed_inputs(v, 1)[0],
+                         "seed must be a non-negative integer, got {!r}", -1),
+    "derive_seed.key": (lambda v: derive_seed_inputs(42, 1, v)[1][1],
+                        "key must be a non-negative integer, got {!r}", -1),
+    "student_t_quantile.df": (t_quantile_df, "df must be a positive integer, got {!r}", 0),
 }
 
 
@@ -982,6 +1043,35 @@ class TestRealChecks:
             with pytest.raises(ValueError) as info:
                 build(-0.0)
             assert str(info.value) == message.format(-0.0)
+
+
+class TestCountChecks:
+    @pytest.mark.parametrize("kind", list(COUNT_CHECKS))
+    @pytest.mark.parametrize("value", [True, 2.0, "outside"])
+    def test_message_shows_the_value_as_given(self, kind, value):
+        use, message, outside = COUNT_CHECKS[kind]
+        value = outside if value == "outside" else value
+        with pytest.raises(ValueError) as info:
+            use(value)
+        assert str(info.value) == message.format(value)
+
+    @pytest.mark.parametrize("kind", list(COUNT_CHECKS))
+    def test_numpy_integer_as_int(self, kind):
+        use, _, _ = COUNT_CHECKS[kind]
+        used = use(np.int64(5))
+        assert type(used) is int and used == 5
+
+
+@pytest.mark.parametrize("record", [TwoStateChain, DetectorConfig, BatteryModel, Scenario, SimConfig])
+def test_every_number_field_has_a_rule_check(record):
+    # a float field must sit in REAL_CHECKS and an int one in COUNT_CHECKS,
+    # so a new field cannot skip its rule
+    reals = {(kind.split(".")[0], attribute) for kind, (_, attribute, _) in REAL_CHECKS.items()}
+    counts = {tuple(kind.split(".")) for kind in COUNT_CHECKS}
+    numbers = [f for f in fields(record) if {int, float} & {f.type, *typing.get_args(f.type)}]
+    assert numbers
+    for f in numbers:
+        assert (record.__name__, f.name) in (reals if f.type is float else counts), f.name
 
 
 class TestScenario:
